@@ -7,10 +7,17 @@ included) and the scheme generates the rest.  `steps = k` therefore returns
 the starter output untouched.
 
 Implicit relations on linear fields are solved directly; nonlinear ones go
-through damped fixed-point iteration with at most `max_iterations` sweeps.
-Linear fields additionally get a fast propagation path: the per-step
-relation is compiled once into the window transfer matrix and iterated.
-The generic per-step path is kept as the reference implementation and for
+through fixed-point iteration with at most `max_iterations` sweeps.
+
+Linear fields get a blocked propagation path.  The per-step relation is
+compiled once into the window transfer matrix M, and the last-state rows of
+M^1 .. M^B (B = 256) are stacked into one block, so a single matrix-vector
+product emits the next B states from the current window; the window then
+advances to the last k states emitted.  The powers are formed by doubling
+in extended precision and rounded once, so the blocked path keeps the
+accuracy of one product per step.  The exact-flow channel of a
+general linear field is propagated the same way with M = expm(hA).  The
+generic per-step path is kept as the reference implementation and for
 nonlinear fields; both paths agree to roundoff and tests assert it.
 """
 from __future__ import annotations
@@ -238,25 +245,17 @@ def _exact_trajectory(field: LinearHamiltonian, y0, h: float, steps: int) -> np.
     if _is_sho(field):
         w = float(np.sqrt(field.S[0, 0]))
         return sho_exact(w, y0, h * np.arange(steps))
-    out = np.empty((steps, field.dim))
-    phi = expm(h * field.A)
-    y = y0.copy()
-    for j in range(steps):
-        out[j] = y
-        y = phi @ y
-    return out
+    return _power_rows(expm(h * field.A), y0, steps, 0)
 
 
 # ---------------------------------------------------------------------------
 # implicit solves
 
 
-def _fixed_point(phi, guess, cfg: SolverConfig, damping: float = 1.0):
+def _fixed_point(phi, guess, cfg: SolverConfig):
     y = np.array(guess, dtype=float)
     for _ in range(cfg.max_iterations):
         ynew = phi(y)
-        if damping != 1.0:
-            ynew = (1.0 - damping) * y + damping * ynew
         if not np.all(np.isfinite(ynew)):
             raise ConvergenceError("fixed-point iteration diverged (non-finite)")
         # half the budget so the relation residual stays within tolerance
@@ -577,19 +576,51 @@ def _generic_loop(scheme, field, window, h, steps, cfg):
     return states
 
 
+# states emitted per matrix product; the stacked rows hold B * d * kd floats,
+# so large systems get fewer states per product to keep them within _ROW_FLOATS
+_BLOCK = 256
+_ROW_FLOATS = 1 << 20
+
+
+def _power_rows(M: np.ndarray, Y: np.ndarray, count: int, tail: int) -> np.ndarray:
+    """`count` states of the linear recursion Y -> M Y on a stacked window.
+
+    Y stacks k states of size d = len(Y) - tail (the newest last).  The
+    result holds those k states followed by the rows `tail:` of
+    M Y, M^2 Y, ..., i.e. one new state per application of M.  Rows
+    `tail:` of M^1 .. M^B are stacked once into a (B d, k d) block, so one
+    product emits B states; the next window is the last k states emitted,
+    which is M^B Y because M shifts the window.
+    """
+    kd = len(Y)
+    d = kd - tail
+    k = kd // d
+    out = np.empty((count, d))
+    out[:k] = Y.reshape(k, d)
+    block = min(_BLOCK, count - k, max(1, _ROW_FLOATS // (d * kd)))
+    if block <= 0:
+        return out
+    # Every block reuses these rows, so their rounding error adds up
+    # coherently over a run: form them in extended precision (where the
+    # platform has it) and round once.  Doubling: the rows of M^1 .. M^m
+    # times M^m are the rows of M^(m+1) .. M^2m.
+    power = M.astype(np.longdouble)
+    rows = power[tail:]
+    while len(rows) < block * d:
+        rows = np.concatenate([rows, rows[: block * d - len(rows)] @ power])
+        power = power @ power
+    rows = rows.astype(float)
+    for j in range(k, count, block):
+        n = min(block, count - j)
+        window = out[j - k : j].reshape(kd)
+        out[j : j + n] = (rows[: n * d] @ window).reshape(n, d)
+    return out
+
+
 def _matrix_loop(scheme, field, window, h, steps):
-    k = scheme_window(scheme)
     d = len(window[0])
     M = window_matrix(scheme, field.A, h)
-    states = np.empty((steps, d))
-    for i, y in enumerate(window):
-        states[i] = y
-    Y = np.concatenate(window)
-    tail = (k - 1) * d
-    for j in range(k, steps):
-        Y = M @ Y
-        states[j] = Y[tail:]
-    return states
+    return _power_rows(M, np.concatenate(window), steps, M.shape[0] - d)
 
 
 def integrate(scheme: Scheme, field, y0, h: float, steps: int,

@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from geostep import integrators
+from geostep.experiments import builtin_scenarios, classify, resolve_scheme
 from geostep.methods import MethodError, MethodSpec, builtin_methods
 from geostep.integrators import (
+    _BLOCK,
     ConvergenceError,
     PCPair,
     PartitionedPair,
@@ -252,10 +256,11 @@ def test_pad_method_keeps_step_values():
 
 def test_steps_equal_k_returns_starter_only():
     m = MS["ab4"]
-    traj = integrate(m, FIELD, Y0, 0.1, m.k)
     starter = rk4_start(FIELD, Y0, 0.1, m.k - 1)
-    assert traj.steps == m.k
-    assert np.allclose(traj.states, np.array(starter), atol=0)
+    for force_generic in (False, True):
+        traj = integrate(m, FIELD, Y0, 0.1, m.k, force_generic=force_generic)
+        assert traj.steps == m.k
+        assert np.array_equal(traj.states, np.array(starter))
 
 
 def test_integrate_validates_inputs():
@@ -298,6 +303,92 @@ def test_fast_path_agrees_for_pairs():
         fast = integrate(scheme, FIELD, Y0, 0.1, 300)
         slow = integrate(scheme, FIELD, Y0, 0.1, 300, force_generic=True)
         assert np.max(np.abs(fast.states - slow.states)) < 1e-12
+
+
+# 2-DOF field blockdiag(K, I): states of size d = 4 exercise the row stacking
+FIELD2 = LinearHamiltonian.from_hessian(
+    np.block([[np.array([[2.0, 0.5], [0.5, 3.0]]), np.zeros((2, 2))],
+              [np.zeros((2, 2)), np.eye(2)]])
+)
+Y02 = np.array([1.0, -0.5, 0.2, 0.3])
+BLOCKED_SCHEMES = {
+    "lmm": MS["ab4"],
+    "pece": PCPair("pc-m2", MS["ab4"], MS["am4"]),
+    "partitioned": PartitionedPair("m3", MS["m3-line1"], MS["m3b-corrected"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKED_SCHEMES))
+@pytest.mark.parametrize("extra", [0, 1, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 5])
+def test_blocked_path_matches_generic_across_block_edges(kind, extra):
+    scheme = BLOCKED_SCHEMES[kind]
+    steps = scheme.k + extra
+    fast = integrate(scheme, FIELD2, Y02, 0.1, steps)
+    slow = integrate(scheme, FIELD2, Y02, 0.1, steps, force_generic=True)
+    assert fast.steps == slow.steps == steps
+    assert np.max(np.abs(fast.states - slow.states)) < 1e-12
+
+
+def test_blocked_path_with_short_blocks_on_large_systems(monkeypatch):
+    # a row budget of three states per product, fewer than the window's k = 4
+    scheme = BLOCKED_SCHEMES["lmm"]
+    d = FIELD2.dim
+    monkeypatch.setattr(integrators, "_ROW_FLOATS", 3 * d * scheme.k * d)
+    fast = integrate(scheme, FIELD2, Y02, 0.1, 50)
+    slow = integrate(scheme, FIELD2, Y02, 0.1, 50, force_generic=True)
+    assert np.max(np.abs(fast.states - slow.states)) < 1e-12
+
+
+def test_blocked_pc_m2_matches_generic_over_long_run():
+    # the PECE window matrix is non-normal, so powers of it are the
+    # worst case for roundoff growth in the stacked rows
+    M = window_matrix(resolve_scheme("pc-m2"), FIELD.A, 0.1)
+    assert np.linalg.norm(M @ M.T - M.T @ M) > 1e-3
+    fast = integrate(resolve_scheme("pc-m2"), FIELD, Y0, 0.1, 10**5)
+    slow = integrate(resolve_scheme("pc-m2"), FIELD, Y0, 0.1, 10**5,
+                     force_generic=True)
+    assert np.max(np.abs(fast.states - slow.states)) < 1e-10
+
+
+def _first_nonfinite(states):
+    bad = np.nonzero(~np.all(np.isfinite(states), axis=1))[0]
+    return int(bad[0]) if len(bad) else None
+
+
+def test_blocked_overflow_and_crossing_match_per_step_map():
+    s = {x.name: x for x in builtin_scenarios()}["fig4-partitioned"]
+    scheme = resolve_scheme(s.method)
+    y0 = np.array([s.q0, s.p0])
+    steps = 140_000
+    fast = integrate(scheme, FIELD, y0, s.h, steps)
+    # reference for the overflow step: one window-matrix product per step.
+    # The generic relation solve overflows in its intermediate terms about
+    # 200 steps before the states themselves do (139551 against 139760).
+    M = window_matrix(scheme, FIELD.A, s.h)
+    Y = np.concatenate(fast.states[: scheme.k])
+    ref = np.empty((steps, 2))
+    ref[: scheme.k] = fast.states[: scheme.k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(scheme.k, steps):
+            Y = M @ Y
+            ref[j] = Y[-2:]
+    first = _first_nonfinite(fast.states)
+    assert first is not None and first == _first_nonfinite(ref)
+    # the crossing comes long before overflow; the generic path finds it too
+    short = 2000
+    slow = integrate(scheme, FIELD, y0, s.h, short, force_generic=True)
+    crossing = classify(fast)[4]
+    assert crossing is not None and crossing == classify(slow)[4]
+
+
+def test_exact_channel_on_general_field_matches_matrix_exponential():
+    h, steps = 0.05, 2 * _BLOCK + 3
+    traj = integrate(MS["leapfrog"], FIELD2, Y02, h, steps)
+    for j in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, steps - 1):
+        exact = expm(j * h * FIELD2.A) @ Y02
+        assert traj.errors[j] == pytest.approx(
+            np.linalg.norm(traj.states[j] - exact), abs=1e-12
+        )
 
 
 def test_nonlinear_field_uses_generic_path():
