@@ -1,20 +1,19 @@
 """Multistep integrators for Hamiltonian systems with structure checks.
 
-Exact-rational order analysis, several stepping families (plain multistep,
-one-leg, generalized, predictor-corrector, partitioned), long-run energy
-experiments on the harmonic oscillator, and numerical certificates for
-symplecticity-type properties of the window transfer map.
+Exact-rational order analysis, one stepping relation for plain multistep,
+one-leg and generalized schemes plus predictor-corrector and partitioned
+pairs, long-run energy experiments on the harmonic oscillator, and
+numerical certificates for symplecticity-type properties of the window
+transfer map.
 """
 
 from .methods import (
     AnalysisReport,
     MethodError,
     MethodSpec,
-    PolyPair,
     REGISTRY_NAMES,
     analyze,
     builtin_methods,
-    characteristic_polynomials,
     defect_horizon,
     format_method,
     format_report,
@@ -29,7 +28,6 @@ from .methods import (
 from .systems import (
     GradientField,
     LinearHamiltonian,
-    hamiltonian_energy,
     load_linear_system,
     sho,
     sho_exact,
@@ -44,14 +42,12 @@ from .integrators import (
     StepFailure,
     Trajectory,
     exact_start,
-    generalized_step,
     integrate,
-    lmm_step,
-    oneleg_step,
     pad_method,
     partitioned_step,
     pc_step,
     rk4_start,
+    step,
     step_residual,
     window_matrix,
 )
@@ -60,7 +56,6 @@ from .geometry import (
     StructureDefectReport,
     TransferMatrix,
     area_defect,
-    energy_drift,
     g_symplecticity_defect,
     numerical_jacobian,
     reversibility_residual,
@@ -69,14 +64,12 @@ from .geometry import (
 )
 from .experiments import (
     BehaviorThresholds,
-    LongRunReport,
     Scenario,
     ScenarioResult,
     builtin_pairs,
     builtin_scenarios,
     figure_scenarios,
     format_scenario,
-    long_run_report,
     parse_scenario,
     resolve_scheme,
     run_scenario,

@@ -18,13 +18,7 @@ import numpy as np
 
 from . import methods as me
 from . import geometry as ge
-from .integrators import (
-    PartitionedPair,
-    SolverConfig,
-    StepFailure,
-    integrate,
-    scheme_window,
-)
+from .integrators import PartitionedPair, SolverConfig, StepFailure, integrate
 from .systems import LinearHamiltonian, load_linear_system, sho
 from . import experiments as ex
 
@@ -42,23 +36,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _resolve_single(spec: str) -> me.MethodSpec:
-    """A single method from a file path or the registry (no pairs)."""
-    if os.path.isfile(spec):
-        return me.parse_method(Path(spec).read_text())
-    ms = me.builtin_methods()
-    if spec in ms:
-        return ms[spec]
-    raise me.MethodError(f"unknown method {spec!r}")
-
-
-def _resolve_any(spec: str):
-    """Method, pc pair or 'first,second' partitioned pair; files allowed."""
-    if os.path.isfile(spec):
-        return me.parse_method(Path(spec).read_text())
-    return ex.resolve_scheme(spec)
 
 
 def _resolve_system(name: str, omega: float | None) -> LinearHamiltonian:
@@ -81,7 +58,7 @@ def _parse_floats(text: str, n: int, flag: str) -> np.ndarray:
 
 
 def cmd_analyze(args) -> int:
-    scheme = _resolve_any(args.method)
+    scheme = ex.resolve_scheme(args.method)
     if isinstance(scheme, me.MethodSpec):
         reports = [me.analyze(scheme)]
         if args.json:
@@ -121,7 +98,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    scheme = _resolve_any(args.method)
+    scheme = ex.resolve_scheme(args.method)
     if args.swap_partition:
         if not isinstance(scheme, PartitionedPair):
             raise ValueError("--swap-partition needs a partitioned pair")
@@ -131,9 +108,9 @@ def cmd_integrate(args) -> int:
     q0 = _parse_floats(args.q0, n, "--q0")
     p0 = _parse_floats(args.p0, n, "--p0")
     y0 = np.concatenate([q0, p0])
-    if args.steps < scheme_window(scheme):
+    if args.steps < scheme.k:
         raise ValueError(
-            f"steps must be >= window k = {scheme_window(scheme)}, got {args.steps}"
+            f"steps must be >= window k = {scheme.k}, got {args.steps}"
         )
     cfg = SolverConfig(starter=args.starter)
     name = scheme.name.replace(",", "+")
@@ -212,7 +189,10 @@ def cmd_verify(args) -> int:
     if args.method is None:
         targets = [m for _, m in sorted(me.builtin_methods().items())]
     else:
-        targets = [_resolve_single(args.method)]
+        scheme = ex.resolve_scheme(args.method)
+        if not isinstance(scheme, me.MethodSpec):
+            raise me.MethodError(f"verify takes a single method, not {scheme.name!r}")
+        targets = [scheme]
     checks = [args.check] if args.check else list(CHECKS)
     print("method,system,omega,h,check,value,threshold,pass")
     all_pass = True
@@ -315,8 +295,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "h", None) is not None and hasattr(args, "h") and args.h <= 0:
-        print("error: h must be positive", file=sys.stderr)
+    if getattr(args, "h", None) is not None and not 0 < args.h < np.inf:
+        print("error: h must be positive and finite", file=sys.stderr)
         return 1
     if getattr(args, "steps", None) is not None and args.steps < 1:
         print("error: steps must be >= 1", file=sys.stderr)

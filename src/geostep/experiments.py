@@ -8,19 +8,21 @@ statistics (max deviation, slope, radius deviation, classification) are
 always computed at full resolution, never from the decimated files.
 
 Long runs are classified as bounded, drifting or exploding from the energy
-record.  Exploding is detected by the energy crossing a multiple of H_0;
-drift statistics for such runs are taken over the pre-crossing prefix so
-they stay finite.
+record.  Exploding is detected by the energy crossing a multiple of H_0,
+or, when H_0 <= 0, by |y|^2 crossing the same multiple of |y_0|^2; drift
+statistics for such runs are taken over the pre-crossing prefix so they
+stay finite.
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+import os
 from pathlib import Path
 
 import numpy as np
 
-from .methods import MethodError, MethodSpec, builtin_methods
+from .methods import MethodError, MethodSpec, builtin_methods, parse_method
 from .integrators import (
     PCPair,
     PartitionedPair,
@@ -29,14 +31,13 @@ from .integrators import (
     StepFailure,
     Trajectory,
     integrate,
-    scheme_window,
 )
+from .systems import sho
 
 __all__ = [
     "Scenario",
     "ScenarioResult",
     "BehaviorThresholds",
-    "LongRunReport",
     "builtin_pairs",
     "builtin_scenarios",
     "figure_scenarios",
@@ -44,7 +45,6 @@ __all__ = [
     "parse_scenario",
     "format_scenario",
     "run_scenario",
-    "long_run_report",
     "classify",
     "write_artifacts",
     "append_abort_comment",
@@ -101,19 +101,6 @@ DEFAULT_THRESHOLDS = BehaviorThresholds()
 
 
 @dataclass(frozen=True)
-class LongRunReport:
-    scenario: str
-    classification: str  # bounded | drifting | exploding
-    h0: float
-    max_deviation: float
-    slope: float
-    crossing_step: int | None
-    radius_deviation: float | None
-    steps: int
-    h: float
-
-
-@dataclass(frozen=True)
 class ScenarioResult:
     scenario: Scenario
     files: dict[str, str]
@@ -138,26 +125,31 @@ def builtin_pairs() -> dict[str, PCPair]:
     return {"pc-m2": PCPair("pc-m2", predictor=ms["ab4"], corrector=ms["am4"])}
 
 
+def _method(spec: str) -> MethodSpec:
+    """A single method from a file path or the registry."""
+    if os.path.isfile(spec):
+        return parse_method(Path(spec).read_text())
+    ms = builtin_methods()
+    if spec in ms:
+        return ms[spec]
+    raise MethodError(f"unknown method {spec!r}")
+
+
 def resolve_scheme(spec: str) -> Scheme:
-    """Turn a method field into a scheme: single name, pair name, or
-    "first,second" (a partitioned pair, first drives q)."""
+    """Turn a method field into a scheme: a method file, a registry or pair
+    name, or "first,second" (a partitioned pair of two methods, files or
+    registry names; first drives q)."""
     spec = spec.strip()
     if "," in spec:
         parts = [p.strip() for p in spec.split(",")]
         if len(parts) != 2:
             raise MethodError(f"a partitioned pair needs two names, got {spec!r}")
-        ms = builtin_methods()
-        for p in parts:
-            if p not in ms:
-                raise MethodError(f"unknown method {p!r}")
-        return PartitionedPair(spec.replace(" ", ""), ms[parts[0]], ms[parts[1]])
+        first, second = (_method(p) for p in parts)
+        return PartitionedPair(f"{first.name},{second.name}", first, second)
     pairs = builtin_pairs()
-    if spec in pairs:
+    if spec in pairs and not os.path.isfile(spec):
         return pairs[spec]
-    ms = builtin_methods()
-    if spec in ms:
-        return ms[spec]
-    raise MethodError(f"unknown method {spec!r}")
+    return _method(spec)
 
 
 def gather_warnings(scheme: Scheme) -> tuple[str, ...]:
@@ -354,9 +346,16 @@ def classify(traj: Trajectory, thresholds: BehaviorThresholds = DEFAULT_THRESHOL
     """
     H = np.asarray(traj.energies, dtype=float)
     h0 = float(H[0])
-    crossing = None
     if h0 > 0:
-        over = np.nonzero(H >= thresholds.explode_factor * h0)[0]
+        size = H
+    else:
+        # H cannot measure growth when H_0 <= 0 (an indefinite H can blow
+        # up along H = H_0), so watch the squared state norm instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.einsum("ij,ij->i", traj.states, traj.states)
+    crossing = None
+    if size[0] > 0:
+        over = np.nonzero(size >= thresholds.explode_factor * size[0])[0]
         if len(over):
             crossing = int(over[0])
     prefix = H if crossing is None else H[:crossing]
@@ -377,38 +376,6 @@ def classify(traj: Trajectory, thresholds: BehaviorThresholds = DEFAULT_THRESHOL
     return "drifting", h0, max_dev, slope, None
 
 
-LONG_RUN_MIN_STEPS = 10_000
-
-
-def long_run_report(
-    s: Scenario,
-    thresholds: BehaviorThresholds = DEFAULT_THRESHOLDS,
-    traj: Trajectory | None = None,
-) -> LongRunReport:
-    """Classify a long scenario run as bounded, drifting or exploding.
-
-    Pass `traj` to reuse an existing trajectory for the same scenario.
-    """
-    if s.steps < LONG_RUN_MIN_STEPS:
-        raise ValueError(
-            f"long-run classification needs >= {LONG_RUN_MIN_STEPS} steps"
-        )
-    if traj is None:
-        traj = _run_trajectory(s)
-    label, h0, max_dev, slope, crossing = classify(traj, thresholds)
-    return LongRunReport(
-        scenario=s.name,
-        classification=label,
-        h0=h0,
-        max_deviation=max_dev,
-        slope=slope,
-        crossing_step=crossing,
-        radius_deviation=_radius_deviation(traj, crossing),
-        steps=s.steps,
-        h=s.h,
-    )
-
-
 def _radius_deviation(traj: Trajectory, crossing: int | None) -> float | None:
     """max | ||y_j||^2 - ||y_0||^2 | over the (finite prefix of the) run."""
     states = traj.states if crossing is None else traj.states[:crossing]
@@ -416,20 +383,6 @@ def _radius_deviation(traj: Trajectory, crossing: int | None) -> float | None:
         return None
     r2 = np.einsum("ij,ij->i", states, states)
     return float(np.max(np.abs(r2 - r2[0])))
-
-
-def _run_trajectory(s: Scenario):
-    from .systems import sho
-
-    scheme = resolve_scheme(s.method)
-    field = sho(s.omega)
-    cfg = SolverConfig(starter=s.starter)
-    y0 = np.array([s.q0, s.p0])
-    if s.steps < scheme_window(scheme):
-        raise ValueError(
-            f"scenario {s.name}: steps = {s.steps} < window k = {scheme_window(scheme)}"
-        )
-    return integrate(scheme, field, y0, s.h, s.steps, cfg)
 
 
 def run_scenario(
@@ -445,10 +398,15 @@ def run_scenario(
     """
     outdir = Path(outdir)
     scheme = resolve_scheme(s.method)
+    if s.steps < scheme.k:
+        raise ValueError(
+            f"scenario {s.name}: steps = {s.steps} < window k = {scheme.k}"
+        )
     warnings = list(gather_warnings(scheme))
     failed_step = None
     try:
-        traj = _run_trajectory(s)
+        traj = integrate(scheme, sho(s.omega), np.array([s.q0, s.p0]), s.h,
+                         s.steps, SolverConfig(starter=s.starter))
     except StepFailure as exc:
         traj = exc.partial
         failed_step = exc.step

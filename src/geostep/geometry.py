@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .methods import MethodSpec, lambda_matrix
-from .integrators import PCPair, PartitionedPair, Scheme, window_matrix, scheme_window
+from .integrators import Scheme, _compile, _relation, window_matrix
 from .systems import LinearHamiltonian, structure_matrix
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "numerical_jacobian",
     "step_transition",
     "reversibility_residual",
-    "energy_drift",
 ]
 
 
@@ -73,18 +72,14 @@ def _field_matrix(field) -> np.ndarray:
     return A
 
 
-def _scheme_name(scheme: Scheme) -> str:
-    return scheme.name
-
-
 def transfer_matrix(scheme: Scheme, field, h: float) -> TransferMatrix:
     """Compile the one-step window map of a scheme on a linear field."""
     A = _field_matrix(field)
     M = window_matrix(scheme, A, h)
     return TransferMatrix(
-        method=_scheme_name(scheme),
+        method=scheme.name,
         h=h,
-        k=scheme_window(scheme),
+        k=scheme.k,
         dim=A.shape[0],
         M=M,
     )
@@ -228,39 +223,10 @@ def reversibility_residual(m: MethodSpec, field, traj) -> float:
     step sign flipped; for symmetric coefficients this vanishes identically
     on any sequence the forward scheme produced, up to roundoff.
     """
-    h = traj.h
     z = np.asarray(traj.states, dtype=float)[::-1]
-    N = len(z)
-    if N < m.k + 1:
+    nwin = len(z) - m.k
+    if nwin < 1:
         raise ValueError(f"need at least k+1 = {m.k + 1} states")
-    a = [float(c) for c in m.alpha]
-    worst = 0.0
-    if m.kind == "one-leg":
-        b = [float(c) for c in m.beta]
-        for nidx in range(N - m.k):
-            u = sum(b[j] * z[nidx + j] for j in range(m.k + 1))
-            r = sum(a[j] * z[nidx + j] for j in range(m.k + 1)) + h * field.evaluate(u)
-            worst = max(worst, float(np.linalg.norm(r)))
-        return worst
-    b = [float(c) for c in m.effective_beta()]
-    if isinstance(field, LinearHamiltonian):
-        fz = z @ field.A.T
-    else:
-        fz = np.array([field.evaluate(y) for y in z])
-    nwin = N - m.k
-    r = np.zeros((nwin, z.shape[1]))
-    for j in range(m.k + 1):
-        r += a[j] * z[j : j + nwin] + h * b[j] * fz[j : j + nwin]
+    windows = [z[j : j + nwin] for j in range(m.k + 1)]
+    r = _relation(_compile(m), field, windows, -traj.h)
     return float(np.max(np.linalg.norm(r, axis=1)))
-
-
-def energy_drift(traj) -> tuple[float, float]:
-    """(max deviation from H_0, least-squares slope of H over t)."""
-    t = np.asarray(traj.times, dtype=float)
-    H = np.asarray(traj.energies, dtype=float)
-    if len(t) != len(H) or len(t) < 2:
-        raise ValueError("need at least two energy samples")
-    max_dev = float(np.max(np.abs(H - H[0])))
-    A = np.vstack([t, np.ones_like(t)]).T
-    slope = float(np.linalg.lstsq(A, H, rcond=None)[0][0])
-    return max_dev, slope

@@ -1,5 +1,11 @@
-"""Time stepping for multistep, one-leg, generalized, predictor-corrector
-and partitioned schemes.
+"""Time stepping for multistep, predictor-corrector and partitioned schemes.
+
+Every `MethodSpec` kind is one relation over k+1 consecutive states,
+sum_j alpha_j z_j - h sum_j beta_j f(sum_l gamma_jl z_l) = 0, whose kind
+only chooses the default gamma (`MethodSpec.gamma_rows`).  `_relation`
+evaluates f once per distinct gamma row, so one-leg schemes cost one
+evaluation; it gives a step (solved for z_k), the step residual and, with
+h -> -h on reversed states, the reversibility residual.
 
 A trajectory with parameter `steps` holds exactly `steps` recorded states
 y_0 .. y_{steps-1}: the starter supplies the first k (the window, y_0
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 
 import numpy as np
 from scipy.linalg import expm
@@ -42,15 +49,12 @@ __all__ = [
     "pad_method",
     "rk4_start",
     "exact_start",
-    "lmm_step",
-    "oneleg_step",
-    "generalized_step",
+    "step",
     "pc_step",
     "partitioned_step",
     "integrate",
     "step_residual",
     "window_matrix",
-    "scheme_window",
 ]
 
 
@@ -176,11 +180,6 @@ class PartitionedPair:
 Scheme = MethodSpec | PCPair | PartitionedPair
 
 
-def scheme_window(scheme: Scheme) -> int:
-    """Window length k of a scheme or pair."""
-    return scheme.k
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded run: states (steps, 2n), energies, optional exact-error channel."""
@@ -290,75 +289,91 @@ def _check_window(m_k: int, window) -> list[np.ndarray]:
     return ys
 
 
-def lmm_step(m: MethodSpec, field, window, h: float,
-             cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """One step of the plain multistep relation."""
-    ys = _check_window(m.k, window)
-    a = [float(c) for c in m.alpha]
-    b = [float(c) for c in m.beta]
-    rhs = sum(
-        (-a[j]) * ys[j] + (h * b[j]) * field.evaluate(ys[j]) if b[j] else (-a[j]) * ys[j]
-        for j in range(m.k)
-    )
-    if m.explicit:
-        return rhs / a[m.k]
-    if isinstance(field, LinearHamiltonian):
-        return _linear_lead_solve(a[m.k], b[m.k], field.A, h, rhs)
-    return _fixed_point(
-        lambda y: (rhs + h * b[m.k] * field.evaluate(y)) / a[m.k], ys[-1], cfg
-    )
+def _terms(coeffs) -> list[tuple[int, float]]:
+    return [(l, float(c)) for l, c in enumerate(coeffs) if c]
 
 
-def oneleg_step(m: MethodSpec, field, window, h: float,
-                cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """One step of the one-leg relation: f evaluated once per iterate."""
-    if sum(m.beta, Fraction(0)) != 1:
-        raise MethodError("one-leg stepping requires sigma(1) = 1")
-    ys = _check_window(m.k, window)
-    a = [float(c) for c in m.alpha]
-    b = [float(c) for c in m.beta]
-    rhs = sum((-a[j]) * ys[j] for j in range(m.k))
-    u_known = sum(b[j] * ys[j] for j in range(m.k))
-    if m.explicit:
-        return (rhs + h * field.evaluate(u_known)) / a[m.k]
+def _compile(m: MethodSpec):
+    """Float form of m's relation: (alpha terms, legs), zeros dropped.
+
+    A leg (w, terms) is one distinct gamma row with the summed beta weight w
+    of the rows equal to it, so f is evaluated once per leg.
+    """
+    weights: dict[tuple[Fraction, ...], Fraction] = {}
+    for b, row in zip(m.beta, m.gamma_rows):
+        weights[row] = weights.get(row, Fraction(0)) + b
+    legs = [(float(w), _terms(row)) for row, w in weights.items() if w]
+    return _terms(m.alpha), legs
+
+
+def _comb(terms, zs):
+    """sum_l c_l z_l over the (l, c_l) pairs, zero when there are none; a
+    lone unit weight is z_l itself."""
+    u = None
+    for l, c in terms:
+        z = zs[l] if c == 1.0 else c * zs[l]
+        u = z if u is None else u + z
+    return np.zeros_like(zs[0]) if u is None else u
+
+
+def _f(field, u):
+    """f at one state, or row by row on a stack (one product if linear)."""
+    if u.ndim == 1:
+        return field.evaluate(u)
     if isinstance(field, LinearHamiltonian):
-        # alpha_k y - h beta_k A y = rhs + h A u_known
-        return _linear_lead_solve(
-            a[m.k], b[m.k], field.A, h, rhs + h * (field.A @ u_known)
+        return u @ field.A.T
+    return np.array([field.evaluate(y) for y in u])
+
+
+def _relation(rel, field, zs, h: float):
+    """sum_j alpha_j z_j - h sum_leg w f(sum_l gamma_l z_l) for a relation
+    from `_compile`; `zs` holds k+1 states or k+1 equal-length stacks of
+    windows."""
+    alpha, legs = rel
+    r = _comb(alpha, zs)
+    for w, terms in legs:
+        r = r - (h * w) * _f(field, _comb(terms, zs))
+    return r
+
+
+def _stepper(m: MethodSpec):
+    """Compile m once into a solver of its relation for z_k given z_0 ..
+    z_{k-1}.  The solve runs the kernel on the slots (r, c_1 .. c_n, z_k),
+    formed once per step: r is the relation without the terms that reach
+    z_k, c_i the known part of reaching leg i's argument."""
+    k, a_k = m.k, float(m.alpha[m.k])
+    lead_beta = float(m.effective_beta()[k])
+    alpha, legs = _compile(m)
+    # terms are in index order, so a leg reaches z_k when its last term does;
+    # alpha's last term is always alpha_k
+    reaching = [leg for leg in legs if leg[1][-1][0] == k]
+    known = (alpha[:-1], [leg for leg in legs if leg not in reaching])
+    last = len(reaching) + 1
+    solve = ([(0, 1.0)], [
+        (w, ([(i, 1.0)] if len(terms) > 1 else []) + [(last, terms[-1][1])])
+        for i, (w, terms) in enumerate(reaching, 1)
+    ])
+
+    def advance(field, ys, h, cfg):
+        slots = [_relation(known, field, ys, h)]
+        if not reaching:
+            return slots[0] / -a_k
+        slots += [_comb(terms[:-1], ys) for _, terms in reaching]
+        if isinstance(field, LinearHamiltonian):
+            # the relation is affine in z_k: its value at z_k = 0 is the rhs
+            rhs = -_relation(solve, field, slots + [np.zeros_like(ys[-1])], h)
+            return _linear_lead_solve(a_k, lead_beta, field.A, h, rhs)
+        return _fixed_point(
+            lambda y: _relation(solve, field, slots + [y], h) / -a_k, ys[-1], cfg
         )
-    return _fixed_point(
-        lambda y: (rhs + h * field.evaluate(u_known + b[m.k] * y)) / a[m.k],
-        ys[-1],
-        cfg,
-    )
+
+    return advance
 
 
-def generalized_step(m: MethodSpec, field, window, h: float,
-                     cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """One step with derivative arguments taken at gamma-combinations."""
-    if m.gamma is None:
-        raise MethodError("generalized stepping requires a gamma matrix")
-    ys = _check_window(m.k, window)
-    a = [float(c) for c in m.alpha]
-    b = [float(c) for c in m.beta]
-    g = [[float(c) for c in row] for row in m.gamma]
-    rhs = sum((-a[j]) * ys[j] for j in range(m.k))
-    if isinstance(field, LinearHamiltonian):
-        eb = [float(c) for c in m.effective_beta()]
-        lin_rhs = rhs + h * (field.A @ sum(eb[l] * ys[l] for l in range(m.k)))
-        return _linear_lead_solve(a[m.k], eb[m.k], field.A, h, lin_rhs)
-    c_known = [sum(g[j][l] * ys[l] for l in range(m.k)) for j in range(m.k + 1)]
-
-    def phi(y):
-        s = rhs.copy()
-        for j in range(m.k + 1):
-            if b[j]:
-                s = s + h * b[j] * field.evaluate(c_known[j] + g[j][m.k] * y)
-        return s / a[m.k]
-
-    if m.explicit:
-        return phi(ys[-1])
-    return _fixed_point(phi, ys[-1], cfg)
+def step(m: MethodSpec, field, window, h: float,
+         cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """One step of m's relation: the state following the k-state window."""
+    return _stepper(m)(field, _check_window(m.k, window), h, cfg)
 
 
 def _pc_advance(pair: PCPair, field, ys, fs, h: float):
@@ -418,27 +433,9 @@ def step_residual(scheme, field, states, h: float) -> float:
     """
     ys = [np.asarray(y, dtype=float) for y in states]
     if isinstance(scheme, MethodSpec):
-        m = scheme
-        if len(ys) != m.k + 1:
-            raise ValueError(f"need k+1 = {m.k + 1} states")
-        a = [float(c) for c in m.alpha]
-        if m.kind == "lmm":
-            r = sum(a[j] * ys[j] for j in range(m.k + 1)) - h * sum(
-                float(b) * field.evaluate(ys[j])
-                for j, b in enumerate(m.beta)
-                if b != 0
-            )
-        elif m.kind == "one-leg":
-            u = sum(float(b) * ys[j] for j, b in enumerate(m.beta))
-            r = sum(a[j] * ys[j] for j in range(m.k + 1)) - h * field.evaluate(u)
-        else:
-            g = m.gamma
-            r = sum(a[j] * ys[j] for j in range(m.k + 1))
-            for j, b in enumerate(m.beta):
-                if b != 0:
-                    u = sum(float(g[j][l]) * ys[l] for l in range(m.k + 1))
-                    r = r - h * float(b) * field.evaluate(u)
-        return float(np.linalg.norm(r))
+        if len(ys) != scheme.k + 1:
+            raise ValueError(f"need k+1 = {scheme.k + 1} states")
+        return float(np.linalg.norm(_relation(_compile(scheme), field, ys, h)))
     if isinstance(scheme, (PCPair, PartitionedPair)):
         redo = (pc_step if isinstance(scheme, PCPair) else partitioned_step)(
             scheme, field, ys[:-1], h
@@ -544,7 +541,7 @@ class _LoopFailure(Exception):
 
 
 def _generic_loop(scheme, field, window, h, steps, cfg):
-    k = scheme_window(scheme)
+    k = scheme.k
     d = len(window[0])
     states = np.empty((steps, d))
     for i, y in enumerate(window):
@@ -559,20 +556,15 @@ def _generic_loop(scheme, field, window, h, steps, cfg):
             states[j] = ynew
         return states
     if isinstance(scheme, PartitionedPair):
-        stepper = partitioned_step
-    elif scheme.kind == "one-leg":
-        stepper = oneleg_step
-    elif scheme.kind == "generalized":
-        stepper = generalized_step
+        advance = functools.partial(partitioned_step, scheme)
     else:
-        stepper = lmm_step
+        advance = _stepper(scheme)
     for j in range(k, steps):
         try:
-            ynew = stepper(scheme, field, ys, h, cfg)
+            states[j] = advance(field, ys, h, cfg)
         except (ConvergenceError, SingularStepError) as exc:
             raise _LoopFailure(j, exc, states[:j].copy()) from exc
-        ys = ys[1:] + [ynew]
-        states[j] = ynew
+        ys = ys[1:] + [states[j]]
     return states
 
 
@@ -632,14 +624,16 @@ def integrate(scheme: Scheme, field, y0, h: float, steps: int,
     be at least k.  Errors are recorded only for linear fields, where the
     exact flow is available.
     """
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
-    k = scheme_window(scheme)
+    if not 0 < h < np.inf:
+        raise ValueError(f"h must be positive and finite, got {h}")
+    k = scheme.k
     if steps < k:
         raise ValueError(f"steps must be >= k = {k}, got {steps}")
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (field.dim,):
         raise ValueError(f"y0 must have shape ({field.dim},), got {y0.shape}")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError(f"y0 must be finite, got {y0}")
     window = _starter_states(field, y0, h, k, cfg)
     linear = isinstance(field, LinearHamiltonian)
     fast = (

@@ -1,14 +1,15 @@
-"""Coefficient-level analysis of linear multistep, one-leg and generalized schemes.
+"""Coefficient-level analysis of multistep schemes.
 
 A k-step scheme is stored as coefficient tuples alpha, beta of length k+1
-(index j = 0..k, oldest state first).  The plain multistep relation is
+(index j = 0..k, oldest state first).  Every scheme is one relation,
 
-    sum_j alpha_j y_{n+j} = h sum_j beta_j f(y_{n+j}),
+    sum_j alpha_j y_{n+j} = h sum_j beta_j f(sum_l gamma_jl y_{n+l}),
 
-a one-leg scheme evaluates f once at the combination sum_j beta_j y_{n+j}
-(normalized so sigma(1) = 1), and a generalized scheme evaluates f at
-arbitrary affine combinations given by a (k+1)x(k+1) gamma matrix whose rows
-sum to one.
+with a (k+1)x(k+1) gamma matrix whose rows sum to one.  The kind only
+chooses the default gamma: the identity for a plain multistep (`lmm`)
+scheme, every row equal to beta for a `one-leg` scheme (normalized so
+sigma(1) = 1, which makes it one f-evaluation at sum_j beta_j y_{n+j}), and
+an explicit matrix for a `generalized` scheme.
 
 Everything in this module is exact: coefficients are `fractions.Fraction`
 and the defect sums, polynomial gcd and symmetry checks never round.  Only
@@ -26,11 +27,9 @@ import numpy as np
 __all__ = [
     "MethodError",
     "MethodSpec",
-    "PolyPair",
     "AnalysisReport",
     "parse_method",
     "format_method",
-    "characteristic_polynomials",
     "order_analysis",
     "defect_horizon",
     "is_symmetric",
@@ -52,6 +51,7 @@ ROOT_MOD_TOL = 1e-10
 ROOT_SEP_TOL = 1e-8
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class MethodError(ValueError):
@@ -128,42 +128,30 @@ class MethodSpec:
         )
 
     @property
-    def explicit(self) -> bool:
-        """True when y_{n+k} never enters a derivative argument."""
-        if self.kind == "generalized":
-            return all(
-                self.beta[j] == 0 or self.gamma[j][self.k] == 0
-                for j in range(self.k + 1)
-            )
-        return self.beta[self.k] == 0
-
-    def effective_beta(self) -> tuple[Fraction, ...]:
-        """Derivative weights seen by a linear field.
-
-        For plain and one-leg schemes this is beta itself; a generalized
-        scheme weights state l by sum_j beta_j gamma_{jl}.
-        """
-        if self.kind != "generalized":
-            return self.beta
+    def gamma_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The stored gamma, else the kind's default: the identity for
+        `lmm`, every row equal to beta for `one-leg`."""
+        if self.gamma is not None:
+            return self.gamma
+        if self.kind == "one-leg":
+            return (self.beta,) * (self.k + 1)
         return tuple(
-            sum((self.beta[j] * self.gamma[j][l] for j in range(self.k + 1)),
-                Fraction(0))
-            for l in range(self.k + 1)
+            (_ZERO,) * j + (_ONE,) + (_ZERO,) * (self.k - j) for j in range(self.k + 1)
         )
 
+    @property
+    def explicit(self) -> bool:
+        """True when y_{n+k} never enters a derivative argument."""
+        return not any(b and row[self.k]
+                       for b, row in zip(self.beta, self.gamma_rows))
 
-@dataclass(frozen=True)
-class PolyPair:
-    """Generating polynomials rho, sigma as ascending coefficient tuples."""
-
-    rho: tuple[Fraction, ...]
-    sigma: tuple[Fraction, ...]
-
-    def rho_at(self, x: Fraction) -> Fraction:
-        return sum((c * x**i for i, c in enumerate(self.rho)), Fraction(0))
-
-    def sigma_at(self, x: Fraction) -> Fraction:
-        return sum((c * x**i for i, c in enumerate(self.sigma)), Fraction(0))
+    def effective_beta(self) -> tuple[Fraction, ...]:
+        """Derivative weights seen by a linear field: state l is weighted by
+        sum_j beta_j gamma_{jl}, which is beta itself for lmm and one-leg."""
+        return tuple(
+            sum((b * g for b, g in zip(self.beta, col) if b and g), _ZERO)
+            for col in zip(*self.gamma_rows)
+        )
 
 
 @dataclass(frozen=True)
@@ -256,10 +244,6 @@ def format_method(m: MethodSpec) -> str:
 
 # ---------------------------------------------------------------------------
 # exact analysis
-
-
-def characteristic_polynomials(m: MethodSpec) -> PolyPair:
-    return PolyPair(tuple(m.alpha), tuple(m.beta))
 
 
 def defect_horizon(k: int) -> int:

@@ -23,7 +23,6 @@ __all__ = [
     "GradientField",
     "sho",
     "sho_exact",
-    "hamiltonian_energy",
     "load_linear_system",
 ]
 
@@ -57,6 +56,8 @@ class LinearHamiltonian:
         S = np.asarray(S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
             raise SystemError_(f"S must be square 2n x 2n, got shape {S.shape}")
+        if not np.all(np.isfinite(S)):
+            raise SystemError_("S must be finite")
         if np.abs(S - S.T).max() > SYM_TOL * (1 + np.abs(S).max()):
             raise SystemError_("S must be symmetric")
         n = S.shape[0] // 2
@@ -115,8 +116,8 @@ def sho(omega: float = 1.0) -> LinearHamiltonian:
 
     In (q, p) ordering S = diag(omega^2, 1) and A = [[0, 1], [-omega^2, 0]].
     """
-    if not omega > 0:
-        raise SystemError_(f"omega must be positive, got {omega}")
+    if not 0 < omega < np.inf:
+        raise SystemError_(f"omega must be positive and finite, got {omega}")
     return LinearHamiltonian.from_hessian(np.diag([omega * omega, 1.0]))
 
 
@@ -134,14 +135,6 @@ def sho_exact(omega: float, y0, t):
     q = q0 * c + (p0 / omega) * s
     p = p0 * c - omega * q0 * s
     return np.stack([q, p], axis=-1)
-
-
-def hamiltonian_energy(field, states) -> np.ndarray:
-    """H evaluated along one state or an array of states."""
-    states = np.asarray(states, dtype=float)
-    if states.ndim == 1:
-        return field.hamiltonian(states)
-    return field.energies(states)
 
 
 def load_linear_system(path: str) -> LinearHamiltonian:

@@ -131,6 +131,40 @@ def test_integrate_partitioned_pair(tmp_path, capsys):
     assert (tmp_path / "m3-line1+m3b-corrected-energy.csv").exists()
 
 
+def test_integrate_partitioned_pair_with_file_member(tmp_path, capsys):
+    f = tmp_path / "lf.txt"
+    f.write_text("name: lf\nk: 2\nalpha: -1 0 1\nbeta: 0 2 0\n")
+    out = tmp_path / "out"
+    code, stdout, _ = run(
+        capsys, "integrate", "--method", f"{f},m3b-corrected",
+        "--steps", "100", "--out", str(out),
+    )
+    assert code == 0
+    assert stdout.startswith("lf+m3b-corrected: ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"lf+m3b-corrected-{kind}.csv" for kind in ("energy", "error", "phase")
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--h", "inf"), ("--q0", "nan"), ("--omega", "inf"), ("--system", "nan 0\n0 1\n")],
+    ids=["h-inf", "q0-nan", "omega-inf", "hessian-nan"],
+)
+def test_integrate_non_finite_input_exits_1(tmp_path, capsys, flag, value):
+    if flag == "--system":
+        path = tmp_path / "hessian.txt"
+        path.write_text(value)
+        value = str(path)
+    code, _, err = run(
+        capsys, "integrate", "--method", "leapfrog", flag, value,
+        "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert "finite" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_swap_partition_requires_pair(capsys):
     code, _, err = run(
         capsys, "integrate", "--method", "ab4", "--swap-partition",

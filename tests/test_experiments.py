@@ -8,7 +8,8 @@ import pytest
 
 from geostep.methods import MethodError
 from geostep.integrators import PartitionedPair, PCPair, integrate, rk4_start
-from geostep.systems import sho
+from geostep.methods import builtin_methods
+from geostep.systems import LinearHamiltonian, sho
 from geostep.experiments import (
     BehaviorThresholds,
     Scenario,
@@ -17,7 +18,6 @@ from geostep.experiments import (
     classify,
     figure_scenarios,
     format_scenario,
-    long_run_report,
     parse_scenario,
     resolve_scheme,
     run_scenario,
@@ -268,6 +268,17 @@ def test_classify_exploding_euler():
     assert np.isfinite(max_dev) and np.isfinite(slope)
 
 
+@pytest.mark.parametrize("y0", [(1.0, 1.0), (1.0, 0.0)], ids=["H0-zero", "H0-negative"])
+def test_classify_catches_blow_up_when_h0_is_not_positive(y0):
+    # indefinite H = (p^2 - q^2)/2: H0 = 0 from (1, 1), -0.5 from (1, 0);
+    # leapfrog's |y| grows past 1e86 within 2000 steps from either point
+    field = LinearHamiltonian.from_hessian(np.diag([-1.0, 1.0]))
+    traj = integrate(builtin_methods()["leapfrog"], field, y0, 0.1, 2000)
+    label, h0, _, _, crossing = classify(traj)
+    assert h0 <= 0
+    assert label == "exploding" and crossing is not None
+
+
 def test_classify_drifting_implicit_euler():
     traj = integrate(
         resolve_scheme("implicit-euler"), sho(1.0), [1.0, 0.0], 0.1, 10_000
@@ -277,32 +288,20 @@ def test_classify_drifting_implicit_euler():
     assert slope < 0
 
 
-def test_long_run_report_requires_enough_steps():
-    with pytest.raises(ValueError, match="10000|10_000|>="):
-        long_run_report(Scenario("short", "midpoint", steps=100))
-
-
-def test_long_run_report_midpoint_bounded():
+def test_long_run_report_midpoint_bounded(tmp_path):
     s = Scenario("mid", "midpoint", steps=10_000)
-    rep = long_run_report(s)
+    rep = run_scenario(s, tmp_path)
     assert rep.classification == "bounded"
-    assert rep.scenario == "mid"
+    assert rep.scenario.name == "mid"
     assert rep.crossing_step is None
     assert rep.radius_deviation is not None and rep.radius_deviation <= 1e-8
 
 
-def test_long_run_report_accepts_precomputed_trajectory():
-    s = Scenario("mid", "midpoint", steps=10_000)
-    traj = integrate(resolve_scheme("midpoint"), sho(1.0), [1.0, 0.0], 0.1, 10_000)
-    rep = long_run_report(s, traj=traj)
-    assert rep.classification == "bounded"
-
-
-def test_fig2_orbit_radius_band_smoke():
+def test_fig2_orbit_radius_band_smoke(tmp_path):
     # the as-printed 4-step scheme wanders in phase but keeps the orbit
     # radius in a narrow band; the full-length golden cap is 0.1072
     s = Scenario("fig2-smoke", "m1-as-printed", steps=20_000)
-    rep = long_run_report(s)
+    rep = run_scenario(s, tmp_path)
     assert rep.classification == "drifting"
     assert rep.radius_deviation is not None
     assert rep.radius_deviation <= 0.108

@@ -1,0 +1,29 @@
+"""Every exported name resolves, so a removal cannot leave a stale export."""
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import geostep
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(geostep.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_names_resolve(name):
+    mod = importlib.import_module(f"geostep.{name}")
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(geostep.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        mod = importlib.import_module("." * node.level + node.module, "geostep")
+        for alias in node.names:
+            assert hasattr(mod, alias.name), f"{node.module}.{alias.name}"
+            assert hasattr(geostep, alias.asname or alias.name)

@@ -2,17 +2,16 @@
 import numpy as np
 import pytest
 
+from geostep.experiments import classify
 from geostep.methods import MethodSpec, builtin_methods, is_irreducible, is_symmetric
 from geostep.integrators import (
     SolverConfig,
     integrate,
-    lmm_step,
-    oneleg_step,
+    step,
     window_matrix,
 )
 from geostep.geometry import (
     area_defect,
-    energy_drift,
     g_symplecticity_defect,
     numerical_jacobian,
     reversibility_residual,
@@ -45,7 +44,7 @@ def test_transfer_matrix_reproduces_stepping_on_exact_windows():
     tm = transfer_matrix(m, FIELD, 0.1)
     w = [sho_exact(1.0, Y0, 0.0), sho_exact(1.0, Y0, 0.1)]
     out = tm.M @ np.concatenate(w)
-    stepped = lmm_step(m, FIELD, w, 0.1)
+    stepped = step(m, FIELD, w, 0.1)
     assert np.allclose(out, np.concatenate([w[1], stepped]), atol=1e-12)
 
 
@@ -145,8 +144,8 @@ def test_area_defect_nonlinear_midpoint_map():
         hamiltonian_fn=lambda y: 0.5 * y[1] ** 2 - np.cos(y[0]),
         gradient_fn=lambda y: np.array([np.sin(y[0]), y[1]]),
     )
-    step = lambda y: oneleg_step(MS["midpoint"], field, [y], 0.1)
-    assert area_defect(step, np.array([0.8, 0.2])) < 1e-6
+    one_step = lambda y: step(MS["midpoint"], field, [y], 0.1)
+    assert area_defect(one_step, np.array([0.8, 0.2])) < 1e-6
 
 
 def test_area_defect_requires_point_for_callable():
@@ -265,8 +264,24 @@ def test_reversibility_oneleg_branch_runs():
     assert reversibility_residual(m, FIELD, traj) <= 1e-11
 
 
+def test_reversibility_on_nonlinear_field():
+    from geostep.systems import GradientField
+
+    field = GradientField(
+        1,
+        hamiltonian_fn=lambda y: 0.5 * y[1] ** 2 - np.cos(y[0]),
+        gradient_fn=lambda y: np.array([np.sin(y[0]), y[1]]),
+    )
+    y0 = np.array([0.8, 0.2])
+    for name in ("midpoint", "leapfrog"):
+        traj = integrate(MS[name], field, y0, 0.1, 60)
+        assert reversibility_residual(MS[name], field, traj) <= 1e-12
+    traj = integrate(MS["ab4"], field, y0, 0.1, 60)
+    assert reversibility_residual(MS["ab4"], field, traj) > 1e-8
+
+
 # ---------------------------------------------------------------------------
-# energy drift
+# energy drift, as `classify` measures it
 
 
 def test_energy_drift_exact_flow_is_flat():
@@ -279,14 +294,16 @@ def test_energy_drift_exact_flow_is_flat():
         errors=None,
         start_count=1,
     )
-    max_dev, slope = energy_drift(exact)
+    label, _, max_dev, slope, _ = classify(exact)
+    assert label == "bounded"
     assert max_dev <= 1e-12
     assert abs(slope) <= 1e-13
 
 
 def test_energy_drift_euler_geometric_growth():
     traj = integrate(MS["explicit-euler"], FIELD, Y0, 0.1, 101)
-    max_dev, slope = energy_drift(traj)
+    _, _, max_dev, slope, crossing = classify(traj)
+    assert crossing is None
     expected = (1.01 ** 100 - 1.0) * 0.5
     assert max_dev == pytest.approx(expected, rel=1e-8)
     assert slope > 0
@@ -294,7 +311,7 @@ def test_energy_drift_euler_geometric_growth():
 
 def test_energy_drift_implicit_euler_decays():
     traj = integrate(MS["implicit-euler"], FIELD, Y0, 0.1, 101)
-    max_dev, slope = energy_drift(traj)
+    _, _, max_dev, slope, _ = classify(traj)
     assert slope < 0
     assert max_dev == pytest.approx(0.5 * (1.0 - 1.01 ** -100), rel=1e-8)
 
@@ -305,6 +322,7 @@ def test_energy_drift_constant_sequence_has_zero_slope():
         times = 0.1 * np.arange(50)
         energies = np.full(50, 2.5)
 
-    max_dev, slope = energy_drift(Flat())
+    label, _, max_dev, slope, _ = classify(Flat())
+    assert label == "bounded"
     assert max_dev == 0.0
     assert abs(slope) < 1e-14

@@ -17,14 +17,12 @@ from geostep.integrators import (
     StepFailure,
     Trajectory,
     exact_start,
-    generalized_step,
     integrate,
-    lmm_step,
-    oneleg_step,
     pad_method,
     partitioned_step,
     pc_step,
     rk4_start,
+    step,
     step_residual,
     window_matrix,
 )
@@ -85,12 +83,12 @@ def test_exact_start_rejects_nonlinear_field():
 
 
 def test_explicit_euler_pinned_step():
-    y1 = lmm_step(MS["explicit-euler"], FIELD, [Y0], 0.1)
+    y1 = step(MS["explicit-euler"], FIELD, [Y0], 0.1)
     assert np.array_equal(y1, np.array([1.0, -0.1]))
 
 
 def test_implicit_euler_solves_linear_directly():
-    y1 = lmm_step(MS["implicit-euler"], FIELD, [Y0], 0.1)
+    y1 = step(MS["implicit-euler"], FIELD, [Y0], 0.1)
     # (I - hA) y1 = y0
     lhs = (np.eye(2) - 0.1 * FIELD.A) @ y1
     assert np.allclose(lhs, Y0, atol=1e-15)
@@ -99,18 +97,13 @@ def test_implicit_euler_solves_linear_directly():
 def test_midpoint_step_equals_cayley_map():
     h = 0.1
     C = np.linalg.solve(np.eye(2) - (h / 2) * FIELD.A, np.eye(2) + (h / 2) * FIELD.A)
-    y1 = oneleg_step(MS["midpoint"], FIELD, [Y0], h)
+    y1 = step(MS["midpoint"], FIELD, [Y0], h)
     assert np.allclose(y1, C @ Y0, atol=1e-14)
 
 
 def test_window_length_is_checked():
     with pytest.raises(ValueError, match="window"):
-        lmm_step(MS["leapfrog"], FIELD, [Y0], 0.1)
-
-
-def test_oneleg_requires_normalized_sigma():
-    with pytest.raises(MethodError):
-        oneleg_step(MS["leapfrog"], FIELD, [Y0, Y0], 0.1)
+        step(MS["leapfrog"], FIELD, [Y0], 0.1)
 
 
 def test_oneleg_matches_lmm_on_linear_field():
@@ -123,9 +116,9 @@ def test_oneleg_matches_lmm_on_linear_field():
 def test_oneleg_differs_from_lmm_on_nonlinear_field():
     field = pendulum()
     y = np.array([1.2, 0.3])
-    a = oneleg_step(MS["midpoint"], field, [y], 0.4)
+    a = step(MS["midpoint"], field, [y], 0.4)
     lmm_twin = MethodSpec("mid-lmm", 1, MS["midpoint"].alpha, MS["midpoint"].beta)
-    b = lmm_step(lmm_twin, field, [y], 0.4)
+    b = step(lmm_twin, field, [y], 0.4)
     assert np.linalg.norm(a - b) > 1e-5
 
 
@@ -138,8 +131,8 @@ def test_generalized_with_identity_gamma_reduces_to_lmm():
     lmm_twin = MethodSpec("mid-lmm", 1, m.alpha, m.beta)
     field = pendulum()
     y = np.array([0.7, -0.2])
-    a = generalized_step(gen, field, [y], 0.1)
-    b = lmm_step(lmm_twin, field, [y], 0.1)
+    a = step(gen, field, [y], 0.1)
+    b = step(lmm_twin, field, [y], 0.1)
     assert np.allclose(a, b, atol=1e-13)
     # on the linear field the compiled matrices coincide exactly
     assert np.array_equal(
@@ -147,20 +140,12 @@ def test_generalized_with_identity_gamma_reduces_to_lmm():
     )
 
 
-def test_generalized_step_requires_gamma():
-    with pytest.raises(MethodError):
-        generalized_step(MS["leapfrog"], FIELD, [Y0, Y0], 0.1)
-
-
 def test_step_residual_within_solver_tolerance():
     cfg = SolverConfig()
     field = pendulum()
     for m in (MS["implicit-euler"], MS["midpoint"], MS["am4"]):
         window = rk4_start(field, np.array([0.9, 0.1]), 0.1, m.k - 1)
-        if m.kind == "one-leg":
-            ynew = oneleg_step(m, field, window, 0.1, cfg)
-        else:
-            ynew = lmm_step(m, field, window, 0.1, cfg)
+        ynew = step(m, field, window, 0.1, cfg)
         r = step_residual(m, field, window + [ynew], 0.1)
         assert r <= cfg.tolerance * (1.0 + np.linalg.norm(ynew))
 
@@ -175,7 +160,7 @@ def test_oneleg_evaluates_field_once_per_iteration():
 
     field = GradientField(1, hamiltonian_fn=lambda y: 0.0, gradient_fn=grad)
     cfg = SolverConfig(max_iterations=60)
-    oneleg_step(MS["midpoint"], field, [Y0], 0.1, cfg)
+    step(MS["midpoint"], field, [Y0], 0.1, cfg)
     assert calls <= cfg.max_iterations
 
 
@@ -223,7 +208,7 @@ def test_partitioned_members_must_be_explicit():
 def test_partitioned_euler_pair_equals_full_euler():
     pair = PartitionedPair("ee", MS["explicit-euler"], MS["explicit-euler"])
     y1 = partitioned_step(pair, FIELD, [Y0], 0.1)
-    assert np.allclose(y1, lmm_step(MS["explicit-euler"], FIELD, [Y0], 0.1))
+    assert np.allclose(y1, step(MS["explicit-euler"], FIELD, [Y0], 0.1))
     assert np.allclose(
         window_matrix(pair, FIELD.A, 0.1),
         window_matrix(MS["explicit-euler"], FIELD.A, 0.1),
@@ -245,8 +230,8 @@ def test_pad_method_keeps_step_values():
     assert padded.k == 3
     y = rk4_start(FIELD, Y0, 0.1, 2)
     assert np.allclose(
-        lmm_step(padded, FIELD, y, 0.1),
-        lmm_step(MS["explicit-euler"], FIELD, [y[-1]], 0.1),
+        step(padded, FIELD, y, 0.1),
+        step(MS["explicit-euler"], FIELD, [y[-1]], 0.1),
     )
 
 
@@ -270,6 +255,11 @@ def test_integrate_validates_inputs():
         integrate(MS["ab4"], FIELD, Y0, -0.1, 10)
     with pytest.raises(ValueError):
         integrate(MS["ab4"], FIELD, np.array([1.0, 0.0, 0.0]), 0.1, 10)
+    for h in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            integrate(MS["ab4"], FIELD, Y0, h, 10)
+    with pytest.raises(ValueError, match="finite"):
+        integrate(MS["ab4"], FIELD, np.array([np.nan, 0.0]), 0.1, 10)
 
 
 def test_trajectory_times_and_channels():
@@ -419,7 +409,7 @@ def test_window_matrix_euler_and_leapfrog():
     M2 = window_matrix(MS["leapfrog"], FIELD.A, 0.1)
     for _ in range(5):
         w = [rng.normal(size=2), rng.normal(size=2)]
-        stepped = lmm_step(MS["leapfrog"], FIELD, w, 0.1)
+        stepped = step(MS["leapfrog"], FIELD, w, 0.1)
         out = M2 @ np.concatenate(w)
         assert np.allclose(out, np.concatenate([w[1], stepped]), atol=1e-12)
 

@@ -13,7 +13,6 @@ from geostep.methods import (
     REGISTRY_NAMES,
     analyze,
     builtin_methods,
-    characteristic_polynomials,
     defect_horizon,
     format_method,
     format_report,
@@ -28,6 +27,11 @@ from geostep.methods import (
 
 F = Fraction
 MS = builtin_methods()
+
+
+def poly_at(coeffs, x):
+    """Ascending-coefficient polynomial (rho from alpha, sigma from beta) at x."""
+    return sum((c * x**i for i, c in enumerate(coeffs)), F(0))
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +193,6 @@ def test_defect_horizon_covers_superconvergence():
 # polynomials, symmetry, irreducibility, root condition
 
 
-def test_characteristic_polynomials_leapfrog():
-    pp = characteristic_polynomials(MS["leapfrog"])
-    assert pp.rho == (F(-1), F(0), F(1))
-    assert pp.sigma == (F(0), F(2), F(0))
-    assert pp.rho_at(F(1)) == 0
-    assert pp.sigma_at(F(1)) == 2
-
-
 @pytest.mark.parametrize(
     "name,expected",
     [
@@ -219,10 +215,9 @@ def test_symmetric_methods_satisfy_polynomial_reflection():
     # rho(x) = -x^k rho(1/x) and sigma(x) = x^k sigma(1/x) at sample points
     for name in ("leapfrog", "m1-corrected", "m3-line1", "midpoint"):
         m = MS[name]
-        pp = characteristic_polynomials(m)
         for x in (F(2), F(-3), F(1, 5), F(7, 3)):
-            assert pp.rho_at(x) == -(x ** m.k) * pp.rho_at(1 / x)
-            assert pp.sigma_at(x) == (x ** m.k) * pp.sigma_at(1 / x)
+            assert poly_at(m.alpha, x) == -(x ** m.k) * poly_at(m.alpha, 1 / x)
+            assert poly_at(m.beta, x) == (x ** m.k) * poly_at(m.beta, 1 / x)
 
 
 @pytest.mark.parametrize(
@@ -332,11 +327,10 @@ def method_specs(draw):
 @given(method_specs())
 @settings(max_examples=120, deadline=None)
 def test_property_defect_zero_and_one_match_polynomials(m):
-    pp = characteristic_polynomials(m)
     _, defects, _ = order_analysis(m)
-    assert defects[0] == pp.rho_at(F(1))
+    assert defects[0] == poly_at(m.alpha, F(1))
     drho = sum(j * m.alpha[j] for j in range(1, m.k + 1))
-    assert defects[1] == drho - pp.sigma_at(F(1))
+    assert defects[1] == drho - poly_at(m.beta, F(1))
 
 
 @given(method_specs())

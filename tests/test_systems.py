@@ -5,7 +5,6 @@ import pytest
 from geostep.systems import (
     GradientField,
     LinearHamiltonian,
-    hamiltonian_energy,
     load_linear_system,
     sho,
     sho_exact,
@@ -45,8 +44,9 @@ def test_from_hessian_rejects_bad_shapes():
 
 
 def test_sho_requires_positive_frequency():
-    with pytest.raises(ValueError):
-        sho(0.0)
+    for omega in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            sho(omega)
 
 
 def test_evaluate_matches_matrix_action():
@@ -86,7 +86,7 @@ def test_energies_match_scalar_hamiltonian():
     states = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     H = field.energies(states)
     assert np.allclose(H, [0.5, 0.5, 0.25])
-    assert hamiltonian_energy(field, states[2]) == pytest.approx(0.25)
+    assert field.hamiltonian(states[2]) == pytest.approx(0.25)
 
 
 def test_gradient_field_wraps_nonlinear_hamiltonian():
