@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .methods import MethodSpec, lambda_matrix
-from .integrators import Scheme, _compile, _relation, window_matrix
+from .integrators import (
+    Scheme, _compile, _relation, numerical_jacobian, window_matrix,
+)
 from .systems import LinearHamiltonian, structure_matrix
 
 __all__ = [
@@ -119,24 +121,6 @@ def g_symplecticity_defect(m: MethodSpec, field, h: float) -> StructureDefectRep
         K=K,
         M=M,
     )
-
-
-def numerical_jacobian(step_map, y: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a one-step map at y."""
-    y = np.asarray(y, dtype=float)
-    d = len(y)
-    eps = 1e-6 * (1.0 + float(np.linalg.norm(y)))
-    Jm = np.empty((d, d))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = eps
-            Jm[:, i] = (
-                np.asarray(step_map(y + e)) - np.asarray(step_map(y - e))
-            ) / (2.0 * eps)
-    if not np.all(np.isfinite(Jm)):
-        raise ValueError("non-finite Jacobian entries")
-    return Jm
 
 
 def area_defect(step_map, y: np.ndarray | None = None) -> float:

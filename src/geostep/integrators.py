@@ -12,8 +12,11 @@ y_0 .. y_{steps-1}: the starter supplies the first k (the window, y_0
 included) and the scheme generates the rest.  `steps = k` therefore returns
 the starter output untouched.
 
-Implicit relations on linear fields are solved directly; nonlinear ones go
-through fixed-point iteration with at most `max_iterations` sweeps.
+Implicit relations on linear fields are solved directly.  Nonlinear ones go
+through simplified Newton with at most `max_iterations` iterations per step:
+the Jacobian comes from central differences of the relation, is inverted
+once and kept across the steps of a run, and is refreshed only when the
+iteration stalls.
 
 Linear fields get a blocked propagation path.  The per-step relation is
 compiled once into the window transfer matrix M, and the last-state rows of
@@ -31,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import functools
+import math
 
 import numpy as np
-from scipy.linalg import expm
 
 from .methods import MethodError, MethodSpec
 from .systems import LinearHamiltonian, sho_exact
@@ -59,7 +62,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point solve failed to converge."""
+    """Newton solve of an implicit step failed to converge."""
 
 
 class SingularStepError(RuntimeError):
@@ -234,6 +237,8 @@ def exact_start(field, y0, h: float, count: int) -> list[np.ndarray]:
     if _is_sho(field):
         w = float(np.sqrt(field.S[0, 0]))
         return [sho_exact(w, y0, j * h) for j in range(count + 1)]
+    from scipy.linalg import expm  # slow to import; only general fields need it
+
     # each state from its own matrix exponential, no error accumulation
     return [expm(j * h * field.A) @ y0 for j in range(count + 1)]
 
@@ -244,6 +249,8 @@ def _exact_trajectory(field: LinearHamiltonian, y0, h: float, steps: int) -> np.
     if _is_sho(field):
         w = float(np.sqrt(field.S[0, 0]))
         return sho_exact(w, y0, h * np.arange(steps))
+    from scipy.linalg import expm
+
     return _power_rows(expm(h * field.A), y0, steps, 0)
 
 
@@ -251,21 +258,22 @@ def _exact_trajectory(field: LinearHamiltonian, y0, h: float, steps: int) -> np.
 # implicit solves
 
 
-def _fixed_point(phi, guess, cfg: SolverConfig):
-    y = np.array(guess, dtype=float)
-    for _ in range(cfg.max_iterations):
-        ynew = phi(y)
-        if not np.all(np.isfinite(ynew)):
-            raise ConvergenceError("fixed-point iteration diverged (non-finite)")
-        # half the budget so the relation residual stays within tolerance
-        if np.linalg.norm(ynew - y) <= 0.5 * cfg.tolerance * (
-            1.0 + np.linalg.norm(ynew)
-        ):
-            return ynew
-        y = ynew
-    raise ConvergenceError(
-        f"no convergence in {cfg.max_iterations} fixed-point iterations"
-    )
+def numerical_jacobian(step_map, y: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of a map at y."""
+    y = np.asarray(y, dtype=float)
+    d = len(y)
+    eps = 1e-6 * (1.0 + float(np.linalg.norm(y)))
+    Jm = np.empty((d, d))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(d):
+            e = np.zeros(d)
+            e[i] = eps
+            Jm[:, i] = (
+                np.asarray(step_map(y + e)) - np.asarray(step_map(y - e))
+            ) / (2.0 * eps)
+    if not np.all(np.isfinite(Jm)):
+        raise ValueError("non-finite Jacobian entries")
+    return Jm
 
 
 def _linear_lead_solve(alpha_k: float, beta_k: float, A: np.ndarray, h: float, rhs):
@@ -340,7 +348,13 @@ def _stepper(m: MethodSpec):
     """Compile m once into a solver of its relation for z_k given z_0 ..
     z_{k-1}.  The solve runs the kernel on the slots (r, c_1 .. c_n, z_k),
     formed once per step: r is the relation without the terms that reach
-    z_k, c_i the known part of reaching leg i's argument."""
+    z_k, c_i the known part of reaching leg i's argument.
+
+    On nonlinear fields the solve is simplified Newton on G(z), the kernel
+    on the slots with z_k = z.  The inverse Newton matrix is kept by this
+    stepper from step to step and refreshed at the current iterate only when
+    an increment exceeds half the previous one, so a stepper compiled per
+    run shares nothing with other runs."""
     k, a_k = m.k, float(m.alpha[m.k])
     lead_beta = float(m.effective_beta()[k])
     alpha, legs = _compile(m)
@@ -349,10 +363,38 @@ def _stepper(m: MethodSpec):
     reaching = [leg for leg in legs if leg[1][-1][0] == k]
     known = (alpha[:-1], [leg for leg in legs if leg not in reaching])
     last = len(reaching) + 1
-    solve = ([(0, 1.0)], [
+    solve = ([(0, 1.0), (last, a_k)], [
         (w, ([(i, 1.0)] if len(terms) > 1 else []) + [(last, terms[-1][1])])
         for i, (w, terms) in enumerate(reaching, 1)
     ])
+    inverse = None  # of G's Jacobian, kept across steps
+
+    def newton(G, z, cfg):
+        nonlocal inverse
+        previous = math.inf
+        for _ in range(cfg.max_iterations):
+            g = G(z)
+            if inverse is None:
+                # states are small (2n): an inverse costs one matrix-vector
+                # product per iteration
+                try:
+                    inverse = np.linalg.inv(numerical_jacobian(G, z))
+                except ValueError as exc:  # non-finite, or singular (LinAlgError)
+                    raise ConvergenceError(f"no usable Newton matrix: {exc}") from exc
+            dz = inverse @ g
+            size = math.sqrt(dz @ dz)  # np.linalg.norm, without its overhead
+            if not math.isfinite(size):
+                raise ConvergenceError("Newton iteration diverged (non-finite)")
+            z = z - dz
+            # half the budget so the relation residual stays within tolerance
+            if size <= 0.5 * cfg.tolerance * (1.0 + math.sqrt(z @ z)):
+                return z
+            if size > 0.5 * previous:
+                inverse = None  # stalled: refresh at the current iterate
+            previous = size
+        raise ConvergenceError(
+            f"no convergence in {cfg.max_iterations} Newton iterations"
+        )
 
     def advance(field, ys, h, cfg):
         slots = [_relation(known, field, ys, h)]
@@ -363,9 +405,7 @@ def _stepper(m: MethodSpec):
             # the relation is affine in z_k: its value at z_k = 0 is the rhs
             rhs = -_relation(solve, field, slots + [np.zeros_like(ys[-1])], h)
             return _linear_lead_solve(a_k, lead_beta, field.A, h, rhs)
-        return _fixed_point(
-            lambda y: _relation(solve, field, slots + [y], h) / -a_k, ys[-1], cfg
-        )
+        return newton(lambda z: _relation(solve, field, slots + [z], h), ys[-1], cfg)
 
     return advance
 

@@ -9,7 +9,9 @@ with a (k+1)x(k+1) gamma matrix whose rows sum to one.  The kind only
 chooses the default gamma: the identity for a plain multistep (`lmm`)
 scheme, every row equal to beta for a `one-leg` scheme (normalized so
 sigma(1) = 1, which makes it one f-evaluation at sum_j beta_j y_{n+j}), and
-an explicit matrix for a `generalized` scheme.
+an explicit matrix for a `generalized` scheme.  The certificates read the
+effective beta b_l = sum_j beta_j gamma_jl, the derivative weights a linear
+field sees, which is beta itself unless gamma is explicit.
 
 Everything in this module is exact: coefficients are `fractions.Fraction`
 and the defect sums, polynomial gcd and symmetry checks never round.  Only
@@ -18,7 +20,7 @@ eigenvalues (that is what `numpy.roots` computes).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 import re
 
@@ -148,6 +150,10 @@ class MethodSpec:
     def effective_beta(self) -> tuple[Fraction, ...]:
         """Derivative weights seen by a linear field: state l is weighted by
         sum_j beta_j gamma_{jl}, which is beta itself for lmm and one-leg."""
+        if self.gamma is None:
+            # the default gammas give beta back (one-leg: sigma(1) = 1);
+            # every certificate reads this, so skip the products
+            return self.beta
         return tuple(
             sum((b * g for b, g in zip(self.beta, col) if b and g), _ZERO)
             for col in zip(*self.gamma_rows)
@@ -258,17 +264,19 @@ def order_analysis(m: MethodSpec) -> tuple[int, tuple[Fraction, ...], bool]:
     Returns (order, defects, consistent) with defects = (C_0, ..., C_L),
 
         C_0 = sum_j alpha_j,
-        C_l = sum_j alpha_j j^l - l sum_j beta_j j^(l-1)   (l >= 1),
+        C_l = sum_j alpha_j j^l - l sum_j b_j j^(l-1)   (l >= 1),
 
+    b the effective beta (beta itself unless gamma is explicit), and
     order = largest s with C_0 .. C_s all zero and C_{s+1} nonzero
     (0 when inconsistent), consistent = (C_0 = C_1 = 0).
     """
     L = defect_horizon(m.k)
+    beta = m.effective_beta()
     defects = [sum(m.alpha, Fraction(0))]
     for l in range(1, L + 1):
         c = sum((m.alpha[j] * Fraction(j) ** l for j in range(m.k + 1)), Fraction(0))
         c -= l * sum(
-            (m.beta[j] * Fraction(j) ** (l - 1) for j in range(m.k + 1)), Fraction(0)
+            (beta[j] * Fraction(j) ** (l - 1) for j in range(m.k + 1)), Fraction(0)
         )
         defects.append(c)
     first_nonzero = next((i for i, c in enumerate(defects) if c != 0), None)
@@ -282,10 +290,11 @@ def order_analysis(m: MethodSpec) -> tuple[int, tuple[Fraction, ...], bool]:
 
 
 def is_symmetric(m: MethodSpec) -> bool:
-    """Coefficient symmetry: alpha_{k-j} = -alpha_j and beta_{k-j} = beta_j."""
-    k = m.k
+    """Coefficient symmetry: alpha_{k-j} = -alpha_j and b_{k-j} = b_j for the
+    effective beta b."""
+    k, beta = m.k, m.effective_beta()
     return all(m.alpha[k - j] == -m.alpha[j] for j in range(k + 1)) and all(
-        m.beta[k - j] == m.beta[j] for j in range(k + 1)
+        beta[k - j] == beta[j] for j in range(k + 1)
     )
 
 
@@ -318,8 +327,9 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def is_irreducible(m: MethodSpec) -> bool:
-    """True when rho and sigma share no common polynomial factor (exact gcd)."""
-    g = _poly_gcd(list(m.alpha), list(m.beta))
+    """True when rho and sigma (from the effective beta) share no common
+    polynomial factor (exact gcd)."""
+    g = _poly_gcd(list(m.alpha), list(m.effective_beta()))
     return len(g) == 1 and g[0] != 0
 
 
@@ -345,18 +355,18 @@ def root_condition(m: MethodSpec) -> tuple[bool, tuple[complex, ...]]:
 def lambda_matrix(m: MethodSpec) -> tuple[tuple[Fraction, ...], ...]:
     """Exact k x k matrix lambda_ij = sum_m (a_{i+m} b_{j+m} + a_{j+m} b_{i+m}).
 
-    Indices i, j run 1..k and out-of-range coefficients count as zero.  The
-    convention is pinned by the two-step central scheme, whose matrix is
-    [[0, 2], [2, 0]].
+    a is alpha and b the effective beta.  Indices i, j run 1..k and
+    out-of-range coefficients count as zero.  The convention is pinned by
+    the two-step central scheme, whose matrix is [[0, 2], [2, 0]].
     """
-    k = m.k
+    k, a, b = m.k, m.alpha, m.effective_beta()
 
     def lam(i: int, j: int) -> Fraction:
         s = Fraction(0)
         for mm in range(0, k + 1):
             if i + mm <= k and j + mm <= k:
-                s += m.alpha[i + mm] * m.beta[j + mm]
-                s += m.alpha[j + mm] * m.beta[i + mm]
+                s += a[i + mm] * b[j + mm]
+                s += a[j + mm] * b[i + mm]
         return s
 
     return tuple(tuple(lam(i, j) for j in range(1, k + 1)) for i in range(1, k + 1))
@@ -374,7 +384,7 @@ def analyze(m: MethodSpec) -> AnalysisReport:
         irreducible=is_irreducible(m),
         root_condition_satisfied=ok,
         rho_roots=roots,
-        normalization=sum(m.beta, Fraction(0)),
+        normalization=sum(m.effective_beta(), Fraction(0)),
         lambda_=lambda_matrix(m),
         warnings=m.warnings,
     )
@@ -472,12 +482,13 @@ def builtin_methods() -> dict[str, MethodSpec]:
             (0, 0, 0, -1, 1),
             (0, F(1, 24), F(-5, 24), F(19, 24), F(9, 24)),
         ),
-        "m3-line1": _m("m3-line1", (-1, 1, -1, 1), (0, 1, 1, 0)),
         "m3-line2-as-printed": _m(
             "m3-line2-as-printed", (0, -1, 0, 1), (0, 2, 2, 0)
         ),
         "m3b-corrected": _m("m3b-corrected", (0, -1, 0, 1), (0, 0, 2, 0)),
     }
+    # the first line of the paper's M3 pair is m1-corrected under another name
+    reg["m3-line1"] = replace(reg["m1-corrected"], name="m3-line1")
     # keep the two known-bad printings verbatim but say so up front
     for name in ("m1-as-printed", "m3-line2-as-printed"):
         _, defects, consistent = order_analysis(reg[name])

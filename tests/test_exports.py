@@ -1,7 +1,10 @@
 """Every exported name resolves, so a removal cannot leave a stale export."""
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,17 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(mod, alias.name), f"{node.module}.{alias.name}"
             assert hasattr(geostep, alias.asname or alias.name)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported only where the matrix exponential is needed
+    src = str(Path(geostep.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, geostep.cli; geostep.methods.builtin_methods(); "
+         "print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -390,14 +390,99 @@ def test_nonlinear_field_uses_generic_path():
 
 
 def test_divergent_implicit_solve_reports_step_failure():
-    field = pendulum()
+    # the pendulum cut off past |q| = 1.5: from p0 = 10 every solution of
+    # the implicit-Euler relation q1 + h^2 sin(q1) = q0 + h p0 lies past the cut
+    def grad(y):
+        if abs(y[0]) > 1.5:
+            return np.full(2, np.nan)
+        return np.array([np.sin(y[0]), y[1]])
+
+    field = GradientField(1, hamiltonian_fn=lambda y: 0.0, gradient_fn=grad)
     with pytest.raises(StepFailure) as info:
-        integrate(MS["implicit-euler"], field, np.array([1.0, 0.0]), 50.0, 10)
+        integrate(MS["implicit-euler"], field, np.array([1.0, 10.0]), 1.0, 10)
     exc = info.value
     assert exc.step == 1
     assert isinstance(exc.cause, ConvergenceError)
     assert exc.partial.steps == 1
-    assert np.allclose(exc.partial.states[0], [1.0, 0.0])
+    assert np.allclose(exc.partial.states[0], [1.0, 10.0])
+
+
+@pytest.mark.parametrize("name, h, steps", [
+    ("implicit-euler", 50.0, 10),
+    ("midpoint", 2.0, 125),
+])
+@pytest.mark.parametrize("q0", [0.6, 1.0, 1.4, 1.8])
+def test_large_implicit_steps_on_pendulum_succeed(name, h, steps, q0):
+    # fixed-point iteration failed at step 1 on all of these
+    field = pendulum()
+    y = integrate(MS[name], field, np.array([q0, 0.0]), h, steps).states
+    assert len(y) == steps and np.all(np.isfinite(y))
+    for j in range(1, steps):
+        r = step_residual(MS[name], field, y[j - 1 : j + 1], h)
+        assert r < 1e-12 * (1.0 + np.linalg.norm(y[j]))
+
+
+# final states of fixed-point iteration to the same tolerance, from q0 = 1
+# (am4: 0.9) with p0 = 0
+FIXED_POINT_FINAL = {
+    ("midpoint", 0.1, 500): (-0.9398840961329165, -0.31489777201501357),
+    ("midpoint", 1.0, 125): (-0.9983902274848493, -0.05188264018453259),
+    ("am4", 0.1, 200): (0.8990460687297424, -0.03871663996622283),
+    ("implicit-euler", 0.1, 200): (0.3476403616990484, -0.15964540760512688),
+}
+
+
+@pytest.mark.parametrize("name, h, steps", sorted(FIXED_POINT_FINAL))
+def test_newton_matches_fixed_point_final_states(name, h, steps):
+    q0 = 0.9 if name == "am4" else 1.0
+    traj = integrate(MS[name], pendulum(), np.array([q0, 0.0]), h, steps)
+    want = np.array(FIXED_POINT_FINAL[name, h, steps])
+    assert np.linalg.norm(traj.states[-1] - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def counting_pendulum():
+    """The pendulum with a count of gradient calls in `calls[0]`."""
+    calls = [0]
+
+    def grad(y):
+        calls[0] += 1
+        return np.array([np.sin(y[0]), y[1]])
+
+    field = GradientField(1, hamiltonian_fn=lambda y: 0.5 * y[1] ** 2 - np.cos(y[0]),
+                          gradient_fn=grad)
+    return field, calls
+
+
+def test_newton_reruns_are_bit_identical():
+    # the Newton matrix lives in the stepper of one run: runs in between
+    # change neither the states nor the work of the next run.  The first of
+    # them starts where the next run does, so its matrix would suit that run.
+    field, calls = counting_pendulum()
+    y0, h = np.array([1.2, 0.1]), 0.5
+
+    def run():
+        calls[0] = 0
+        return integrate(MS["midpoint"], field, y0, h, 200).states, calls[0]
+
+    stiff = GradientField(1, hamiltonian_fn=lambda y: 0.0,
+                          gradient_fn=lambda y: np.array([25 * np.sin(y[0]), y[1]]))
+    states, count = run()
+    for other, start, h_other, steps in ((field, y0, h, 2),
+                                         (field, (-0.4, 0.8), 1.0, 50),
+                                         (stiff, (0.3, 0.0), 0.1, 50)):
+        integrate(MS["midpoint"], other, np.array(start), h_other, steps)
+        again, again_count = run()
+        assert np.array_equal(again, states)
+        assert again_count == count
+
+
+def test_newton_matrix_is_kept_across_steps():
+    field, calls = counting_pendulum()
+    steps = 101
+    integrate(MS["midpoint"], field, Y0, 0.1, steps)
+    # a fresh central-difference Jacobian costs 4 calls, about 8.7 per step
+    # with its iterations; kept across steps it is about 5.6
+    assert calls[0] / (steps - 1) < 7
 
 
 def test_window_matrix_euler_and_leapfrog():

@@ -1,4 +1,5 @@
 """Exact-arithmetic analysis tests: orders, defects, polynomials, pairing."""
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,11 @@ def poly_at(coeffs, x):
 
 # ---------------------------------------------------------------------------
 # construction and validation
+
+
+def test_m3_line1_is_m1_corrected_under_its_own_name():
+    assert MS["m3-line1"].name == "m3-line1"
+    assert replace(MS["m3-line1"], name="m1-corrected") == MS["m1-corrected"]
 
 
 def test_registry_names_are_sorted_and_complete():
@@ -296,6 +302,21 @@ def test_analyze_report_fields():
     text = format_report(rep)
     assert "order: 2" in text
     assert "symmetric: true" in text
+
+
+def test_certificate_reads_gamma_through_effective_beta():
+    # plain beta says the midpoint rule (order 2, symmetric); on a linear
+    # field this gamma makes it the theta = 1/4 rule, effective beta (3/4, 1/4)
+    m = parse_method(
+        "name: skewed\nk: 1\nalpha: -1 1\nbeta: 1/2 1/2\ngamma:\n1 0\n1/2 1/2\n"
+    )
+    assert m.effective_beta() == (F(3, 4), F(1, 4))
+    rep = analyze(m)
+    assert rep.order == 1 and rep.consistent
+    assert rep.defects[2] == F(1, 2)
+    assert not rep.symmetric
+    assert rep.normalization == 1
+    assert rep.lambda_ == ((F(1, 2),),)
 
 
 def test_report_flags_inconsistent_method():
