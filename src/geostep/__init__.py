@@ -44,8 +44,6 @@ from .integrators import (
     exact_start,
     integrate,
     pad_method,
-    partitioned_step,
-    pc_step,
     rk4_start,
     step,
     step_residual,

@@ -156,7 +156,7 @@ def _default_tol(args) -> float:
     return PASS_DEFAULT_TOL
 
 
-def _verify_row(check: str, m: me.MethodSpec, field, omega, h, tol):
+def _verify_row(check: str, m: me.MethodSpec, field, h, tol):
     """(value, threshold, passed); threshold '-' when not applicable."""
     if check == "order":
         rep = me.analyze(m)
@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
     all_pass = True
     for m in targets:
         for check in checks:
-            value, thr, ok = _verify_row(check, m, field, omega, args.h, tol)
+            value, thr, ok = _verify_row(check, m, field, args.h, tol)
             all_pass = all_pass and ok
             print(
                 f"{m.name},{args.system},{omega:.17g},{args.h:.17g},"

@@ -5,7 +5,10 @@ sum_j alpha_j z_j - h sum_j beta_j f(sum_l gamma_jl z_l) = 0, whose kind
 only chooses the default gamma (`MethodSpec.gamma_rows`).  `_relation`
 evaluates f once per distinct gamma row, so one-leg schemes cost one
 evaluation; it gives a step (solved for z_k), the step residual and, with
-h -> -h on reversed states, the reversibility residual.
+h -> -h on reversed states, the reversibility residual.  `step` takes any
+scheme: a `MethodSpec`, a predictor-corrector pair or a partitioned pair,
+each compiled once into the same advance(field, window, h, cfg) form, which
+also steps a stack of windows at once.
 
 A trajectory with parameter `steps` holds exactly `steps` recorded states
 y_0 .. y_{steps-1}: the starter supplies the first k (the window, y_0
@@ -18,13 +21,14 @@ the Jacobian comes from central differences of the relation, is inverted
 once and kept across the steps of a run, and is refreshed only when the
 iteration stalls.
 
-Linear fields get a blocked propagation path.  The per-step relation is
-compiled once into the window transfer matrix M, and the last-state rows of
-M^1 .. M^B (B = 256) are stacked into one block, so a single matrix-vector
-product emits the next B states from the current window; the window then
-advances to the last k states emitted.  The powers are formed by doubling
-in extended precision and rounded once, so the blocked path keeps the
-accuracy of one product per step.  The exact-flow channel of a
+Linear fields get a blocked propagation path.  The window transfer matrix M
+is built once per run: a block that shifts the window, over the scheme's
+own step applied to the k d unit windows (d = 2n) at once.  The last-state
+rows of M^1 .. M^B (B = 256) are stacked into one block, so a single
+matrix-vector product emits the next B states from the current window; the
+window then advances to the last k states emitted.  The powers are formed
+by doubling in extended precision and rounded once, so the blocked path
+keeps the accuracy of one product per step.  The exact-flow channel of a
 general linear field is propagated the same way with M = expm(hA).  The
 generic per-step path is kept as the reference implementation and for
 nonlinear fields; both paths agree to roundoff and tests assert it.
@@ -33,13 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-import functools
 import math
 
 import numpy as np
 
 from .methods import MethodError, MethodSpec
-from .systems import LinearHamiltonian, sho_exact
+from .systems import LinearHamiltonian, sho_exact, structure_matrix
 
 __all__ = [
     "SolverConfig",
@@ -53,8 +56,6 @@ __all__ = [
     "rk4_start",
     "exact_start",
     "step",
-    "pc_step",
-    "partitioned_step",
     "integrate",
     "step_residual",
     "window_matrix",
@@ -279,7 +280,8 @@ def numerical_jacobian(step_map, y: np.ndarray) -> np.ndarray:
 def _linear_lead_solve(alpha_k: float, beta_k: float, A: np.ndarray, h: float, rhs):
     lead = alpha_k * np.eye(A.shape[0]) - h * beta_k * A
     try:
-        return np.linalg.solve(lead, rhs)
+        # rhs is one state or a stack of states, one per row
+        return np.linalg.solve(lead, rhs.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularStepError(
             f"alpha_k I - h beta_k A is singular at h = {h}"
@@ -353,8 +355,8 @@ def _stepper(m: MethodSpec):
     On nonlinear fields the solve is simplified Newton on G(z), the kernel
     on the slots with z_k = z.  The inverse Newton matrix is kept by this
     stepper from step to step and refreshed at the current iterate only when
-    an increment exceeds half the previous one, so a stepper compiled per
-    run shares nothing with other runs."""
+    an increment exceeds a quarter of the previous one, so a stepper compiled
+    per run shares nothing with other runs."""
     k, a_k = m.k, float(m.alpha[m.k])
     lead_beta = float(m.effective_beta()[k])
     alpha, legs = _compile(m)
@@ -389,7 +391,7 @@ def _stepper(m: MethodSpec):
             # half the budget so the relation residual stays within tolerance
             if size <= 0.5 * cfg.tolerance * (1.0 + math.sqrt(z @ z)):
                 return z
-            if size > 0.5 * previous:
+            if size > 0.25 * previous:
                 inverse = None  # stalled: refresh at the current iterate
             previous = size
         raise ConvergenceError(
@@ -410,57 +412,75 @@ def _stepper(m: MethodSpec):
     return advance
 
 
-def step(m: MethodSpec, field, window, h: float,
+def _pc(pair: PCPair):
+    """Compile a predictor-corrector pair once into advance(field, ys, fs, h)
+    -> (y_new, f_new), one step from the state and derivative histories."""
+    k = pair.k
+    ap, bp, ac, bc = ([float(c) for c in coeffs] for coeffs in (
+        pair.predictor.alpha, pair.predictor.beta,
+        pair.corrector.alpha, pair.corrector.beta,
+    ))
+
+    def advance(field, ys, fs, h):
+        ystar = sum((-ap[j]) * ys[j] for j in range(k))
+        ystar = (ystar + h * sum(bp[j] * fs[j] for j in range(k) if bp[j])) / ap[k]
+        fstar = _f(field, ystar)
+        ycorr = sum((-ac[j]) * ys[j] for j in range(k))
+        ycorr = (
+            ycorr
+            + h * (sum(bc[j] * fs[j] for j in range(k) if bc[j]) + bc[k] * fstar)
+        ) / ac[k]
+        fnew = _f(field, ycorr) if pair.mode == "pece" else fstar
+        return ycorr, fnew
+
+    return advance
+
+
+def _partitioned(pair: PartitionedPair):
+    """Compile a partitioned pair once: q from q_method on f_q, p from
+    p_method on f_p."""
+    k = pair.k
+    aq, bq, ap, bp = ([float(c) for c in coeffs] for coeffs in (
+        pair.q_method.alpha, pair.q_method.beta,
+        pair.p_method.alpha, pair.p_method.beta,
+    ))
+
+    def advance(field, ys, h, cfg):
+        n = field.dim // 2
+        fs = [_f(field, y) for y in ys]
+
+        def half(a, b, part):
+            new = sum((-a[j]) * ys[j][..., part] for j in range(k))
+            new = new + h * sum(b[j] * fs[j][..., part] for j in range(k) if b[j])
+            return new / a[k]
+
+        return np.concatenate(
+            [half(aq, bq, slice(None, n)), half(ap, bp, slice(n, None))], axis=-1
+        )
+
+    return advance
+
+
+def _advance(scheme: Scheme):
+    """Compile any scheme once into advance(field, window, h, cfg): the state
+    following the k-state window, or the stack of states following k stacks
+    of windows.  A predictor-corrector pair recomputes the window's
+    derivatives."""
+    if isinstance(scheme, MethodSpec):
+        return _stepper(scheme)
+    if isinstance(scheme, PCPair):
+        pc = _pc(scheme)
+        return lambda field, ys, h, cfg: pc(field, ys, [_f(field, y) for y in ys], h)[0]
+    if isinstance(scheme, PartitionedPair):
+        return _partitioned(scheme)
+    raise TypeError(f"unsupported scheme {scheme!r}")
+
+
+def step(scheme: Scheme, field, window, h: float,
          cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """One step of m's relation: the state following the k-state window."""
-    return _stepper(m)(field, _check_window(m.k, window), h, cfg)
-
-
-def _pc_advance(pair: PCPair, field, ys, fs, h: float):
-    """One predictor-corrector step from explicit state and derivative history."""
-    k = pair.k
-    ap = [float(c) for c in pair.predictor.alpha]
-    bp = [float(c) for c in pair.predictor.beta]
-    ac = [float(c) for c in pair.corrector.alpha]
-    bc = [float(c) for c in pair.corrector.beta]
-    ystar = sum((-ap[j]) * ys[j] for j in range(k))
-    ystar = (ystar + h * sum(bp[j] * fs[j] for j in range(k) if bp[j])) / ap[k]
-    fstar = field.evaluate(ystar)
-    ycorr = sum((-ac[j]) * ys[j] for j in range(k))
-    ycorr = (
-        ycorr
-        + h * (sum(bc[j] * fs[j] for j in range(k) if bc[j]) + bc[k] * fstar)
-    ) / ac[k]
-    fnew = field.evaluate(ycorr) if pair.mode == "pece" else fstar
-    return ycorr, fnew
-
-
-def pc_step(pair: PCPair, field, window, h: float,
-            cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """One PECE step from a window of states (derivatives recomputed)."""
-    ys = _check_window(pair.k, window)
-    fs = [field.evaluate(y) for y in ys]
-    ynew, _ = _pc_advance(pair, field, ys, fs, h)
-    return ynew
-
-
-def partitioned_step(pair: PartitionedPair, field, window, h: float,
-                     cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """One partitioned step: q from q_method on f_q, p from p_method on f_p."""
-    ys = _check_window(pair.k, window)
-    n = field.dim // 2
-    mq, mp = pair.q_method, pair.p_method
-    aq = [float(c) for c in mq.alpha]
-    bq = [float(c) for c in mq.beta]
-    ap = [float(c) for c in mp.alpha]
-    bp = [float(c) for c in mp.beta]
-    fs = [field.evaluate(y) for y in ys]
-    k = pair.k
-    qnew = sum((-aq[j]) * ys[j][:n] for j in range(k))
-    qnew = (qnew + h * sum(bq[j] * fs[j][:n] for j in range(k) if bq[j])) / aq[k]
-    pnew = sum((-ap[j]) * ys[j][n:] for j in range(k))
-    pnew = (pnew + h * sum(bp[j] * fs[j][n:] for j in range(k) if bp[j])) / ap[k]
-    return np.concatenate([qnew, pnew])
+    """One step of any scheme: the state following the k-state window."""
+    advance = _advance(scheme)
+    return advance(field, _check_window(scheme.k, window), h, cfg)
 
 
 def step_residual(scheme, field, states, h: float) -> float:
@@ -476,91 +496,33 @@ def step_residual(scheme, field, states, h: float) -> float:
         if len(ys) != scheme.k + 1:
             raise ValueError(f"need k+1 = {scheme.k + 1} states")
         return float(np.linalg.norm(_relation(_compile(scheme), field, ys, h)))
-    if isinstance(scheme, (PCPair, PartitionedPair)):
-        redo = (pc_step if isinstance(scheme, PCPair) else partitioned_step)(
-            scheme, field, ys[:-1], h
-        )
-        return float(np.linalg.norm(ys[-1] - redo))
-    raise TypeError(f"unsupported scheme {scheme!r}")
+    return float(np.linalg.norm(ys[-1] - step(scheme, field, ys[:-1], h)))
 
 
 # ---------------------------------------------------------------------------
 # window transfer matrices (linear fields)
 
 
-def _lmm_window_matrix(m: MethodSpec, A: np.ndarray, h: float) -> np.ndarray:
-    a = [float(c) for c in m.alpha]
-    b = [float(c) for c in m.effective_beta()]
-    k, d = m.k, A.shape[0]
-    lead = a[k] * np.eye(d) - h * b[k] * A
-    M = np.zeros((k * d, k * d))
-    if k > 1:
-        M[: (k - 1) * d, d:] = np.eye((k - 1) * d)
-    try:
-        bottom = np.linalg.solve(
-            lead,
-            np.hstack([h * b[j] * A - a[j] * np.eye(d) for j in range(k)]),
-        )
-    except np.linalg.LinAlgError as exc:
-        raise SingularStepError(
-            f"alpha_k I - h beta_k A is singular at h = {h}"
-        ) from exc
-    M[(k - 1) * d :, :] = bottom
-    return M
-
-
-def _pece_window_matrix(pair: PCPair, A: np.ndarray, h: float) -> np.ndarray:
-    ap = [float(c) for c in pair.predictor.alpha]
-    bp = [float(c) for c in pair.predictor.beta]
-    ac = [float(c) for c in pair.corrector.alpha]
-    bc = [float(c) for c in pair.corrector.beta]
-    k, d = pair.k, A.shape[0]
-    I = np.eye(d)
-    M = np.zeros((k * d, k * d))
-    if k > 1:
-        M[: (k - 1) * d, d:] = np.eye((k - 1) * d)
-    for j in range(k):
-        Pj = (h * bp[j] * A - ap[j] * I) / ap[k]
-        Cj = (h * bc[j] * A - ac[j] * I) / ac[k]
-        M[(k - 1) * d :, j * d : (j + 1) * d] = Cj + (h * bc[k] / ac[k]) * (A @ Pj)
-    return M
-
-
-def _partitioned_window_matrix(pair: PartitionedPair, A: np.ndarray, h: float
-                               ) -> np.ndarray:
-    d = A.shape[0]
-    n = d // 2
-    mq, mp = pair.q_method, pair.p_method
-    aq = [float(c) for c in mq.alpha]
-    bq = [float(c) for c in mq.beta]
-    ap = [float(c) for c in mp.alpha]
-    bp = [float(c) for c in mp.beta]
-    k = pair.k
-    M = np.zeros((k * d, k * d))
-    if k > 1:
-        M[: (k - 1) * d, d:] = np.eye((k - 1) * d)
-    Iq = np.hstack([np.eye(n), np.zeros((n, n))])
-    Ip = np.hstack([np.zeros((n, n)), np.eye(n)])
-    for j in range(k):
-        Bq = (-aq[j] / aq[k]) * Iq + (h * bq[j] / aq[k]) * A[:n, :]
-        Bp = (-ap[j] / ap[k]) * Ip + (h * bp[j] / ap[k]) * A[n:, :]
-        M[(k - 1) * d : (k - 1) * d + n, j * d : (j + 1) * d] = Bq
-        M[(k - 1) * d + n : k * d, j * d : (j + 1) * d] = Bp
-    return M
-
-
 def window_matrix(scheme: Scheme, A: np.ndarray, h: float) -> np.ndarray:
-    """One-step matrix on the stacked window (y_n, ..., y_{n+k-1})."""
+    """One-step matrix on the stacked window (y_n, ..., y_{n+k-1}).
+
+    The top rows shift the window; the bottom rows are the scheme's own step
+    applied to the k d unit windows at once, on the linear field y' = A y.
+    """
+    advance = _advance(scheme)
+    if isinstance(scheme, PCPair) and scheme.mode != "pece":
+        raise ValueError("window matrix is defined for pece mode only")
     A = np.asarray(A, dtype=float)
-    if isinstance(scheme, MethodSpec):
-        return _lmm_window_matrix(scheme, A, h)
-    if isinstance(scheme, PCPair):
-        if scheme.mode != "pece":
-            raise ValueError("window matrix is defined for pece mode only")
-        return _pece_window_matrix(scheme, A, h)
-    if isinstance(scheme, PartitionedPair):
-        return _partitioned_window_matrix(scheme, A, h)
-    raise TypeError(f"unsupported scheme {scheme!r}")
+    k, d = scheme.k, A.shape[0]
+    n = d // 2
+    # the field y' = A y: S = J^T A is exact, since J only permutes and negates
+    field = LinearHamiltonian(S=structure_matrix(n).T @ A, A=A, n=n)
+    units = np.eye(k * d)
+    M = np.eye(k * d, k=d)  # shift: y_{n+j} moves to slot j - 1
+    M[(k - 1) * d :] = advance(
+        field, [units[:, j * d : (j + 1) * d] for j in range(k)], h, DEFAULT_CONFIG
+    ).T
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -588,17 +550,16 @@ def _generic_loop(scheme, field, window, h, steps, cfg):
         states[i] = y
     ys = list(window)
     if isinstance(scheme, PCPair):
+        # PEC stores f at the prediction, so the f history is kept here
+        pc = _pc(scheme)
         fs = [field.evaluate(y) for y in ys]
         for j in range(k, steps):
-            ynew, fnew = _pc_advance(scheme, field, ys, fs, h)
+            ynew, fnew = pc(field, ys, fs, h)
             ys = ys[1:] + [ynew]
             fs = fs[1:] + [fnew]
             states[j] = ynew
         return states
-    if isinstance(scheme, PartitionedPair):
-        advance = functools.partial(partitioned_step, scheme)
-    else:
-        advance = _stepper(scheme)
+    advance = _advance(scheme)
     for j in range(k, steps):
         try:
             states[j] = advance(field, ys, h, cfg)

@@ -2,9 +2,18 @@
 import numpy as np
 import pytest
 
-from geostep.experiments import classify
-from geostep.methods import MethodSpec, builtin_methods, is_irreducible, is_symmetric
+from geostep.experiments import classify, resolve_scheme
+from geostep.methods import (
+    REGISTRY_NAMES,
+    MethodSpec,
+    builtin_methods,
+    is_irreducible,
+    is_symmetric,
+    parse_method,
+)
 from geostep.integrators import (
+    PCPair,
+    PartitionedPair,
     SolverConfig,
     integrate,
     step,
@@ -39,13 +48,38 @@ def test_transfer_matrix_euler_example():
     assert tm.k == 1 and tm.dim == 2
 
 
-def test_transfer_matrix_reproduces_stepping_on_exact_windows():
-    m = MS["leapfrog"]
-    tm = transfer_matrix(m, FIELD, 0.1)
-    w = [sho_exact(1.0, Y0, 0.0), sho_exact(1.0, Y0, 0.1)]
-    out = tm.M @ np.concatenate(w)
-    stepped = step(m, FIELD, w, 0.1)
-    assert np.allclose(out, np.concatenate([w[1], stepped]), atol=1e-12)
+# every scheme kind: registry methods (pc-m2 and the m3 pair among them), a
+# padded PC pair, the swapped partition and a method file with gamma rows
+WINDOW_SCHEMES = {
+    **{name: resolve_scheme(name) for name in REGISTRY_NAMES},
+    "m3-line1,m3b-corrected-swap": PartitionedPair(
+        "m3s", MS["m3-line1"], MS["m3b-corrected"], swap=True
+    ),
+    "explicit-euler,am4-pc": PCPair("ee-am4", MS["explicit-euler"], MS["am4"]),
+    "gamma-file": parse_method(
+        "name: gam2\nk: 2\nalpha: -1 0 1\nbeta: 0 2 0\nkind: generalized\n"
+        "gamma:\n1 0 0\n1/4 1/2 1/4\n0 0 1\n"
+    ),
+}
+# a coupled 2-DOF field, so both halves of a partitioned step see both
+FIELD2 = LinearHamiltonian.from_hessian(np.array([
+    [2.0, 0.5, 0.1, 0.0],
+    [0.5, 3.0, 0.0, 0.2],
+    [0.1, 0.0, 1.0, 0.3],
+    [0.0, 0.2, 0.3, 1.5],
+]))
+
+
+@pytest.mark.parametrize("name", sorted(WINDOW_SCHEMES))
+def test_transfer_matrix_reproduces_stepping_on_exact_windows(name):
+    scheme = WINDOW_SCHEMES[name]
+    tm = transfer_matrix(scheme, FIELD2, 0.1)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        w = list(rng.normal(size=(scheme.k, FIELD2.dim)))
+        out = tm.M @ np.concatenate(w)
+        want = np.concatenate(w[1:] + [step(scheme, FIELD2, w, 0.1)])
+        assert np.max(np.abs(out - want)) <= 1e-14
 
 
 def test_transfer_matrix_block_companion_shape():
