@@ -3,7 +3,8 @@
 Exit codes: 0 all good, 1 usage or input error, 2 completed with warnings
 (inconsistent method analyzed, verification rows failing, partial run).
 The default verification tolerance can be set through the GEOSTEP_TOL
-environment variable; an explicit --tol always wins.
+environment variable; an explicit --tol always wins.  Either must be finite
+and non-negative.
 """
 from __future__ import annotations
 
@@ -145,15 +146,18 @@ def cmd_integrate(args) -> int:
 
 
 def _default_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("GEOSTEP_TOL")
-    if env is not None:
+    source, tol = "--tol", args.tol
+    if tol is None:
+        source, env = "GEOSTEP_TOL", os.environ.get("GEOSTEP_TOL")
+        if env is None:
+            return PASS_DEFAULT_TOL
         try:
-            return float(env)
+            tol = float(env)
         except ValueError as exc:
             raise ValueError(f"GEOSTEP_TOL is not a number: {env!r}") from exc
-    return PASS_DEFAULT_TOL
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"{source} must be finite and >= 0, got {tol}")
+    return tol
 
 
 def _verify_row(check: str, m: me.MethodSpec, field, h, tol):

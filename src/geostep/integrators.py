@@ -5,10 +5,13 @@ sum_j alpha_j z_j - h sum_j beta_j f(sum_l gamma_jl z_l) = 0, whose kind
 only chooses the default gamma (`MethodSpec.gamma_rows`).  `_relation`
 evaluates f once per distinct gamma row, so one-leg schemes cost one
 evaluation; it gives a step (solved for z_k), the step residual and, with
-h -> -h on reversed states, the reversibility residual.  `step` takes any
-scheme: a `MethodSpec`, a predictor-corrector pair or a partitioned pair,
-each compiled once into the same advance(field, window, h, cfg) form, which
-also steps a stack of windows at once.
+h -> -h on reversed states, the reversibility residual.  Every scheme is
+compiled once into advance(field, ys, fs, h, cfg) -> (y, f), which also
+steps a stack of windows.  `fs` is the f window: f at the k window states,
+`None` where not yet evaluated.  A leg that is a lone window state reads
+and fills it, so an explicit scheme costs one f-evaluation per step.  The
+returned f is `None` except for PEC, which stores f at the prediction.
+Pairs are built from their members' compiled steps.
 
 A trajectory with parameter `steps` holds exactly `steps` recorded states
 y_0 .. y_{steps-1}: the starter supplies the first k (the window, y_0
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import math
 
 import numpy as np
@@ -299,20 +303,22 @@ def _check_window(m_k: int, window) -> list[np.ndarray]:
     return ys
 
 
-def _terms(coeffs) -> list[tuple[int, float]]:
-    return [(l, float(c)) for l, c in enumerate(coeffs) if c]
+def _terms(coeffs) -> tuple[tuple[int, float], ...]:
+    return tuple((l, float(c)) for l, c in enumerate(coeffs) if c)
 
 
+@functools.lru_cache(maxsize=64)
 def _compile(m: MethodSpec):
     """Float form of m's relation: (alpha terms, legs), zeros dropped.
 
     A leg (w, terms) is one distinct gamma row with the summed beta weight w
-    of the rows equal to it, so f is evaluated once per leg.
+    of the rows equal to it, so f is evaluated once per leg.  Cached, so
+    built of tuples only.
     """
     weights: dict[tuple[Fraction, ...], Fraction] = {}
     for b, row in zip(m.beta, m.gamma_rows):
         weights[row] = weights.get(row, Fraction(0)) + b
-    legs = [(float(w), _terms(row)) for row, w in weights.items() if w]
+    legs = tuple((float(w), _terms(row)) for row, w in weights.items() if w)
     return _terms(m.alpha), legs
 
 
@@ -335,22 +341,28 @@ def _f(field, u):
     return np.array([field.evaluate(y) for y in u])
 
 
-def _relation(rel, field, zs, h: float):
+def _relation(rel, field, zs, h: float, fs=None):
     """sum_j alpha_j z_j - h sum_leg w f(sum_l gamma_l z_l) for a relation
     from `_compile`; `zs` holds k+1 states or k+1 equal-length stacks of
-    windows."""
+    windows.  With an f window `fs`, a leg that is a lone unit term (l, 1)
+    reads f(z_l) from `fs[l]`, evaluating and storing it if it is `None`."""
     alpha, legs = rel
     r = _comb(alpha, zs)
     for w, terms in legs:
-        r = r - (h * w) * _f(field, _comb(terms, zs))
+        if fs is not None and len(terms) == 1 and terms[0][1] == 1.0:
+            l = terms[0][0]
+            fs[l] = f = _f(field, zs[l]) if fs[l] is None else fs[l]
+        else:
+            f = _f(field, _comb(terms, zs))
+        r = r - (h * w) * f
     return r
 
 
 def _stepper(m: MethodSpec):
     """Compile m once into a solver of its relation for z_k given z_0 ..
-    z_{k-1}.  The solve runs the kernel on the slots (r, c_1 .. c_n, z_k),
-    formed once per step: r is the relation without the terms that reach
-    z_k, c_i the known part of reaching leg i's argument.
+    z_{k-1} and their f window.  It runs the kernel on the slots (r, c_1 ..
+    c_n, z_k), formed once per step: r is the relation without the terms
+    that reach z_k, c_i the known part of reaching leg i's argument.
 
     On nonlinear fields the solve is simplified Newton on G(z), the kernel
     on the slots with z_k = z.  The inverse Newton matrix is kept by this
@@ -398,79 +410,62 @@ def _stepper(m: MethodSpec):
             f"no convergence in {cfg.max_iterations} Newton iterations"
         )
 
-    def advance(field, ys, h, cfg):
-        slots = [_relation(known, field, ys, h)]
+    def advance(field, ys, fs, h, cfg):
+        slots = [_relation(known, field, ys, h, fs)]
         if not reaching:
-            return slots[0] / -a_k
+            return slots[0] / -a_k, None
         slots += [_comb(terms[:-1], ys) for _, terms in reaching]
         if isinstance(field, LinearHamiltonian):
             # the relation is affine in z_k: its value at z_k = 0 is the rhs
             rhs = -_relation(solve, field, slots + [np.zeros_like(ys[-1])], h)
-            return _linear_lead_solve(a_k, lead_beta, field.A, h, rhs)
-        return newton(lambda z: _relation(solve, field, slots + [z], h), ys[-1], cfg)
+            return _linear_lead_solve(a_k, lead_beta, field.A, h, rhs), None
+        z = newton(lambda z: _relation(solve, field, slots + [z], h), ys[-1], cfg)
+        return z, None
 
     return advance
 
 
 def _pc(pair: PCPair):
-    """Compile a predictor-corrector pair once into advance(field, ys, fs, h)
-    -> (y_new, f_new), one step from the state and derivative histories."""
-    k = pair.k
-    ap, bp, ac, bc = ([float(c) for c in coeffs] for coeffs in (
-        pair.predictor.alpha, pair.predictor.beta,
-        pair.corrector.alpha, pair.corrector.beta,
-    ))
+    """Compile a predictor-corrector pair from its members: the predictor's
+    step gives y*, then the corrector's relation without its alpha_k term,
+    on the window extended by y* and f(y*), gives the corrected state."""
+    predict = _stepper(pair.predictor)
+    alpha, legs = _compile(pair.corrector)
+    correct, a_k = (alpha[:-1], legs), alpha[-1][1]  # the last term is alpha_k
 
-    def advance(field, ys, fs, h):
-        ystar = sum((-ap[j]) * ys[j] for j in range(k))
-        ystar = (ystar + h * sum(bp[j] * fs[j] for j in range(k) if bp[j])) / ap[k]
+    def advance(field, ys, fs, h, cfg):
+        ystar, _ = predict(field, ys, fs, h, cfg)
         fstar = _f(field, ystar)
-        ycorr = sum((-ac[j]) * ys[j] for j in range(k))
-        ycorr = (
-            ycorr
-            + h * (sum(bc[j] * fs[j] for j in range(k) if bc[j]) + bc[k] * fstar)
-        ) / ac[k]
-        fnew = _f(field, ycorr) if pair.mode == "pece" else fstar
-        return ycorr, fnew
+        extended = fs + [fstar]
+        y = _relation(correct, field, ys + [ystar], h, extended) / -a_k
+        fs[:] = extended[:-1]  # keep what the corrector filled
+        return y, (fstar if pair.mode == "pec" else None)
 
     return advance
 
 
 def _partitioned(pair: PartitionedPair):
-    """Compile a partitioned pair once: q from q_method on f_q, p from
-    p_method on f_p."""
-    k = pair.k
-    aq, bq, ap, bp = ([float(c) for c in coeffs] for coeffs in (
-        pair.q_method.alpha, pair.q_method.beta,
-        pair.p_method.alpha, pair.p_method.beta,
-    ))
+    """Compile a partitioned pair from its members: q from q_method's step,
+    p from p_method's, both on the same f window."""
+    q, p = _stepper(pair.q_method), _stepper(pair.p_method)
 
-    def advance(field, ys, h, cfg):
+    def advance(field, ys, fs, h, cfg):
         n = field.dim // 2
-        fs = [_f(field, y) for y in ys]
-
-        def half(a, b, part):
-            new = sum((-a[j]) * ys[j][..., part] for j in range(k))
-            new = new + h * sum(b[j] * fs[j][..., part] for j in range(k) if b[j])
-            return new / a[k]
-
-        return np.concatenate(
-            [half(aq, bq, slice(None, n)), half(ap, bp, slice(n, None))], axis=-1
-        )
+        yq, _ = q(field, ys, fs, h, cfg)
+        yp, _ = p(field, ys, fs, h, cfg)
+        return np.concatenate([yq[..., :n], yp[..., n:]], axis=-1), None
 
     return advance
 
 
 def _advance(scheme: Scheme):
-    """Compile any scheme once into advance(field, window, h, cfg): the state
-    following the k-state window, or the stack of states following k stacks
-    of windows.  A predictor-corrector pair recomputes the window's
-    derivatives."""
+    """Compile any scheme once into advance(field, ys, fs, h, cfg) -> (y, f):
+    the state following the k-state window (or the stack of states following
+    k stacks of windows) and f there when it is already known, else None."""
     if isinstance(scheme, MethodSpec):
         return _stepper(scheme)
     if isinstance(scheme, PCPair):
-        pc = _pc(scheme)
-        return lambda field, ys, h, cfg: pc(field, ys, [_f(field, y) for y in ys], h)[0]
+        return _pc(scheme)
     if isinstance(scheme, PartitionedPair):
         return _partitioned(scheme)
     raise TypeError(f"unsupported scheme {scheme!r}")
@@ -479,8 +474,8 @@ def _advance(scheme: Scheme):
 def step(scheme: Scheme, field, window, h: float,
          cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
     """One step of any scheme: the state following the k-state window."""
-    advance = _advance(scheme)
-    return advance(field, _check_window(scheme.k, window), h, cfg)
+    ys = _check_window(scheme.k, window)
+    return _advance(scheme)(field, ys, [None] * scheme.k, h, cfg)[0]
 
 
 def step_residual(scheme, field, states, h: float) -> float:
@@ -520,8 +515,9 @@ def window_matrix(scheme: Scheme, A: np.ndarray, h: float) -> np.ndarray:
     units = np.eye(k * d)
     M = np.eye(k * d, k=d)  # shift: y_{n+j} moves to slot j - 1
     M[(k - 1) * d :] = advance(
-        field, [units[:, j * d : (j + 1) * d] for j in range(k)], h, DEFAULT_CONFIG
-    ).T
+        field, [units[:, j * d : (j + 1) * d] for j in range(k)], [None] * k, h,
+        DEFAULT_CONFIG,
+    )[0].T
     return M
 
 
@@ -548,24 +544,15 @@ def _generic_loop(scheme, field, window, h, steps, cfg):
     states = np.empty((steps, d))
     for i, y in enumerate(window):
         states[i] = y
-    ys = list(window)
-    if isinstance(scheme, PCPair):
-        # PEC stores f at the prediction, so the f history is kept here
-        pc = _pc(scheme)
-        fs = [field.evaluate(y) for y in ys]
-        for j in range(k, steps):
-            ynew, fnew = pc(field, ys, fs, h)
-            ys = ys[1:] + [ynew]
-            fs = fs[1:] + [fnew]
-            states[j] = ynew
-        return states
+    ys, fs = list(window), [None] * k
     advance = _advance(scheme)
     for j in range(k, steps):
         try:
-            states[j] = advance(field, ys, h, cfg)
+            states[j], f = advance(field, ys, fs, h, cfg)
         except (ConvergenceError, SingularStepError) as exc:
             raise _LoopFailure(j, exc, states[:j].copy()) from exc
         ys = ys[1:] + [states[j]]
+        fs = fs[1:] + [f]
     return states
 
 

@@ -265,6 +265,21 @@ def test_bad_geostep_tol_exits_1(capsys, monkeypatch):
     assert "GEOSTEP_TOL" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("source", ["GEOSTEP_TOL", "--tol"])
+def test_non_finite_or_negative_tol_exits_1(capsys, monkeypatch, source, value):
+    # inf passed ab4's area defect of 0.9986; nan and -1 failed every row
+    argv = ["verify", "--check", "area", "--method", "ab4"]
+    if source == "--tol":
+        argv += ["--tol", value]
+    else:
+        monkeypatch.setenv("GEOSTEP_TOL", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert source in err
+
+
 def test_verify_unknown_method_exits_1(capsys):
     code, _, _ = run(capsys, "verify", "--method", "nosuch")
     assert code == 1

@@ -502,6 +502,56 @@ def test_newton_refreshes_a_slowly_contracting_matrix(name, h, limit):
     assert np.mean(per_step) <= limit
 
 
+def pendulum_schemes():
+    """Every explicit registry method, pc-m2 (PECE) and both m3 pairs, with
+    and without `swap`."""
+    schemes = {n: m for n, m in MS.items() if m.explicit}
+    schemes["pc-m2"] = resolve_scheme("pc-m2")
+    for name in ("m3-line1,m3b-corrected", "m3-line1,m3-line2-as-printed"):
+        pair = resolve_scheme(name)
+        schemes[name] = pair
+        schemes[name + ",swap"] = PartitionedPair(
+            pair.name, pair.first, pair.second, swap=True
+        )
+    return schemes
+
+
+F_EVALS = {name: 1.0 for name in pendulum_schemes()} | {"pc-m2": 2.0, "pec": 1.0}
+
+
+@pytest.mark.parametrize("name", sorted(F_EVALS) + ["am4"])
+def test_f_evaluations_per_step_on_pendulum(name):
+    # a window state's f is evaluated once, on the first step that reads it
+    scheme = {
+        **pendulum_schemes(),
+        "pec": PCPair("pec", MS["ab4"], MS["am4"], mode="pec"),
+        "am4": MS["am4"],
+    }[name]
+    field, calls = counting_pendulum()
+    steps = 2000
+    integrate(scheme, field, np.array([1.0, 0.0]), 0.05, steps)
+    starter = 4 * (scheme.k - 1)  # rk4, four calls per starter state
+    per_step = (calls[0] - starter) / (steps - scheme.k)
+    if name == "am4":
+        # Newton iterations and Jacobians come on top; evaluating every
+        # window f anew on each step took 7.7
+        assert per_step < 6
+    else:
+        assert per_step == pytest.approx(F_EVALS[name], abs=0.01)
+
+
+@pytest.mark.parametrize("name", sorted(pendulum_schemes()))
+def test_f_window_changes_no_number(name):
+    # the loop reuses each window f across steps; a single step evaluates
+    # them afresh, and both must give the same state bit for bit
+    scheme = pendulum_schemes()[name]
+    k, h = scheme.k, 0.05
+    states = integrate(scheme, pendulum(), np.array([1.0, 0.0]), h, 300,
+                       force_generic=True).states
+    for j in range(k, len(states)):
+        assert np.array_equal(states[j], step(scheme, pendulum(), states[j - k:j], h))
+
+
 @pytest.mark.parametrize("force_generic", [False, True])
 def test_singular_implicit_step_reports_step_failure(force_generic):
     # on diag(-1, 1), A = [[0, 1], [1, 0]], so I - hA is exactly singular at h = 1
