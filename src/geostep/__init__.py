@@ -61,7 +61,6 @@ from .geometry import (
     transfer_matrix,
 )
 from .experiments import (
-    BehaviorThresholds,
     Scenario,
     ScenarioResult,
     builtin_pairs,

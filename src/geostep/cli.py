@@ -71,12 +71,12 @@ def cmd_analyze(args) -> int:
         if args.json:
             print(json.dumps({
                 "pair": scheme.name,
-                "mode": scheme.mode,
+                "mode": "pece",
                 "predictor": me.report_to_dict(reports[0]),
                 "corrector": me.report_to_dict(reports[1]),
             }, indent=2))
         else:
-            print(f"pair: {scheme.name} ({scheme.mode})")
+            print(f"pair: {scheme.name} (pece)")
             for r in reports:
                 print(me.format_report(r), end="")
     else:

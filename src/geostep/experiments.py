@@ -8,10 +8,12 @@ statistics (max deviation, slope, radius deviation, classification) are
 always computed at full resolution, never from the decimated files.
 
 Long runs are classified as bounded, drifting or exploding from the energy
-record.  Exploding is detected by the energy crossing a multiple of H_0,
-or, when H_0 <= 0, by |y|^2 crossing the same multiple of |y_0|^2; drift
-statistics for such runs are taken over the pre-crossing prefix so they
-stay finite.
+record, against two fixed thresholds.  Exploding is detected by the energy
+crossing EXPLODE_FACTOR (1000) times H_0, or, when H_0 <= 0, by |y|^2
+crossing the same multiple of |y_0|^2; drift statistics for such runs are
+taken over the pre-crossing prefix so they stay finite.  A run that does
+not explode is bounded when both its largest deviation from H_0 and its
+fitted drift over the run stay within BOUNDED_FRACTION (1 %) of |H_0|.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .methods import MethodError, MethodSpec, builtin_methods, parse_method
+from .methods import _NAME_RE, MethodError, MethodSpec, builtin_methods, parse_method
 from .integrators import (
     PCPair,
     PartitionedPair,
@@ -37,7 +39,6 @@ from .systems import sho
 __all__ = [
     "Scenario",
     "ScenarioResult",
-    "BehaviorThresholds",
     "builtin_pairs",
     "builtin_scenarios",
     "figure_scenarios",
@@ -52,6 +53,9 @@ __all__ = [
 ]
 
 OUTPUT_KINDS = ("phase", "energy", "error")
+
+BOUNDED_FRACTION = 0.01  # of |H_0|, for both deviation and trend
+EXPLODE_FACTOR = 1e3  # of H_0, or of |y_0|^2 when H_0 <= 0
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class Scenario:
     outputs: tuple[str, ...] = OUTPUT_KINDS
 
     def __post_init__(self):
-        if not self.name or any(c.isspace() for c in self.name):
+        if not _NAME_RE.match(self.name):
             raise ValueError(f"bad scenario name {self.name!r}")
         if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h}")
@@ -85,19 +89,6 @@ class Scenario:
         bad = [o for o in self.outputs if o not in OUTPUT_KINDS]
         if bad:
             raise ValueError(f"unknown outputs {bad}")
-
-
-@dataclass(frozen=True)
-class BehaviorThresholds:
-    bounded_fraction: float = 0.01  # of H_0, for both deviation and trend
-    explode_factor: float = 1e3  # of H_0
-
-    def __post_init__(self):
-        if not (self.bounded_fraction > 0 and self.explode_factor > 1):
-            raise ValueError("thresholds must be positive (explode factor > 1)")
-
-
-DEFAULT_THRESHOLDS = BehaviorThresholds()
 
 
 @dataclass(frozen=True)
@@ -338,7 +329,7 @@ def write_artifacts(
     return files
 
 
-def classify(traj: Trajectory, thresholds: BehaviorThresholds = DEFAULT_THRESHOLDS):
+def classify(traj: Trajectory):
     """(classification, h0, max_deviation, slope, crossing_step).
 
     Statistics come from the pre-crossing prefix when the run explodes, so
@@ -355,7 +346,7 @@ def classify(traj: Trajectory, thresholds: BehaviorThresholds = DEFAULT_THRESHOL
             size = np.einsum("ij,ij->i", traj.states, traj.states)
     crossing = None
     if size[0] > 0:
-        over = np.nonzero(size >= thresholds.explode_factor * size[0])[0]
+        over = np.nonzero(size >= EXPLODE_FACTOR * size[0])[0]
         if len(over):
             crossing = int(over[0])
     prefix = H if crossing is None else H[:crossing]
@@ -369,7 +360,7 @@ def classify(traj: Trajectory, thresholds: BehaviorThresholds = DEFAULT_THRESHOL
     if crossing is not None:
         return "exploding", h0, max_dev, slope, crossing
     scale = abs(h0) if h0 != 0 else 1.0
-    budget = thresholds.bounded_fraction * scale
+    budget = BOUNDED_FRACTION * scale
     t_final = float(traj.times[-1])
     if max_dev <= budget and abs(slope) * t_final <= budget:
         return "bounded", h0, max_dev, slope, None
@@ -385,11 +376,7 @@ def _radius_deviation(traj: Trajectory, crossing: int | None) -> float | None:
     return float(np.max(np.abs(r2 - r2[0])))
 
 
-def run_scenario(
-    s: Scenario,
-    outdir: str | Path,
-    thresholds: BehaviorThresholds = DEFAULT_THRESHOLDS,
-) -> ScenarioResult:
+def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
     """Run one scenario and write its artifacts under `outdir`.
 
     On a stepper failure the partial trajectory is still written, each file
@@ -417,7 +404,7 @@ def run_scenario(
         for path in files.values():
             append_abort_comment(Path(path), failed_step)
 
-    label, h0, max_dev, slope, crossing = classify(traj, thresholds)
+    label, h0, max_dev, slope, crossing = classify(traj)
     final_error = (
         float(traj.errors[-1]) if traj.errors is not None and len(traj.errors) else None
     )

@@ -6,12 +6,12 @@ only chooses the default gamma (`MethodSpec.gamma_rows`).  `_relation`
 evaluates f once per distinct gamma row, so one-leg schemes cost one
 evaluation; it gives a step (solved for z_k), the step residual and, with
 h -> -h on reversed states, the reversibility residual.  Every scheme is
-compiled once into advance(field, ys, fs, h, cfg) -> (y, f), which also
-steps a stack of windows.  `fs` is the f window: f at the k window states,
-`None` where not yet evaluated.  A leg that is a lone window state reads
-and fills it, so an explicit scheme costs one f-evaluation per step.  The
-returned f is `None` except for PEC, which stores f at the prediction.
-Pairs are built from their members' compiled steps.
+compiled once into advance(field, ys, fs, h) -> y, which also steps a stack
+of windows.  `fs` is the f window: f at the k window states, `None` where
+not yet evaluated.  A leg that is a lone window state reads and fills it,
+so an explicit scheme costs one f-evaluation per step.  Pairs are built
+from their members' compiled steps; a predictor-corrector pair runs in
+PECE mode.
 
 A trajectory with parameter `steps` holds exactly `steps` recorded states
 y_0 .. y_{steps-1}: the starter supplies the first k (the window, y_0
@@ -19,10 +19,10 @@ included) and the scheme generates the rest.  `steps = k` therefore returns
 the starter output untouched.
 
 Implicit relations on linear fields are solved directly.  Nonlinear ones go
-through simplified Newton with at most `max_iterations` iterations per step:
-the Jacobian comes from central differences of the relation, is inverted
-once and kept across the steps of a run, and is refreshed only when the
-iteration stalls.
+through simplified Newton to the fixed tolerance `NEWTON_TOLERANCE`, with at
+most `NEWTON_MAX_ITERATIONS` iterations per step: the Jacobian comes from
+central differences of the relation, is inverted once and kept across the
+steps of a run, and is refreshed only when the iteration stalls.
 
 Linear fields get a blocked propagation path.  The window transfer matrix M
 is built once per run: a block that shifts the window, over the scheme's
@@ -89,17 +89,19 @@ class StepFailure(RuntimeError):
         self.partial = partial
 
 
+# Newton on a nonlinear implicit step stops once an increment is within half
+# NEWTON_TOLERANCE of 1 + |z|, and fails after NEWTON_MAX_ITERATIONS
+NEWTON_TOLERANCE = 1e-14
+NEWTON_MAX_ITERATIONS = 50
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    tolerance: float = 1e-14
-    max_iterations: int = 50
     starter: str = "rk4"  # "rk4" or "exact"
 
     def __post_init__(self):
         if self.starter not in ("rk4", "exact"):
             raise ValueError(f"starter must be 'rk4' or 'exact', got {self.starter!r}")
-        if not self.tolerance > 0 or self.max_iterations < 1:
-            raise ValueError("tolerance must be > 0 and max_iterations >= 1")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -119,21 +121,17 @@ def pad_method(m: MethodSpec, k: int) -> MethodSpec:
 
 @dataclass(frozen=True)
 class PCPair:
-    """Predictor-corrector pair, PECE by default.
+    """Predictor-corrector pair in PECE mode.
 
-    PECE: predict y*, evaluate f(y*), correct once using f(y*) for the
-    implicit term, evaluate again at the corrected state for storage.  The
-    `pec` mode skips the final evaluation and stores f(y*) instead.
+    Predict y*, evaluate f(y*), correct once using f(y*) for the implicit
+    term, evaluate again at the corrected state for storage.
     """
 
     name: str
     predictor: MethodSpec
     corrector: MethodSpec
-    mode: str = "pece"
 
     def __post_init__(self):
-        if self.mode not in ("pece", "pec"):
-            raise MethodError(f"pc mode must be 'pece' or 'pec', got {self.mode!r}")
         k = max(self.predictor.k, self.corrector.k)
         object.__setattr__(self, "predictor", pad_method(self.predictor, k))
         object.__setattr__(self, "corrector", pad_method(self.corrector, k))
@@ -197,7 +195,6 @@ class Trajectory:
     energies: np.ndarray
     errors: np.ndarray | None
     start_count: int
-    t0: float = 0.0
 
     @property
     def steps(self) -> int:
@@ -205,7 +202,7 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(len(self.states))
+        return self.h * np.arange(len(self.states))
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +380,10 @@ def _stepper(m: MethodSpec):
     ])
     inverse = None  # of G's Jacobian, kept across steps
 
-    def newton(G, z, cfg):
+    def newton(G, z):
         nonlocal inverse
         previous = math.inf
-        for _ in range(cfg.max_iterations):
+        for _ in range(NEWTON_MAX_ITERATIONS):
             g = G(z)
             if inverse is None:
                 # states are small (2n): an inverse costs one matrix-vector
@@ -401,26 +398,25 @@ def _stepper(m: MethodSpec):
                 raise ConvergenceError("Newton iteration diverged (non-finite)")
             z = z - dz
             # half the budget so the relation residual stays within tolerance
-            if size <= 0.5 * cfg.tolerance * (1.0 + math.sqrt(z @ z)):
+            if size <= 0.5 * NEWTON_TOLERANCE * (1.0 + math.sqrt(z @ z)):
                 return z
             if size > 0.25 * previous:
                 inverse = None  # stalled: refresh at the current iterate
             previous = size
         raise ConvergenceError(
-            f"no convergence in {cfg.max_iterations} Newton iterations"
+            f"no convergence in {NEWTON_MAX_ITERATIONS} Newton iterations"
         )
 
-    def advance(field, ys, fs, h, cfg):
+    def advance(field, ys, fs, h):
         slots = [_relation(known, field, ys, h, fs)]
         if not reaching:
-            return slots[0] / -a_k, None
+            return slots[0] / -a_k
         slots += [_comb(terms[:-1], ys) for _, terms in reaching]
         if isinstance(field, LinearHamiltonian):
             # the relation is affine in z_k: its value at z_k = 0 is the rhs
             rhs = -_relation(solve, field, slots + [np.zeros_like(ys[-1])], h)
-            return _linear_lead_solve(a_k, lead_beta, field.A, h, rhs), None
-        z = newton(lambda z: _relation(solve, field, slots + [z], h), ys[-1], cfg)
-        return z, None
+            return _linear_lead_solve(a_k, lead_beta, field.A, h, rhs)
+        return newton(lambda z: _relation(solve, field, slots + [z], h), ys[-1])
 
     return advance
 
@@ -428,18 +424,18 @@ def _stepper(m: MethodSpec):
 def _pc(pair: PCPair):
     """Compile a predictor-corrector pair from its members: the predictor's
     step gives y*, then the corrector's relation without its alpha_k term,
-    on the window extended by y* and f(y*), gives the corrected state."""
+    on the window extended by y*, gives the corrected state.  The
+    corrector's leg at y* fills f(y*) in the extended f window."""
     predict = _stepper(pair.predictor)
     alpha, legs = _compile(pair.corrector)
     correct, a_k = (alpha[:-1], legs), alpha[-1][1]  # the last term is alpha_k
 
-    def advance(field, ys, fs, h, cfg):
-        ystar, _ = predict(field, ys, fs, h, cfg)
-        fstar = _f(field, ystar)
-        extended = fs + [fstar]
+    def advance(field, ys, fs, h):
+        ystar = predict(field, ys, fs, h)
+        extended = fs + [None]  # after the predictor, to keep what it filled
         y = _relation(correct, field, ys + [ystar], h, extended) / -a_k
         fs[:] = extended[:-1]  # keep what the corrector filled
-        return y, (fstar if pair.mode == "pec" else None)
+        return y
 
     return advance
 
@@ -449,19 +445,18 @@ def _partitioned(pair: PartitionedPair):
     p from p_method's, both on the same f window."""
     q, p = _stepper(pair.q_method), _stepper(pair.p_method)
 
-    def advance(field, ys, fs, h, cfg):
+    def advance(field, ys, fs, h):
         n = field.dim // 2
-        yq, _ = q(field, ys, fs, h, cfg)
-        yp, _ = p(field, ys, fs, h, cfg)
-        return np.concatenate([yq[..., :n], yp[..., n:]], axis=-1), None
+        yq, yp = q(field, ys, fs, h), p(field, ys, fs, h)
+        return np.concatenate([yq[..., :n], yp[..., n:]], axis=-1)
 
     return advance
 
 
 def _advance(scheme: Scheme):
-    """Compile any scheme once into advance(field, ys, fs, h, cfg) -> (y, f):
-    the state following the k-state window (or the stack of states following
-    k stacks of windows) and f there when it is already known, else None."""
+    """Compile any scheme once into advance(field, ys, fs, h) -> y: the state
+    following the k-state window (or the stack of states following k stacks
+    of windows)."""
     if isinstance(scheme, MethodSpec):
         return _stepper(scheme)
     if isinstance(scheme, PCPair):
@@ -471,11 +466,10 @@ def _advance(scheme: Scheme):
     raise TypeError(f"unsupported scheme {scheme!r}")
 
 
-def step(scheme: Scheme, field, window, h: float,
-         cfg: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+def step(scheme: Scheme, field, window, h: float) -> np.ndarray:
     """One step of any scheme: the state following the k-state window."""
     ys = _check_window(scheme.k, window)
-    return _advance(scheme)(field, ys, [None] * scheme.k, h, cfg)[0]
+    return _advance(scheme)(field, ys, [None] * scheme.k, h)
 
 
 def step_residual(scheme, field, states, h: float) -> float:
@@ -505,8 +499,6 @@ def window_matrix(scheme: Scheme, A: np.ndarray, h: float) -> np.ndarray:
     applied to the k d unit windows at once, on the linear field y' = A y.
     """
     advance = _advance(scheme)
-    if isinstance(scheme, PCPair) and scheme.mode != "pece":
-        raise ValueError("window matrix is defined for pece mode only")
     A = np.asarray(A, dtype=float)
     k, d = scheme.k, A.shape[0]
     n = d // 2
@@ -515,9 +507,8 @@ def window_matrix(scheme: Scheme, A: np.ndarray, h: float) -> np.ndarray:
     units = np.eye(k * d)
     M = np.eye(k * d, k=d)  # shift: y_{n+j} moves to slot j - 1
     M[(k - 1) * d :] = advance(
-        field, [units[:, j * d : (j + 1) * d] for j in range(k)], [None] * k, h,
-        DEFAULT_CONFIG,
-    )[0].T
+        field, [units[:, j * d : (j + 1) * d] for j in range(k)], [None] * k, h
+    ).T
     return M
 
 
@@ -531,28 +522,34 @@ def _starter_states(field, y0, h, k, cfg):
     return rk4_start(field, y0, h, k - 1)
 
 
-class _LoopFailure(Exception):
-    def __init__(self, step: int, cause: Exception, produced: np.ndarray):
-        self.step = step
-        self.cause = cause
-        self.produced = produced
+def _trajectory(field, y0, h, states, k) -> Trajectory:
+    """The run's recorded states with their energies and, on linear fields,
+    the exact-error channel from y0 (not states[0], whose zeros the exact
+    starter may have given the other sign)."""
+    # overflow in exploding runs is data, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = field.energies(states)
+        errors = None
+        if isinstance(field, LinearHamiltonian):
+            exact = _exact_trajectory(field, y0, h, len(states))
+            errors = np.linalg.norm(states - exact, axis=1)
+    return Trajectory(h, states, energies, errors, start_count=k)
 
 
-def _generic_loop(scheme, field, window, h, steps, cfg):
+def _generic_loop(scheme, field, y0, window, h, steps):
     k = scheme.k
-    d = len(window[0])
-    states = np.empty((steps, d))
-    for i, y in enumerate(window):
-        states[i] = y
+    states = np.empty((steps, len(y0)))
+    states[:k] = window
     ys, fs = list(window), [None] * k
     advance = _advance(scheme)
     for j in range(k, steps):
         try:
-            states[j], f = advance(field, ys, fs, h, cfg)
+            states[j] = advance(field, ys, fs, h)
         except (ConvergenceError, SingularStepError) as exc:
-            raise _LoopFailure(j, exc, states[:j].copy()) from exc
+            partial = _trajectory(field, y0, h, states[:j].copy(), k)
+            raise StepFailure(j, exc, partial) from exc
         ys = ys[1:] + [states[j]]
-        fs = fs[1:] + [f]
+        fs = fs[1:] + [None]
     return states
 
 
@@ -622,35 +619,19 @@ def integrate(scheme: Scheme, field, y0, h: float, steps: int,
         raise ValueError(f"y0 must have shape ({field.dim},), got {y0.shape}")
     if not np.all(np.isfinite(y0)):
         raise ValueError(f"y0 must be finite, got {y0}")
-    window = _starter_states(field, y0, h, k, cfg)
-    linear = isinstance(field, LinearHamiltonian)
-    fast = (
-        linear
-        and not force_generic
-        and not (isinstance(scheme, PCPair) and scheme.mode != "pece")
-    )
-
-    def finish(states):
-        # overflow in exploding runs is data, not an error
-        with np.errstate(over="ignore", invalid="ignore"):
-            energies = field.energies(states)
-            errors = None
-            if linear:
-                exact = _exact_trajectory(field, y0, h, len(states))
-                errors = np.linalg.norm(states - exact, axis=1)
-        return Trajectory(
-            h=h, states=states, energies=energies, errors=errors, start_count=k
-        )
-
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            if fast:
+        h0 = field.hamiltonian(y0)
+    if not math.isfinite(h0):
+        raise ValueError(f"the energy at y0 must be finite, got H(y0) = {h0}")
+    window = _starter_states(field, y0, h, k, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not isinstance(field, LinearHamiltonian) or force_generic:
+            states = _generic_loop(scheme, field, y0, window, h, steps)
+        else:
+            try:
                 states = _matrix_loop(scheme, field, window, h, steps)
-            else:
-                states = _generic_loop(scheme, field, window, h, steps, cfg)
-        except SingularStepError as exc:
-            # the compiled map failed before any step was taken
-            raise StepFailure(k, exc, finish(np.array(window))) from exc
-        except _LoopFailure as exc:
-            raise StepFailure(exc.step, exc.cause, finish(exc.produced)) from exc
-    return finish(states)
+            except SingularStepError as exc:
+                # the compiled map failed before any step was taken
+                partial = _trajectory(field, y0, h, np.array(window), k)
+                raise StepFailure(k, exc, partial) from exc
+    return _trajectory(field, y0, h, states, k)

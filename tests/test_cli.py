@@ -60,6 +60,28 @@ def test_analyze_pair(capsys):
     assert out.count("order: 4") == 2
 
 
+@pytest.mark.parametrize(
+    "method,header,members",
+    [
+        ("pc-m2", "pair: pc-m2 (pece)",
+         {"mode": "pece", "predictor": "ab4", "corrector": "am4"}),
+        ("m3-line1,m3b-corrected", "pair: m3-line1,m3b-corrected (partitioned)",
+         {"positions": "m3-line1", "momenta": "m3b-corrected"}),
+    ],
+    ids=["pece", "partitioned"],
+)
+def test_analyze_pair_header_and_json_keys(capsys, method, header, members):
+    code, out, _ = run(capsys, "analyze", "--method", method)
+    assert code == 0
+    assert out.splitlines()[0] == header
+    code, out, _ = run(capsys, "analyze", "--method", method, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    # member reports are shown by their method name; key order is pinned too
+    shown = {k: v["method"] if isinstance(v, dict) else v for k, v in doc.items()}
+    assert list(shown.items()) == list(({"pair": method} | members).items())
+
+
 def test_analyze_method_file(tmp_path, capsys):
     f = tmp_path / "m.txt"
     f.write_text("name: custom\nk: 1\nalpha: -1 1\nbeta: 1/2 1/2\n")
@@ -148,8 +170,9 @@ def test_integrate_partitioned_pair_with_file_member(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--h", "inf"), ("--q0", "nan"), ("--omega", "inf"), ("--system", "nan 0\n0 1\n")],
-    ids=["h-inf", "q0-nan", "omega-inf", "hessian-nan"],
+    [("--h", "inf"), ("--q0", "nan"), ("--omega", "inf"), ("--system", "nan 0\n0 1\n"),
+     ("--q0", "1e300")],
+    ids=["h-inf", "q0-nan", "omega-inf", "hessian-nan", "energy-overflow"],
 )
 def test_integrate_non_finite_input_exits_1(tmp_path, capsys, flag, value):
     if flag == "--system":
@@ -329,3 +352,15 @@ def test_experiment_scenario_file_with_steps_override(tmp_path, capsys):
     assert "custom: bounded" in out
     with open(tmp_path / "custom-energy.csv") as fh:
         assert sum(1 for _ in fh) == 12001
+
+
+def test_experiment_scenario_name_cannot_escape_outdir(tmp_path, capsys):
+    f = tmp_path / "s.txt"
+    f.write_text("scenario: ../escaped\nmethod: midpoint\nsteps: 100\n")
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys, "experiment", "--scenario", str(f), "--outdir", str(out),
+    )
+    assert code == 1
+    assert "scenario name" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.txt"]

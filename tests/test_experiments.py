@@ -11,7 +11,6 @@ from geostep.integrators import PartitionedPair, PCPair, integrate, rk4_start
 from geostep.methods import builtin_methods
 from geostep.systems import LinearHamiltonian, sho
 from geostep.experiments import (
-    BehaviorThresholds,
     Scenario,
     builtin_pairs,
     builtin_scenarios,
@@ -240,13 +239,6 @@ def test_warnings_surface_in_result_and_summary(tmp_path):
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def test_thresholds_validation():
-    with pytest.raises(ValueError):
-        BehaviorThresholds(bounded_fraction=0.0)
-    with pytest.raises(ValueError):
-        BehaviorThresholds(explode_factor=0.5)
 
 
 def test_classify_bounded_midpoint():

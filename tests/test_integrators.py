@@ -140,13 +140,12 @@ def test_generalized_with_identity_gamma_reduces_to_lmm():
 
 
 def test_step_residual_within_solver_tolerance():
-    cfg = SolverConfig()
     field = pendulum()
     for m in (MS["implicit-euler"], MS["midpoint"], MS["am4"]):
         window = rk4_start(field, np.array([0.9, 0.1]), 0.1, m.k - 1)
-        ynew = step(m, field, window, 0.1, cfg)
+        ynew = step(m, field, window, 0.1)
         r = step_residual(m, field, window + [ynew], 0.1)
-        assert r <= cfg.tolerance * (1.0 + np.linalg.norm(ynew))
+        assert r <= integrators.NEWTON_TOLERANCE * (1.0 + np.linalg.norm(ynew))
 
 
 def test_oneleg_evaluates_field_once_per_iteration():
@@ -158,9 +157,8 @@ def test_oneleg_evaluates_field_once_per_iteration():
         return np.array([np.sin(y[0]), y[1]])
 
     field = GradientField(1, hamiltonian_fn=lambda y: 0.0, gradient_fn=grad)
-    cfg = SolverConfig(max_iterations=60)
-    step(MS["midpoint"], field, [Y0], 0.1, cfg)
-    assert calls <= cfg.max_iterations
+    step(MS["midpoint"], field, [Y0], 0.1)
+    assert calls <= integrators.NEWTON_MAX_ITERATIONS
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +186,6 @@ def test_pc_local_error_scales_at_fifth_order():
 
     ratio = one_step_error(0.1) / one_step_error(0.05)
     assert ratio == pytest.approx(32.0, rel=0.15)
-
-
-def test_pec_mode_runs_and_differs_from_pece():
-    pece = PCPair("pc", MS["ab4"], MS["am4"], mode="pece")
-    pec = PCPair("pc", MS["ab4"], MS["am4"], mode="pec")
-    t1 = integrate(pece, FIELD, Y0, 0.1, 200)
-    t2 = integrate(pec, FIELD, Y0, 0.1, 200)
-    assert np.max(np.abs(t1.states - t2.states)) > 1e-12
-    assert t2.errors[-1] < 1e-3
 
 
 def test_partitioned_members_must_be_explicit():
@@ -259,6 +248,9 @@ def test_integrate_validates_inputs():
             integrate(MS["ab4"], FIELD, Y0, h, 10)
     with pytest.raises(ValueError, match="finite"):
         integrate(MS["ab4"], FIELD, np.array([np.nan, 0.0]), 0.1, 10)
+    # a finite y0 whose energy H = q0^2 / 2 overflows
+    with pytest.raises(ValueError, match="energy at y0 must be finite"):
+        integrate(MS["ab4"], FIELD, np.array([1e300, 0.0]), 0.1, 10)
 
 
 def test_trajectory_times_and_channels():
@@ -516,17 +508,13 @@ def pendulum_schemes():
     return schemes
 
 
-F_EVALS = {name: 1.0 for name in pendulum_schemes()} | {"pc-m2": 2.0, "pec": 1.0}
+F_EVALS = {name: 1.0 for name in pendulum_schemes()} | {"pc-m2": 2.0}
 
 
 @pytest.mark.parametrize("name", sorted(F_EVALS) + ["am4"])
 def test_f_evaluations_per_step_on_pendulum(name):
     # a window state's f is evaluated once, on the first step that reads it
-    scheme = {
-        **pendulum_schemes(),
-        "pec": PCPair("pec", MS["ab4"], MS["am4"], mode="pec"),
-        "am4": MS["am4"],
-    }[name]
+    scheme = {**pendulum_schemes(), "am4": MS["am4"]}[name]
     field, calls = counting_pendulum()
     steps = 2000
     integrate(scheme, field, np.array([1.0, 0.0]), 0.05, steps)
@@ -564,13 +552,6 @@ def test_singular_implicit_step_reports_step_failure(force_generic):
     assert isinstance(exc.cause, SingularStepError)
     assert str(exc.cause) == "alpha_k I - h beta_k A is singular at h = 1.0"
     assert exc.partial.steps == m.k
-
-
-def test_window_matrix_rejects_pec_pairs():
-    # PEC stores f at the prediction, so its step is no map of the states alone
-    pec = PCPair("pc", MS["ab4"], MS["am4"], mode="pec")
-    with pytest.raises(ValueError, match="pece mode only"):
-        window_matrix(pec, FIELD.A, 0.1)
 
 
 def test_window_matrix_euler_and_leapfrog():
