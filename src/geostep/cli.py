@@ -124,11 +124,9 @@ def cmd_integrate(args) -> int:
         traj = exc.partial
         failed_step = exc.step
         code = 2
-    files = ex.write_artifacts(name, traj, outdir, args.stride,
-                               ("phase", "energy", "error"))
+    ex.write_artifacts(name, traj, outdir, args.stride,
+                       ("phase", "energy", "error"), failed_step)
     if failed_step is not None:
-        for p in files.values():
-            ex.append_abort_comment(Path(p), failed_step)
         print(f"aborted at step {failed_step}", file=sys.stderr)
     H = traj.energies
     final_err = "-" if traj.errors is None else format(traj.errors[-1], ".17g")

@@ -3,9 +3,12 @@ long-run behavior study.
 
 A scenario is one integrator run on the harmonic oscillator with fixed
 parameters.  Runs write up to three CSV artifacts (phase, energy, error),
-each decimated by `stride`, plus a flat key-value summary.  Summary
-statistics (max deviation, slope, radius deviation, classification) are
-always computed at full resolution, never from the decimated files.
+each decimated by `stride`, plus a flat key-value summary.  The CSVs are
+streamed together in fixed blocks of _CSV_BLOCK rows, with each row's
+`step,t` text formatted once for all of them; the text is byte-identical
+to formatting every value with format(x, ".17g").  Summary statistics (max
+deviation, slope, radius deviation, classification) are always computed at
+full resolution, never from the decimated files.
 
 Long runs are classified as bounded, drifting or exploding from the energy
 record, against two fixed thresholds.  Exploding is detected by the energy
@@ -17,6 +20,7 @@ fitted drift over the run stay within BOUNDED_FRACTION (1 %) of |H_0|.
 """
 from __future__ import annotations
 
+from contextlib import ExitStack
 import dataclasses
 from dataclasses import dataclass
 import os
@@ -48,7 +52,6 @@ __all__ = [
     "run_scenario",
     "classify",
     "write_artifacts",
-    "append_abort_comment",
     "gather_warnings",
 ]
 
@@ -267,21 +270,7 @@ def format_scenario(s: Scenario) -> str:
 # running
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    # fixed newline and plain formatting so reruns are byte-identical
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def append_abort_comment(path: Path, step: int) -> None:
-    with open(path, "a", newline="\n") as fh:
-        fh.write(f"# aborted at step {step}\n")
+_CSV_BLOCK = 1024  # rows formatted and written per call; keeps memory flat
 
 
 def write_artifacts(
@@ -290,42 +279,54 @@ def write_artifacts(
     outdir: str | Path,
     stride: int = 1,
     outputs: tuple[str, ...] = OUTPUT_KINDS,
+    failed_step: int | None = None,
 ) -> dict[str, str]:
-    """Write the requested CSV artifacts for a trajectory; returns paths."""
+    """Write the requested CSV artifacts for a trajectory; returns paths.
+
+    Every `stride`-th state is written.  When `failed_step` is given, each
+    file ends with a `# aborted at step N` comment.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    files: dict[str, str] = {}
     n = traj.states.shape[1] // 2
-    idx = np.arange(0, len(traj.states), stride)
-    t = traj.times
+    h0 = traj.energies[0]
+    H = traj.energies[::stride]
+    # kind -> (header, block slice -> value columns as lists)
+    tables = {}
     if "phase" in outputs:
-        path = outdir / f"{name}-phase.csv"
-        if n == 1:
-            header = ["step", "t", "q", "p"]
-        else:
-            header = (
-                ["step", "t"]
-                + [f"q{i + 1}" for i in range(n)]
-                + [f"p{i + 1}" for i in range(n)]
-            )
-        rows = (
-            [str(int(j)), _fmt(t[j])] + [_fmt(v) for v in traj.states[j]] for j in idx
+        coords = (
+            ["q", "p"] if n == 1
+            else [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
         )
-        _write_csv(path, header, rows)
-        files["phase"] = str(path)
+        Y = traj.states[::stride].T
+        tables["phase"] = (["step", "t"] + coords, lambda b: Y[:, b].tolist())
     if "energy" in outputs:
-        path = outdir / f"{name}-energy.csv"
-        H = traj.energies
-        rows = (
-            [str(int(j)), _fmt(t[j]), _fmt(H[j]), _fmt(H[j] - H[0])] for j in idx
+        tables["energy"] = (
+            ["step", "t", "H", "dH"],
+            lambda b: [H[b].tolist(), (H[b] - h0).tolist()],
         )
-        _write_csv(path, ["step", "t", "H", "dH"], rows)
-        files["energy"] = str(path)
     if "error" in outputs and traj.errors is not None:
-        path = outdir / f"{name}-error.csv"
-        rows = ([str(int(j)), _fmt(t[j]), _fmt(traj.errors[j])] for j in idx)
-        _write_csv(path, ["step", "t", "error"], rows)
-        files["error"] = str(path)
+        E = traj.errors[::stride]
+        tables["error"] = (["step", "t", "error"], lambda b: [E[b].tolist()])
+    files = {kind: str(outdir / f"{name}-{kind}.csv") for kind in tables}
+    steps = range(0, len(traj.states), stride)
+    with ExitStack() as stack:
+        writers = []
+        for kind, (header, columns) in tables.items():
+            # fixed newline and %.17g (the text of format(x, ".17g")) so
+            # reruns are byte-identical
+            fh = stack.enter_context(open(files[kind], "w", newline="\n"))
+            fh.write(",".join(header) + "\n")
+            fmt = "%s" + ",%.17g" * (len(header) - 2) + "\n"
+            writers.append((fh.write, fmt.__mod__, columns))
+        for lo in range(0, len(steps), _CSV_BLOCK):
+            block = slice(lo, lo + _CSV_BLOCK)
+            lead = ["%d,%.17g" % (j, traj.h * j) for j in steps[block]]
+            for write, fmt, columns in writers:
+                write("".join(map(fmt, zip(lead, *columns(block)))))
+        if failed_step is not None:
+            for write, _, _ in writers:
+                write(f"# aborted at step {failed_step}\n")
     return files
 
 
@@ -399,10 +400,7 @@ def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
         failed_step = exc.step
         warnings.append(f"stepper failed at step {exc.step}: {exc.cause}")
 
-    files = write_artifacts(s.name, traj, outdir, s.stride, s.outputs)
-    if failed_step is not None:
-        for path in files.values():
-            append_abort_comment(Path(path), failed_step)
+    files = write_artifacts(s.name, traj, outdir, s.stride, s.outputs, failed_step)
 
     label, h0, max_dev, slope, crossing = classify(traj)
     final_error = (
@@ -435,7 +433,7 @@ def _format_summary(r: ScenarioResult) -> str:
         if v is None:
             return "-"
         if isinstance(v, float):
-            return _fmt(v)
+            return format(v, ".17g")
         return str(v)
 
     lines = [

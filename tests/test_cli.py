@@ -207,6 +207,27 @@ def test_integrate_custom_system_file(tmp_path, capsys):
     assert (tmp_path / "midpoint-energy.csv").exists()
 
 
+def test_integrate_aborted_run_ends_each_csv_with_trailer(tmp_path, capsys):
+    # H = (p^2 - q^2) / 2: I - hA is singular for implicit Euler at h = 1
+    f = tmp_path / "saddle.txt"
+    f.write_text("-1 0\n0 1\n")
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys, "integrate", "--method", "implicit-euler", "--system", str(f),
+        "--h", "1", "--steps", "20", "--out", str(out),
+    )
+    assert code == 2
+    assert "aborted at step 1" in err
+    expected = {
+        "phase": "step,t,q,p\n0,0,1,0\n",
+        "energy": "step,t,H,dH\n0,0,-0.5,0\n",
+        "error": "step,t,error\n0,0,0\n",
+    }
+    for kind, text in expected.items():
+        data = (out / f"implicit-euler-{kind}.csv").read_bytes()
+        assert data == (text + "# aborted at step 1\n").encode(), kind
+
+
 def test_omega_with_file_system_exits_1(tmp_path, capsys):
     f = tmp_path / "hessian.txt"
     f.write_text("4 0\n0 1\n")

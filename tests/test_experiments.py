@@ -1,16 +1,21 @@
 """Scenario plumbing, CSV artifacts, classification, determinism."""
 import csv
 import filecmp
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geostep.methods import MethodError
-from geostep.integrators import PartitionedPair, PCPair, integrate, rk4_start
+from geostep.integrators import (
+    PartitionedPair, PCPair, Trajectory, integrate, rk4_start,
+)
 from geostep.methods import builtin_methods
 from geostep.systems import LinearHamiltonian, sho
 from geostep.experiments import (
+    _CSV_BLOCK,
+    OUTPUT_KINDS,
     Scenario,
     builtin_pairs,
     builtin_scenarios,
@@ -20,6 +25,7 @@ from geostep.experiments import (
     parse_scenario,
     resolve_scheme,
     run_scenario,
+    write_artifacts,
 )
 
 
@@ -226,6 +232,74 @@ def test_rerun_is_byte_identical(tmp_path):
     r2 = run_scenario(s, tmp_path / "two")
     for kind in ("phase", "energy", "error", "summary"):
         assert filecmp.cmp(r1.files[kind], r2.files[kind], shallow=False), kind
+
+
+def _edge_trajectory(h0):
+    """A 2-DOF trajectory over three CSV blocks, seeded with values whose
+    text is easy to get wrong: infinities, nan, -0.0, subnormal, huge."""
+    rows = 2 * _CSV_BLOCK + 3
+    rng = np.random.default_rng(8)
+    special = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e300]
+    states = rng.standard_normal((rows, 4))
+    states[: len(special), 0] = special
+    states[_CSV_BLOCK - 1 : _CSV_BLOCK + 5, 1:] = np.array(special).reshape(6, 1)
+    energies = rng.standard_normal(rows)
+    energies[0] = h0
+    energies[-len(special):] = special
+    errors = np.abs(rng.standard_normal(rows))
+    errors[7:49:7] = special
+    return Trajectory(h=0.1, states=states, energies=energies, errors=errors,
+                      start_count=1)
+
+
+def _reference_csv(traj, stride, outputs):
+    """Artifact text built one format(x, ".17g") per value."""
+    def line(j, values):
+        return ",".join([str(j)] + [format(float(v), ".17g") for v in values]) + "\n"
+
+    t, H, idx = traj.times, traj.energies, range(0, len(traj.states), stride)
+    text = {}
+    if "phase" in outputs:
+        text["phase"] = "step,t,q1,q2,p1,p2\n" + "".join(
+            line(j, [t[j], *traj.states[j]]) for j in idx)
+    if "energy" in outputs:
+        text["energy"] = "step,t,H,dH\n" + "".join(
+            line(j, [t[j], H[j], H[j] - H[0]]) for j in idx)
+    if "error" in outputs:
+        text["error"] = "step,t,error\n" + "".join(
+            line(j, [t[j], traj.errors[j]]) for j in idx)
+    return text
+
+
+@pytest.mark.parametrize("h0", [np.nan, 1.25])
+@pytest.mark.parametrize(
+    "stride, outputs", [(1, OUTPUT_KINDS), (7, OUTPUT_KINDS), (1, ("energy",))]
+)
+def test_artifact_text_is_per_value_17g(tmp_path, h0, stride, outputs):
+    traj = _edge_trajectory(h0)
+    files = write_artifacts("edge", traj, tmp_path, stride, outputs)
+    expected = _reference_csv(traj, stride, outputs)
+    assert list(files) == list(expected)
+    for kind, text in expected.items():
+        assert Path(files[kind]).read_bytes() == text.encode(), kind
+
+
+def test_write_artifacts_memory_stays_flat(tmp_path):
+    # rows are streamed in blocks: the whole phase file would be ~10 MB of
+    # text and a full-length float column 0.8 MB
+    rows = 100_000
+    rng = np.random.default_rng(3)
+    traj = Trajectory(h=0.1, states=rng.standard_normal((rows, 4)),
+                      energies=rng.standard_normal(rows),
+                      errors=rng.standard_normal(rows), start_count=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        write_artifacts("mem", traj, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_warnings_surface_in_result_and_summary(tmp_path):
