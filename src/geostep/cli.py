@@ -19,7 +19,7 @@ import numpy as np
 
 from . import methods as me
 from . import geometry as ge
-from .integrators import PartitionedPair, SolverConfig, StepFailure, integrate
+from .integrators import PCPair, PartitionedPair, StepFailure, integrate
 from .systems import LinearHamiltonian, load_linear_system, sho
 from . import experiments as ex
 
@@ -60,38 +60,24 @@ def _parse_floats(text: str, n: int, flag: str) -> np.ndarray:
 
 def cmd_analyze(args) -> int:
     scheme = ex.resolve_scheme(args.method)
-    if isinstance(scheme, me.MethodSpec):
-        reports = [me.analyze(scheme)]
-        if args.json:
-            print(json.dumps(me.report_to_dict(reports[0]), indent=2))
+    single = isinstance(scheme, me.MethodSpec)
+    members = (("", scheme),) if single else scheme.members
+    reports = {role: me.analyze(m) for role, m in members}
+    pece = isinstance(scheme, PCPair)
+    if args.json:
+        doc = {role: me.report_to_dict(r) for role, r in reports.items()}
+        if single:
+            doc = doc[""]
         else:
-            print(me.format_report(reports[0]), end="")
-    elif hasattr(scheme, "predictor"):
-        reports = [me.analyze(scheme.predictor), me.analyze(scheme.corrector)]
-        if args.json:
-            print(json.dumps({
-                "pair": scheme.name,
-                "mode": "pece",
-                "predictor": me.report_to_dict(reports[0]),
-                "corrector": me.report_to_dict(reports[1]),
-            }, indent=2))
-        else:
-            print(f"pair: {scheme.name} (pece)")
-            for r in reports:
-                print(me.format_report(r), end="")
+            # only a pece pair names its mode
+            doc = {"pair": scheme.name} | ({"mode": "pece"} if pece else {}) | doc
+        print(json.dumps(doc, indent=2))
     else:
-        reports = [me.analyze(scheme.q_method), me.analyze(scheme.p_method)]
-        if args.json:
-            print(json.dumps({
-                "pair": scheme.name,
-                "positions": me.report_to_dict(reports[0]),
-                "momenta": me.report_to_dict(reports[1]),
-            }, indent=2))
-        else:
-            print(f"pair: {scheme.name} (partitioned)")
-            for r in reports:
-                print(me.format_report(r), end="")
-    return 2 if any(not r.consistent for r in reports) else 0
+        if not single:
+            print(f"pair: {scheme.name} ({'pece' if pece else 'partitioned'})")
+        for r in reports.values():
+            print(me.format_report(r), end="")
+    return 2 if any(not r.consistent for r in reports.values()) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -109,25 +95,11 @@ def cmd_integrate(args) -> int:
     q0 = _parse_floats(args.q0, n, "--q0")
     p0 = _parse_floats(args.p0, n, "--p0")
     y0 = np.concatenate([q0, p0])
-    if args.steps < scheme.k:
-        raise ValueError(
-            f"steps must be >= window k = {scheme.k}, got {args.steps}"
-        )
-    cfg = SolverConfig(starter=args.starter)
     name = scheme.name.replace(",", "+")
-    outdir = Path(args.out)
-    code = 0
-    try:
-        traj = integrate(scheme, field, y0, args.h, args.steps, cfg)
-        failed_step = None
-    except StepFailure as exc:
-        traj = exc.partial
-        failed_step = exc.step
-        code = 2
-    ex.write_artifacts(name, traj, outdir, args.stride,
-                       ("phase", "energy", "error"), failed_step)
-    if failed_step is not None:
-        print(f"aborted at step {failed_step}", file=sys.stderr)
+    traj, _, failure = ex.run_and_write(name, scheme, field, y0, args.h, args.steps,
+                                        args.starter, args.out, args.stride)
+    if failure is not None:
+        print(f"aborted at step {failure.step}", file=sys.stderr)
     H = traj.energies
     final_err = "-" if traj.errors is None else format(traj.errors[-1], ".17g")
     print(
@@ -136,7 +108,7 @@ def cmd_integrate(args) -> int:
     )
     for w in ex.gather_warnings(scheme):
         print(f"warning: {w}", file=sys.stderr)
-    return code
+    return 0 if failure is None else 2
 
 
 # ---------------------------------------------------------------------------
@@ -161,27 +133,24 @@ def _default_tol(args) -> float:
 def _verify_row(check: str, m: me.MethodSpec, field, h, tol):
     """(value, threshold, passed); threshold '-' when not applicable."""
     if check == "order":
-        rep = me.analyze(m)
-        return str(rep.order), "1", rep.consistent
+        order, _, consistent = me.order_analysis(m)
+        return str(order), "1", consistent
     if check == "symmetry":
         sym = me.is_symmetric(m)
         return str(sym).lower(), "-", sym
     if check == "g-symplectic":
-        rep = ge.g_symplecticity_defect(m, field, h)
-        return format(rep.defect, ".17g"), format(tol, ".17g"), rep.defect <= tol
-    if check == "area":
-        tm = ge.transfer_matrix(m, field, h)
-        val = ge.area_defect(tm.M)
-        return format(val, ".17g"), format(tol, ".17g"), val <= tol
-    if check == "reversibility":
+        val = ge.g_symplecticity_defect(m, field, h).defect
+    elif check == "area":
+        val = ge.area_defect(ge.transfer_matrix(m, field, h).M)
+    elif check == "reversibility":
         steps = m.k + REVERSIBILITY_STEPS
         traj = integrate(m, field, np.array([1.0, 0.0] * field.n), h, steps)
         val = ge.reversibility_residual(m, field, traj)
-        return format(val, ".17g"), format(tol, ".17g"), val <= tol
-    if check == "step-transition":
-        st = ge.step_transition(m, field, h)
-        return format(st.residual, ".17g"), format(tol, ".17g"), st.residual <= tol
-    raise ValueError(f"unknown check {check!r}")
+    elif check == "step-transition":
+        val = ge.step_transition(m, field, h).residual
+    else:
+        raise ValueError(f"unknown check {check!r}")
+    return format(val, ".17g"), format(tol, ".17g"), val <= tol
 
 
 def cmd_verify(args) -> int:
@@ -300,9 +269,6 @@ def main(argv=None) -> int:
     if getattr(args, "h", None) is not None and not 0 < args.h < np.inf:
         print("error: h must be positive and finite", file=sys.stderr)
         return 1
-    if getattr(args, "steps", None) is not None and args.steps < 1:
-        print("error: steps must be >= 1", file=sys.stderr)
-        return 1
     if getattr(args, "stride", None) is not None and args.stride < 1:
         print("error: stride must be >= 1", file=sys.stderr)
         return 1
@@ -311,7 +277,7 @@ def main(argv=None) -> int:
     except StepFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (me.MethodError, ValueError, OSError) as exc:
+    except (me.MethodError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,10 @@
 """Scenario runner: canned oscillator experiments, CSV artifacts and the
 long-run behavior study.
 
+This is where a method string becomes a scheme (`resolve_scheme`) and a run
+becomes artifacts (`run_and_write`); the command line and the scenarios
+both go through them.
+
 A scenario is one integrator run on the harmonic oscillator with fixed
 parameters.  Runs write up to three CSV artifacts (phase, energy, error),
 each decimated by `stride`, plus a flat key-value summary.  The CSVs are
@@ -23,6 +27,7 @@ from __future__ import annotations
 from contextlib import ExitStack
 import dataclasses
 from dataclasses import dataclass
+import functools
 import os
 from pathlib import Path
 
@@ -50,6 +55,7 @@ __all__ = [
     "parse_scenario",
     "format_scenario",
     "run_scenario",
+    "run_and_write",
     "classify",
     "write_artifacts",
     "gather_warnings",
@@ -115,48 +121,51 @@ class ScenarioResult:
 
 def builtin_pairs() -> dict[str, PCPair]:
     """Named predictor-corrector pairs shipped with the package."""
-    ms = builtin_methods()
+    return _pairs(builtin_methods())
+
+
+def _pairs(ms: dict[str, MethodSpec]) -> dict[str, PCPair]:
     return {"pc-m2": PCPair("pc-m2", predictor=ms["ab4"], corrector=ms["am4"])}
-
-
-def _method(spec: str) -> MethodSpec:
-    """A single method from a file path or the registry."""
-    if os.path.isfile(spec):
-        return parse_method(Path(spec).read_text())
-    ms = builtin_methods()
-    if spec in ms:
-        return ms[spec]
-    raise MethodError(f"unknown method {spec!r}")
 
 
 def resolve_scheme(spec: str) -> Scheme:
     """Turn a method field into a scheme: a method file, a registry or pair
     name, or "first,second" (a partitioned pair of two methods, files or
-    registry names; first drives q)."""
+    registry names; first drives q).
+
+    A file path wins over a registry name spelled the same.  The registry
+    is built at most once per call, and not at all when every name is a
+    file.
+    """
     spec = spec.strip()
-    if "," in spec:
-        parts = [p.strip() for p in spec.split(",")]
-        if len(parts) != 2:
-            raise MethodError(f"a partitioned pair needs two names, got {spec!r}")
-        first, second = (_method(p) for p in parts)
-        return PartitionedPair(f"{first.name},{second.name}", first, second)
-    pairs = builtin_pairs()
-    if spec in pairs and not os.path.isfile(spec):
-        return pairs[spec]
-    return _method(spec)
+    names = [p.strip() for p in spec.split(",")]
+    if len(names) > 2:
+        raise MethodError(f"a partitioned pair needs two names, got {spec!r}")
+    registry = functools.cache(builtin_methods)
+
+    def lookup(name: str) -> Scheme:
+        if os.path.isfile(name):
+            return parse_method(Path(name).read_text())
+        ms = registry()
+        if name in ms:
+            return ms[name]
+        pairs = _pairs(ms) if len(names) == 1 else {}  # a pair is no member
+        if name in pairs:
+            return pairs[name]
+        raise MethodError(f"unknown method {name!r}")
+
+    schemes = [lookup(name) for name in names]
+    if len(schemes) == 1:
+        return schemes[0]
+    first, second = schemes
+    return PartitionedPair(f"{first.name},{second.name}", first, second)
 
 
 def gather_warnings(scheme: Scheme) -> tuple[str, ...]:
+    """The scheme's warnings; a pair's carry their member's name."""
     if isinstance(scheme, MethodSpec):
         return scheme.warnings
-    if isinstance(scheme, PCPair):
-        members = (scheme.predictor, scheme.corrector)
-    else:
-        members = (scheme.first, scheme.second)
-    out = []
-    for m in members:
-        out.extend(f"{m.name}: {w}" for w in m.warnings)
-    return tuple(out)
+    return tuple(f"{m.name}: {w}" for _, m in scheme.members for w in m.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +360,7 @@ def classify(traj: Trajectory):
         if len(over):
             crossing = int(over[0])
     prefix = H if crossing is None else H[:crossing]
-    t = traj.times[: len(prefix)]
+    t = traj.h * np.arange(len(prefix))  # the prefix of traj.times
     if len(prefix) >= 2:
         max_dev = float(np.max(np.abs(prefix - h0)))
         A = np.vstack([t, np.ones_like(t)]).T
@@ -362,7 +371,7 @@ def classify(traj: Trajectory):
         return "exploding", h0, max_dev, slope, crossing
     scale = abs(h0) if h0 != 0 else 1.0
     budget = BOUNDED_FRACTION * scale
-    t_final = float(traj.times[-1])
+    t_final = traj.h * (len(H) - 1)
     if max_dev <= budget and abs(slope) * t_final <= budget:
         return "bounded", h0, max_dev, slope, None
     return "drifting", h0, max_dev, slope, None
@@ -377,30 +386,40 @@ def _radius_deviation(traj: Trajectory, crossing: int | None) -> float | None:
     return float(np.max(np.abs(r2 - r2[0])))
 
 
+def run_and_write(name: str, scheme: Scheme, field, y0, h: float, steps: int,
+                  starter: str, outdir: str | Path, stride: int = 1,
+                  outputs: tuple[str, ...] = OUTPUT_KINDS):
+    """Integrate a scheme and write its CSV artifacts under `outdir`.
+
+    On a stepper failure the partial trajectory is still written, each file
+    ending with a `# aborted at step N` comment.  Returns the trajectory,
+    the artifact paths and the StepFailure (None when the run completed).
+    """
+    try:
+        traj = integrate(scheme, field, y0, h, steps, SolverConfig(starter=starter))
+        failure = None
+    except StepFailure as exc:
+        traj, failure = exc.partial, exc
+    failed_step = None if failure is None else failure.step
+    files = write_artifacts(name, traj, outdir, stride, outputs, failed_step)
+    return traj, files, failure
+
+
 def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
     """Run one scenario and write its artifacts under `outdir`.
 
-    On a stepper failure the partial trajectory is still written, each file
-    gains a trailing `# aborted at step N` comment, and the failing step
-    index lands in the summary.
+    On a stepper failure the partial trajectory is still written (see
+    `run_and_write`) and the failing step index lands in the summary.
     """
     outdir = Path(outdir)
     scheme = resolve_scheme(s.method)
-    if s.steps < scheme.k:
-        raise ValueError(
-            f"scenario {s.name}: steps = {s.steps} < window k = {scheme.k}"
-        )
-    warnings = list(gather_warnings(scheme))
-    failed_step = None
-    try:
-        traj = integrate(scheme, sho(s.omega), np.array([s.q0, s.p0]), s.h,
-                         s.steps, SolverConfig(starter=s.starter))
-    except StepFailure as exc:
-        traj = exc.partial
-        failed_step = exc.step
-        warnings.append(f"stepper failed at step {exc.step}: {exc.cause}")
-
-    files = write_artifacts(s.name, traj, outdir, s.stride, s.outputs, failed_step)
+    traj, files, failure = run_and_write(
+        s.name, scheme, sho(s.omega), np.array([s.q0, s.p0]), s.h, s.steps,
+        s.starter, outdir, s.stride, s.outputs,
+    )
+    warnings = gather_warnings(scheme)
+    if failure is not None:
+        warnings += (f"stepper failed at step {failure.step}: {failure.cause}",)
 
     label, h0, max_dev, slope, crossing = classify(traj)
     final_error = (
@@ -416,8 +435,8 @@ def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
         radius_deviation=_radius_deviation(traj, crossing),
         classification=label,
         crossing_step=crossing,
-        failed_step=failed_step,
-        warnings=tuple(warnings),
+        failed_step=None if failure is None else failure.step,
+        warnings=warnings,
     )
     summary = outdir / f"{s.name}-summary.txt"
     with open(summary, "w", newline="\n") as fh:

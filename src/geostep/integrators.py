@@ -116,7 +116,10 @@ def pad_method(m: MethodSpec, k: int) -> MethodSpec:
     if m.gamma is not None:
         raise MethodError("padding is only supported for plain coefficient schemes")
     pad = (Fraction(0),) * (k - m.k)
-    return MethodSpec(m.name, k, pad + m.alpha, pad + m.beta, m.kind)
+    padded = MethodSpec(m.name, k, pad + m.alpha, pad + m.beta, m.kind)
+    # keep m's own warnings, not the index-0 note that describes the padding
+    object.__setattr__(padded, "warnings", m.warnings)
+    return padded
 
 
 @dataclass(frozen=True)
@@ -144,6 +147,11 @@ class PCPair:
     @property
     def k(self) -> int:
         return self.predictor.k
+
+    @property
+    def members(self) -> tuple[tuple[str, MethodSpec], ...]:
+        """(role, method) for each member, predictor first."""
+        return ("predictor", self.predictor), ("corrector", self.corrector)
 
 
 @dataclass(frozen=True)
@@ -175,12 +183,11 @@ class PartitionedPair:
         return self.first.k
 
     @property
-    def q_method(self) -> MethodSpec:
-        return self.second if self.swap else self.first
-
-    @property
-    def p_method(self) -> MethodSpec:
-        return self.first if self.swap else self.second
+    def members(self) -> tuple[tuple[str, MethodSpec], ...]:
+        """(role, method) for each member, `first` first; the roles are
+        `positions` and `momenta`, exchanged by `swap`."""
+        roles = ("momenta", "positions") if self.swap else ("positions", "momenta")
+        return tuple(zip(roles, (self.first, self.second)))
 
 
 Scheme = MethodSpec | PCPair | PartitionedPair
@@ -441,9 +448,10 @@ def _pc(pair: PCPair):
 
 
 def _partitioned(pair: PartitionedPair):
-    """Compile a partitioned pair from its members: q from q_method's step,
-    p from p_method's, both on the same f window."""
-    q, p = _stepper(pair.q_method), _stepper(pair.p_method)
+    """Compile a partitioned pair from its members: q from the positions
+    member's step, p from the momenta member's, both on the same f window."""
+    roles = dict(pair.members)
+    q, p = _stepper(roles["positions"]), _stepper(roles["momenta"])
 
     def advance(field, ys, fs, h):
         n = field.dim // 2
@@ -613,7 +621,7 @@ def integrate(scheme: Scheme, field, y0, h: float, steps: int,
         raise ValueError(f"h must be positive and finite, got {h}")
     k = scheme.k
     if steps < k:
-        raise ValueError(f"steps must be >= k = {k}, got {steps}")
+        raise ValueError(f"steps must be >= window k = {k}, got {steps}")
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (field.dim,):
         raise ValueError(f"y0 must have shape ({field.dim},), got {y0.shape}")

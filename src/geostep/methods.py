@@ -461,7 +461,8 @@ def _m(name, alpha, beta, kind="lmm"):
 
 
 def builtin_methods() -> dict[str, MethodSpec]:
-    """The named single schemes (the pc-m2 pair lives in `integrators`)."""
+    """The named single schemes (the pc-m2 pair is built from ab4 and am4 in
+    `experiments.builtin_pairs`)."""
     F = Fraction
     reg = {
         "explicit-euler": _m("explicit-euler", (-1, 1), (1, 0)),

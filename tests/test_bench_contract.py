@@ -1,0 +1,86 @@
+"""Every geostep name the benchmark under `bench/` uses still resolves.
+
+`bench/tracing.py` patches its traced functions with a bare getattr, and
+`bench/run.py` and `bench/workloads.py` call geostep by attribute, so a
+rename or removal in the package would otherwise only show when the
+benchmark runs (or, for the tracer, only under `--trace 1`).  The bench
+files are read, not imported.
+"""
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# the calls the workloads and the set-up probe make
+CALLED = [
+    ("experiments", "builtin_pairs"),
+    ("experiments", "builtin_scenarios"),
+    ("experiments", "run_scenario"),
+    ("methods", "REGISTRY_NAMES"),
+    ("methods", "builtin_methods"),
+    ("integrators", "integrate"),
+    ("systems", "GradientField"),
+    ("cli", "main"),
+]
+
+
+def _constant(filename: str, name: str):
+    """The literal assigned to a module-level `name` in a bench file."""
+    tree = ast.parse((BENCH / filename).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not found in bench/{filename}")
+
+
+def _resolve(module: str, attr: str):
+    obj = importlib.import_module(f"geostep.{module}")
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def _workload_names() -> set[tuple[str, str]]:
+    """(module, attr) for every `geostep.<module>.<attr>` in workloads.py."""
+    found = set()
+    for node in ast.walk(ast.parse((BENCH / "workloads.py").read_text())):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "geostep"
+        ):
+            found.add((node.value.attr, node.attr))
+    return found
+
+
+@pytest.mark.parametrize("module,attr", sorted(_constant("tracing.py", "TRACED")))
+def test_traced_functions_resolve(module, attr):
+    owner = importlib.import_module(f"geostep.{module}")
+    if "." in attr:
+        # patched on the class itself, as Tracer.install does
+        cls, method = attr.split(".")
+        assert method in vars(getattr(owner, cls))
+    else:
+        assert callable(getattr(owner, attr))
+
+
+@pytest.mark.parametrize("module,attr", CALLED)
+def test_called_names_resolve(module, attr):
+    _resolve(module, attr)
+
+
+def test_workload_names_resolve():
+    names = _workload_names()
+    assert set(CALLED) - {("experiments", "builtin_pairs")} <= names
+    for module, attr in names:
+        _resolve(module, attr)
+
+
+def test_setup_code_runs():
+    exec(_constant("run.py", "SETUP_CODE"), {})

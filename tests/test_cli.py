@@ -188,6 +188,49 @@ def test_integrate_non_finite_input_exits_1(tmp_path, capsys, flag, value):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_integrate_out_of_memory_exits_1_and_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    import geostep.experiments
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+    # an absurd step count fails its first allocation; stand in for it
+    # instead of allocating
+    monkeypatch.setattr(geostep.experiments, "integrate", no_memory)
+    out = tmp_path / "out"
+    code, stdout, err = run(
+        capsys, "integrate", "--method", "leapfrog", "--steps", "1000000000000",
+        "--out", str(out),
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: Unable to allocate 16.0 TiB for an array\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "method,warnings",
+    [
+        ("m1-as-printed,ab4",
+         ["m1-as-printed: coefficients kept as printed; inconsistent (C_1 = 1)"]),
+        ("m1-as-printed,leapfrog",
+         ["m1-as-printed: coefficients kept as printed; inconsistent (C_1 = 1)"]),
+    ],
+)
+def test_mixed_window_pair_warns_with_members_own_warnings(
+    tmp_path, capsys, method, warnings
+):
+    # the shorter member is zero-padded; that adds no index-0 note of its own
+    code, _, err = run(
+        capsys, "integrate", "--method", method, "--steps", "50",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert err.splitlines() == [f"warning: {w}" for w in warnings]
+
+
 def test_swap_partition_requires_pair(capsys):
     code, _, err = run(
         capsys, "integrate", "--method", "ab4", "--swap-partition",

@@ -11,7 +11,8 @@ from geostep.methods import MethodError
 from geostep.integrators import (
     PartitionedPair, PCPair, Trajectory, integrate, rk4_start,
 )
-from geostep.methods import builtin_methods
+from geostep.methods import REGISTRY_NAMES, builtin_methods
+from geostep.cli import main
 from geostep.systems import LinearHamiltonian, sho
 from geostep.experiments import (
     _CSV_BLOCK,
@@ -132,7 +133,7 @@ def test_resolve_scheme_kinds():
     assert pair.predictor.name == "ab4" and pair.corrector.name == "am4"
     part = resolve_scheme("m3-line1,m3b-corrected")
     assert isinstance(part, PartitionedPair)
-    assert part.q_method.name == "m3-line1"
+    assert dict(part.members)["positions"].name == "m3-line1"
 
 
 def test_resolve_scheme_unknown_names():
@@ -146,6 +147,74 @@ def test_resolve_scheme_unknown_names():
 
 def test_builtin_pairs_only_pc():
     assert set(builtin_pairs()) == {"pc-m2"}
+
+
+@pytest.fixture
+def registry_builds(monkeypatch):
+    """Counts builtin_methods() calls through every module binding."""
+    import geostep.experiments
+    import geostep.methods
+
+    calls = []
+    original = geostep.methods.builtin_methods
+
+    def counted():
+        calls.append(1)
+        return original()
+
+    for mod in (geostep.methods, geostep.experiments):
+        monkeypatch.setattr(mod, "builtin_methods", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec", list(REGISTRY_NAMES) + ["m3-line1,m3b-corrected", "ab4,leapfrog"]
+)
+def test_resolve_scheme_builds_the_registry_once(registry_builds, spec):
+    resolve_scheme(spec)
+    assert len(registry_builds) == 1
+
+
+def test_resolve_scheme_builds_no_registry_for_files(
+    registry_builds, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    # files named like registry entries win over them
+    Path("ab4").write_text("name: fileab4\nk: 1\nalpha: -1 1\nbeta: 1 0\n")
+    Path("pc-m2").write_text("name: filepc\nk: 2\nalpha: -1 0 1\nbeta: 0 2 0\n")
+    assert resolve_scheme("ab4").name == "fileab4"
+    assert resolve_scheme("pc-m2").name == "filepc"
+    assert resolve_scheme(" ab4 , pc-m2 ").name == "fileab4,filepc"
+    assert registry_builds == []
+    # a file member and a registry member: one build
+    assert resolve_scheme("ab4,leapfrog").name == "fileab4,leapfrog"
+    assert len(registry_builds) == 1
+
+
+def test_pc_pair_is_not_a_partitioned_member(registry_builds):
+    with pytest.raises(MethodError, match="unknown method 'pc-m2'"):
+        resolve_scheme("m3-line1,pc-m2")
+    code = main(["analyze", "--method", "m3-line1,pc-m2"])
+    assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv,builds",
+    [
+        (["analyze", "--method", "ab4"], 1),
+        (["analyze", "--method", "pc-m2", "--json"], 1),
+        (["integrate", "--method", "leapfrog", "--steps", "20"], 1),
+        (["integrate", "--method", "m3-line1,m3b-corrected", "--steps", "20"], 1),
+        (["experiment", "--figure", "4", "--steps", "20"], 2),
+    ],
+    ids=["analyze", "analyze-pair", "integrate", "integrate-pair", "experiment"],
+)
+def test_cli_builds_the_registry_once_per_scheme(
+    registry_builds, tmp_path, monkeypatch, capsys, argv, builds
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert len(registry_builds) == builds
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,8 @@ def test_partitioned_euler_pair_equals_full_euler():
 def test_partitioned_swap_exchanges_roles():
     pair = PartitionedPair("m3", MS["m3-line1"], MS["m3b-corrected"])
     swapped = PartitionedPair("m3s", MS["m3-line1"], MS["m3b-corrected"], swap=True)
-    assert pair.q_method.name == "m3-line1"
-    assert swapped.q_method.name == "m3b-corrected"
+    assert dict(pair.members)["positions"].name == "m3-line1"
+    assert dict(swapped.members)["positions"].name == "m3b-corrected"
     t1 = integrate(pair, FIELD, Y0, 0.1, 50)
     t2 = integrate(swapped, FIELD, Y0, 0.1, 50)
     assert np.max(np.abs(t1.states - t2.states)) > 1e-10
@@ -221,6 +221,30 @@ def test_pad_method_keeps_step_values():
         step(padded, FIELD, y, 0.1),
         step(MS["explicit-euler"], FIELD, [y[-1]], 0.1),
     )
+
+
+@pytest.mark.parametrize("name", ["m1-as-printed", "leapfrog", "m3-line2-as-printed"])
+def test_pad_method_keeps_the_members_own_warnings(name):
+    # the zero-padded index 0 describes the padding, not the scheme, so it
+    # adds no note; the member's own warnings (an inconsistent printing,
+    # an index-0 note of its own) are kept as they are
+    m = MS[name]
+    assert pad_method(m, m.k + 1).warnings == m.warnings
+
+
+def test_pair_members_list_roles_in_first_member_order():
+    pc = PCPair("pc", MS["ab4"], MS["am4"])
+    assert [(r, m.name) for r, m in pc.members] == [
+        ("predictor", "ab4"), ("corrector", "am4"),
+    ]
+    pair = PartitionedPair("m3", MS["m3-line1"], MS["m3b-corrected"])
+    assert [(r, m.name) for r, m in pair.members] == [
+        ("positions", "m3-line1"), ("momenta", "m3b-corrected"),
+    ]
+    swapped = PartitionedPair("m3", MS["m3-line1"], MS["m3b-corrected"], swap=True)
+    assert [(r, m.name) for r, m in swapped.members] == [
+        ("momenta", "m3-line1"), ("positions", "m3b-corrected"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +261,9 @@ def test_steps_equal_k_returns_starter_only():
 
 
 def test_integrate_validates_inputs():
-    with pytest.raises(ValueError):
-        integrate(MS["ab4"], FIELD, Y0, 0.1, 3)  # steps < k
+    for steps in (3, 0, -5):  # steps < k: the only check on the step count
+        with pytest.raises(ValueError, match="window k = 4"):
+            integrate(MS["ab4"], FIELD, Y0, 0.1, steps)
     with pytest.raises(ValueError):
         integrate(MS["ab4"], FIELD, Y0, -0.1, 10)
     with pytest.raises(ValueError):
