@@ -37,8 +37,8 @@ from .integrators import (
     ConvergenceError,
     PCPair,
     PartitionedPair,
+    STARTERS,
     SingularStepError,
-    SolverConfig,
     StepFailure,
     Trajectory,
     exact_start,

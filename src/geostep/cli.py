@@ -19,7 +19,7 @@ import numpy as np
 
 from . import methods as me
 from . import geometry as ge
-from .integrators import PCPair, PartitionedPair, StepFailure, integrate
+from .integrators import STARTERS, PCPair, PartitionedPair, StepFailure, integrate
 from .systems import LinearHamiltonian, load_linear_system, sho
 from . import experiments as ex
 
@@ -232,7 +232,7 @@ def build_parser() -> _Parser:
                    help="total recorded states, starter window included")
     i.add_argument("--q0", default="1", help="initial positions, comma-separated")
     i.add_argument("--p0", default="0", help="initial momenta, comma-separated")
-    i.add_argument("--starter", choices=("rk4", "exact"), default="rk4")
+    i.add_argument("--starter", choices=STARTERS, default="rk4")
     i.add_argument("--out", default=".", help="output directory")
     i.add_argument("--stride", type=int, default=1, help="CSV row decimation")
     i.add_argument("--swap-partition", action="store_true",

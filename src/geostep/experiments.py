@@ -37,8 +37,8 @@ from .methods import _NAME_RE, MethodError, MethodSpec, builtin_methods, parse_m
 from .integrators import (
     PCPair,
     PartitionedPair,
+    STARTERS,
     Scheme,
-    SolverConfig,
     StepFailure,
     Trajectory,
     integrate,
@@ -93,7 +93,7 @@ class Scenario:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.starter not in ("rk4", "exact"):
+        if self.starter not in STARTERS:
             raise ValueError(f"unknown starter {self.starter!r}")
         bad = [o for o in self.outputs if o not in OUTPUT_KINDS]
         if bad:
@@ -198,17 +198,12 @@ def builtin_scenarios(steps: int | None = None) -> list[Scenario]:
 
 
 def figure_scenarios(figure: int, steps: int | None = None) -> list[Scenario]:
-    """Scenarios belonging to one canned figure-style experiment."""
-    groups = {
-        1: ("fig1-explicit-euler", "fig1-implicit-euler"),
-        2: ("fig2-m1", "fig2-m1-corrected"),
-        3: ("fig3-pc",),
-        4: ("fig4-partitioned", "fig4-partitioned-corrected"),
-    }
-    if figure not in groups:
+    """Scenarios belonging to one canned figure-style experiment: the
+    built-ins named `fig<figure>-...`, in name order."""
+    found = [s for s in builtin_scenarios(steps) if s.name.startswith(f"fig{figure}-")]
+    if not found:
         raise ValueError(f"unknown figure {figure}; expected 1..4")
-    byname = {s.name: s for s in builtin_scenarios(steps)}
-    return [byname[n] for n in groups[figure]]
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +391,7 @@ def run_and_write(name: str, scheme: Scheme, field, y0, h: float, steps: int,
     the artifact paths and the StepFailure (None when the run completed).
     """
     try:
-        traj = integrate(scheme, field, y0, h, steps, SolverConfig(starter=starter))
+        traj = integrate(scheme, field, y0, h, steps, starter=starter)
         failure = None
     except StepFailure as exc:
         traj, failure = exc.partial, exc

@@ -1,9 +1,11 @@
 """Structural diagnostics: transfer matrices, quadratic-invariant defects,
 area preservation, step transition operators and time-reversal residuals.
 
-All checks here work on numbers produced by actual runs or on explicitly
-compiled matrices; nothing is inferred from the coefficient table alone
-except the pairing matrix (see `methods.lambda_matrix`).
+A linear field is passed as a `LinearHamiltonian`.  The window map is the
+scheme's own step (`integrators.window_matrix`) and the reversibility
+residual reads an actual run; the pairing matrix (`methods.lambda_matrix`)
+and the step transition's polynomial rho - h lam sigma, from alpha and the
+effective beta, are built from the coefficient table.
 """
 from __future__ import annotations
 
@@ -65,29 +67,21 @@ class StructureDefectReport:
     M: np.ndarray
 
 
-def _field_matrix(field) -> np.ndarray:
-    if isinstance(field, LinearHamiltonian):
-        return field.A
-    A = np.asarray(field, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] % 2:
-        raise ValueError("need a linear field or an even square matrix")
-    return A
-
-
-def transfer_matrix(scheme: Scheme, field, h: float) -> TransferMatrix:
+def transfer_matrix(scheme: Scheme, field: LinearHamiltonian,
+                    h: float) -> TransferMatrix:
     """Compile the one-step window map of a scheme on a linear field."""
-    A = _field_matrix(field)
-    M = window_matrix(scheme, A, h)
+    M = window_matrix(scheme, field, h)
     return TransferMatrix(
         method=scheme.name,
         h=h,
         k=scheme.k,
-        dim=A.shape[0],
+        dim=field.dim,
         M=M,
     )
 
 
-def g_symplecticity_defect(m: MethodSpec, field, h: float) -> StructureDefectReport:
+def g_symplecticity_defect(m: MethodSpec, field: LinearHamiltonian,
+                           h: float) -> StructureDefectReport:
     """How far the window map is from conserving its bilinear pairing.
 
     The pairing couples window slots through the coefficient products of the
@@ -95,12 +89,9 @@ def g_symplecticity_defect(m: MethodSpec, field, h: float) -> StructureDefectRep
     the slotwise canonical form is used instead so the report still measures
     something, and the description string says so.
     """
-    A = _field_matrix(field)
-    d = A.shape[0]
-    n = d // 2
-    tm = transfer_matrix(m, A, h)
+    tm = transfer_matrix(m, field, h)
     lam = np.array([[float(x) for x in row] for row in lambda_matrix(m)])
-    J = structure_matrix(n)
+    J = structure_matrix(field.n)
     if np.any(lam != 0.0):
         K = np.kron(lam, J)
         desc = f"pairing (x) J, k = {m.k}"
@@ -138,7 +129,8 @@ ROOT_PICK_TOL = 1e-8
 EIGBASIS_COND_LIMIT = 1e8
 
 
-def step_transition(m: MethodSpec, field, h: float) -> StepTransitionMatrix:
+def step_transition(m: MethodSpec, field: LinearHamiltonian,
+                    h: float) -> StepTransitionMatrix:
     """Principal one-step matrix G of a scheme on a linear field.
 
     Per eigenvalue lam of A, G acts as the root of rho(z) - h*lam*sigma(z)
@@ -146,7 +138,7 @@ def step_transition(m: MethodSpec, field, h: float) -> StepTransitionMatrix:
     make the choice ambiguous and raise; a badly conditioned eigenbasis of A
     also raises rather than returning a meaningless real part.
     """
-    A = _field_matrix(field)
+    A = field.A
     a = [float(c) for c in m.alpha]
     b = [float(c) for c in m.effective_beta()]
     evals, V = np.linalg.eig(A)
@@ -185,7 +177,7 @@ def step_transition(m: MethodSpec, field, h: float) -> StepTransitionMatrix:
         if imag > 1e-9 * max(1.0, float(np.linalg.norm(np.real(G)))):
             raise ValueError(f"step transition matrix not real (imag norm {imag:.3g})")
         G = np.real(G)
-    Gp = np.eye(A.shape[0])
+    Gp = np.eye(field.dim)
     R = np.zeros_like(Gp)
     for j in range(m.k + 1):
         R = R + a[j] * Gp - h * b[j] * (A @ Gp)

@@ -46,10 +46,10 @@ import math
 import numpy as np
 
 from .methods import MethodError, MethodSpec
-from .systems import LinearHamiltonian, sho_exact, structure_matrix
+from .systems import LinearHamiltonian, sho_exact
 
 __all__ = [
-    "SolverConfig",
+    "STARTERS",
     "PCPair",
     "PartitionedPair",
     "Trajectory",
@@ -95,16 +95,8 @@ NEWTON_TOLERANCE = 1e-14
 NEWTON_MAX_ITERATIONS = 50
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    starter: str = "rk4"  # "rk4" or "exact"
-
-    def __post_init__(self):
-        if self.starter not in ("rk4", "exact"):
-            raise ValueError(f"starter must be 'rk4' or 'exact', got {self.starter!r}")
-
-
-DEFAULT_CONFIG = SolverConfig()
+# the names `integrate` takes for its starter: `rk4_start`, `exact_start`
+STARTERS = ("rk4", "exact")
 
 
 def pad_method(m: MethodSpec, k: int) -> MethodSpec:
@@ -483,10 +475,9 @@ def step(scheme: Scheme, field, window, h: float) -> np.ndarray:
 def step_residual(scheme, field, states, h: float) -> float:
     """Norm of the defining relation over k+1 consecutive states.
 
-    For pairs this is the corrector/partition relation the accepted step
-    actually satisfied; for pc pairs the PECE substitution makes the plain
-    corrector relation hold only approximately, so the residual reported is
-    the one-step reconstruction error instead.
+    A pair has no single relation (its PECE corrector holds only
+    approximately, its partition splits q from p), so for every pair this is
+    the one-step reconstruction error |y_k - step(y_0 .. y_{k-1})| instead.
     """
     ys = [np.asarray(y, dtype=float) for y in states]
     if isinstance(scheme, MethodSpec):
@@ -500,18 +491,14 @@ def step_residual(scheme, field, states, h: float) -> float:
 # window transfer matrices (linear fields)
 
 
-def window_matrix(scheme: Scheme, A: np.ndarray, h: float) -> np.ndarray:
+def window_matrix(scheme: Scheme, field: LinearHamiltonian, h: float) -> np.ndarray:
     """One-step matrix on the stacked window (y_n, ..., y_{n+k-1}).
 
     The top rows shift the window; the bottom rows are the scheme's own step
     applied to the k d unit windows at once, on the linear field y' = A y.
     """
     advance = _advance(scheme)
-    A = np.asarray(A, dtype=float)
-    k, d = scheme.k, A.shape[0]
-    n = d // 2
-    # the field y' = A y: S = J^T A is exact, since J only permutes and negates
-    field = LinearHamiltonian(S=structure_matrix(n).T @ A, A=A, n=n)
+    k, d = scheme.k, field.dim
     units = np.eye(k * d)
     M = np.eye(k * d, k=d)  # shift: y_{n+j} moves to slot j - 1
     M[(k - 1) * d :] = advance(
@@ -522,12 +509,6 @@ def window_matrix(scheme: Scheme, A: np.ndarray, h: float) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # driver
-
-
-def _starter_states(field, y0, h, k, cfg):
-    if cfg.starter == "exact":
-        return exact_start(field, y0, h, k - 1)
-    return rk4_start(field, y0, h, k - 1)
 
 
 def _trajectory(field, y0, h, states, k) -> Trajectory:
@@ -604,19 +585,20 @@ def _power_rows(M: np.ndarray, Y: np.ndarray, count: int, tail: int) -> np.ndarr
 
 def _matrix_loop(scheme, field, window, h, steps):
     d = len(window[0])
-    M = window_matrix(scheme, field.A, h)
+    M = window_matrix(scheme, field, h)
     return _power_rows(M, np.concatenate(window), steps, M.shape[0] - d)
 
 
 def integrate(scheme: Scheme, field, y0, h: float, steps: int,
-              cfg: SolverConfig = DEFAULT_CONFIG,
-              force_generic: bool = False) -> Trajectory:
+              starter: str = "rk4", force_generic: bool = False) -> Trajectory:
     """Run a scheme and record states, energies and the exact-error channel.
 
     `steps` counts recorded states including the k starter states; it must
-    be at least k.  Errors are recorded only for linear fields, where the
-    exact flow is available.
+    be at least k.  `starter` names one of `STARTERS`.  Errors are recorded
+    only for linear fields, where the exact flow is available.
     """
+    if starter not in STARTERS:
+        raise ValueError(f"starter must be one of {STARTERS}, got {starter!r}")
     if not 0 < h < np.inf:
         raise ValueError(f"h must be positive and finite, got {h}")
     k = scheme.k
@@ -631,7 +613,8 @@ def integrate(scheme: Scheme, field, y0, h: float, steps: int,
         h0 = field.hamiltonian(y0)
     if not math.isfinite(h0):
         raise ValueError(f"the energy at y0 must be finite, got H(y0) = {h0}")
-    window = _starter_states(field, y0, h, k, cfg)
+    start = exact_start if starter == "exact" else rk4_start
+    window = start(field, y0, h, k - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         if not isinstance(field, LinearHamiltonian) or force_generic:
             states = _generic_loop(scheme, field, y0, window, h, steps)

@@ -18,7 +18,7 @@ import pytest
 from geostep import experiments as ex
 from geostep import geometry as ge
 from geostep import methods as me
-from geostep.integrators import SolverConfig, integrate
+from geostep.integrators import integrate
 from geostep.systems import sho
 
 FIELD = sho(1.0)
@@ -171,7 +171,7 @@ def test_criterion_06_convergence_rate(name, expected):
     errs = []
     for h in hs:
         steps = round(10.0 / h) + 1
-        tr = integrate(scheme, FIELD, Y0, h, steps, SolverConfig(starter="exact"))
+        tr = integrate(scheme, FIELD, Y0, h, steps, starter="exact")
         errs.append(tr.errors[-1])
     A = np.vstack([np.log(hs), np.ones(len(hs))]).T
     rate = np.linalg.lstsq(A, np.log(errs), rcond=None)[0][0]

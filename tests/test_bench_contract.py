@@ -8,9 +8,15 @@ files are read, not imported.
 """
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from geostep import integrators
+from geostep.methods import builtin_methods
+from geostep.systems import sho
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -84,3 +90,18 @@ def test_workload_names_resolve():
 
 def test_setup_code_runs():
     exec(_constant("run.py", "SETUP_CODE"), {})
+
+
+@pytest.mark.parametrize("starter", ["rk4", "exact"])
+def test_integrate_calls_traced_functions_by_module_attribute(monkeypatch, starter):
+    # the tracer's `integrators.starter` and `integrators.window_matrix` spans
+    # exist only while integrate looks these functions up on the module
+    calls = Counter()
+    for name in ("rk4_start", "exact_start", "window_matrix"):
+        def counted(*args, _fn=getattr(integrators, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(integrators, name, counted)
+    ab4 = builtin_methods()["ab4"]
+    integrators.integrate(ab4, sho(1.0), np.array([1.0, 0.0]), 0.1, 20, starter=starter)
+    assert calls == {f"{starter}_start": 1, "window_matrix": 1}

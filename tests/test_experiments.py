@@ -117,7 +117,11 @@ def test_figure_scenarios_mapping():
     assert [s.name for s in figure_scenarios(1)] == [
         "fig1-explicit-euler", "fig1-implicit-euler",
     ]
+    assert [s.name for s in figure_scenarios(2)] == ["fig2-m1", "fig2-m1-corrected"]
     assert [s.name for s in figure_scenarios(3)] == ["fig3-pc"]
+    assert [s.name for s in figure_scenarios(4)] == [
+        "fig4-partitioned", "fig4-partitioned-corrected",
+    ]
     with pytest.raises(ValueError):
         figure_scenarios(9)
 

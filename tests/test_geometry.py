@@ -14,7 +14,6 @@ from geostep.methods import (
 from geostep.integrators import (
     PCPair,
     PartitionedPair,
-    SolverConfig,
     integrate,
     step,
     window_matrix,
@@ -161,7 +160,7 @@ def test_area_defect_examples():
 
 
 def test_area_defect_callable_matches_matrix():
-    M = window_matrix(MS["explicit-euler"], FIELD.A, 0.1)
+    M = window_matrix(MS["explicit-euler"], FIELD, 0.1)
     val_matrix = area_defect(M)
     val_fd = area_defect(lambda y: M @ y, np.array([0.4, -0.3]))
     assert val_fd == pytest.approx(val_matrix, abs=1e-6)
@@ -255,9 +254,10 @@ def test_step_transition_ambiguous_root_raises():
 
 
 def test_step_transition_rejects_defective_field():
-    A = np.array([[1.0, 1.0], [-1.0, -1.0]])  # nilpotent, defective
+    # A = J S = [[1, 1], [-1, -1]]: nilpotent, defective
+    field = LinearHamiltonian.from_hessian([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="condition"):
-        step_transition(MS["midpoint"], A, 0.1)
+        step_transition(MS["midpoint"], field, 0.1)
 
 
 # ---------------------------------------------------------------------------

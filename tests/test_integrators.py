@@ -6,15 +6,16 @@ import pytest
 from scipy.linalg import expm
 
 from geostep import integrators
-from geostep.experiments import builtin_scenarios, classify, resolve_scheme
+from geostep.cli import build_parser
+from geostep.experiments import Scenario, builtin_scenarios, classify, resolve_scheme
 from geostep.methods import MethodError, MethodSpec, builtin_methods
 from geostep.integrators import (
     _BLOCK,
+    STARTERS,
     ConvergenceError,
     PCPair,
     PartitionedPair,
     SingularStepError,
-    SolverConfig,
     StepFailure,
     Trajectory,
     exact_start,
@@ -77,6 +78,27 @@ def test_exact_start_rejects_nonlinear_field():
         exact_start(pendulum(), Y0, 0.1, 2)
 
 
+def test_unknown_starter_rejected_before_any_state(monkeypatch):
+    calls = []
+
+    def counted(y):
+        calls.append(y)
+        return np.array([np.sin(y[0]), y[1]])
+
+    field = GradientField(1, lambda y: calls.append(y) or 0.0, counted)
+    for name in ("rk4_start", "exact_start"):
+        monkeypatch.setattr(integrators, name, lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="starter"):
+        integrate(MS["ab4"], field, Y0, 0.1, 10, starter="euler")
+    assert calls == []
+    # every front end accepts exactly the names integrate takes
+    for name in STARTERS:
+        assert Scenario("x", "ab4", starter=name).starter == name
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    option = next(a for a in sub.choices["integrate"]._actions if a.dest == "starter")
+    assert tuple(option.choices) == STARTERS
+
+
 # ---------------------------------------------------------------------------
 # single steps
 
@@ -135,7 +157,7 @@ def test_generalized_with_identity_gamma_reduces_to_lmm():
     assert np.allclose(a, b, atol=1e-13)
     # on the linear field the compiled matrices coincide exactly
     assert np.array_equal(
-        window_matrix(gen, FIELD.A, 0.1), window_matrix(lmm_twin, FIELD.A, 0.1)
+        window_matrix(gen, FIELD, 0.1), window_matrix(lmm_twin, FIELD, 0.1)
     )
 
 
@@ -178,10 +200,9 @@ def test_pc_pair_pads_to_common_window():
 
 def test_pc_local_error_scales_at_fifth_order():
     pair = PCPair("pc", MS["ab4"], MS["am4"])
-    cfg = SolverConfig(starter="exact")
 
     def one_step_error(h):
-        traj = integrate(pair, FIELD, Y0, h, pair.k + 1, cfg)
+        traj = integrate(pair, FIELD, Y0, h, pair.k + 1, starter="exact")
         return traj.errors[-1]
 
     ratio = one_step_error(0.1) / one_step_error(0.05)
@@ -198,8 +219,8 @@ def test_partitioned_euler_pair_equals_full_euler():
     y1 = step(pair, FIELD, [Y0], 0.1)
     assert np.allclose(y1, step(MS["explicit-euler"], FIELD, [Y0], 0.1))
     assert np.allclose(
-        window_matrix(pair, FIELD.A, 0.1),
-        window_matrix(MS["explicit-euler"], FIELD.A, 0.1),
+        window_matrix(pair, FIELD, 0.1),
+        window_matrix(MS["explicit-euler"], FIELD, 0.1),
     )
 
 
@@ -289,8 +310,7 @@ def test_trajectory_times_and_channels():
 
 
 def test_exact_starter_rows_have_zero_error():
-    cfg = SolverConfig(starter="exact")
-    traj = integrate(MS["ab4"], FIELD, Y0, 0.1, 10, cfg)
+    traj = integrate(MS["ab4"], FIELD, Y0, 0.1, 10, starter="exact")
     assert np.max(traj.errors[: 4]) < 1e-14
 
 
@@ -348,7 +368,7 @@ def test_blocked_path_with_short_blocks_on_large_systems(monkeypatch):
 def test_blocked_pc_m2_matches_generic_over_long_run():
     # the PECE window matrix is non-normal, so powers of it are the
     # worst case for roundoff growth in the stacked rows
-    M = window_matrix(resolve_scheme("pc-m2"), FIELD.A, 0.1)
+    M = window_matrix(resolve_scheme("pc-m2"), FIELD, 0.1)
     assert np.linalg.norm(M @ M.T - M.T @ M) > 1e-3
     fast = integrate(resolve_scheme("pc-m2"), FIELD, Y0, 0.1, 10**5)
     slow = integrate(resolve_scheme("pc-m2"), FIELD, Y0, 0.1, 10**5,
@@ -370,7 +390,7 @@ def test_blocked_overflow_and_crossing_match_per_step_map():
     # reference for the overflow step: one window-matrix product per step.
     # The generic relation solve overflows in its intermediate terms about
     # 200 steps before the states themselves do (139551 against 139760).
-    M = window_matrix(scheme, FIELD.A, s.h)
+    M = window_matrix(scheme, FIELD, s.h)
     Y = np.concatenate(fast.states[: scheme.k])
     ref = np.empty((steps, 2))
     ref[: scheme.k] = fast.states[: scheme.k]
@@ -580,12 +600,12 @@ def test_singular_implicit_step_reports_step_failure(force_generic):
 
 
 def test_window_matrix_euler_and_leapfrog():
-    M = window_matrix(MS["explicit-euler"], FIELD.A, 0.1)
+    M = window_matrix(MS["explicit-euler"], FIELD, 0.1)
     assert np.allclose(M, np.eye(2) + 0.1 * FIELD.A)
     assert np.linalg.det(M) == pytest.approx(1.01, abs=1e-14)
     # re-substitution oracle on random windows
     rng = np.random.default_rng(3)
-    M2 = window_matrix(MS["leapfrog"], FIELD.A, 0.1)
+    M2 = window_matrix(MS["leapfrog"], FIELD, 0.1)
     for _ in range(5):
         w = [rng.normal(size=2), rng.normal(size=2)]
         stepped = step(MS["leapfrog"], FIELD, w, 0.1)
@@ -594,5 +614,5 @@ def test_window_matrix_euler_and_leapfrog():
 
 
 def test_window_matrix_midpoint_has_unit_determinant():
-    M = window_matrix(MS["midpoint"], FIELD.A, 0.1)
+    M = window_matrix(MS["midpoint"], FIELD, 0.1)
     assert abs(np.linalg.det(M) - 1.0) < 1e-14
