@@ -101,7 +101,8 @@ def cmd_integrate(args) -> int:
     if failure is not None:
         print(f"aborted at step {failure.step}", file=sys.stderr)
     H = traj.energies
-    final_err = "-" if traj.errors is None else format(traj.errors[-1], ".17g")
+    err = traj.final_error
+    final_err = "-" if err is None else format(err, ".17g")
     print(
         f"{name}: steps={len(traj.states)} H0={H[0]:.17g} "
         f"finalDeviation={H[-1] - H[0]:.17g} finalError={final_err}"

@@ -12,15 +12,19 @@ streamed together in fixed blocks of _CSV_BLOCK rows, with each row's
 `step,t` text formatted once for all of them; the text is byte-identical
 to formatting every value with format(x, ".17g").  Summary statistics (max
 deviation, slope, radius deviation, classification) are always computed at
-full resolution, never from the decimated files.
+full resolution, never from the decimated files.  The exact-error channel
+is the exception: it is evaluated only at the written rows and, for
+`finalError`, the last row.
 
 Long runs are classified as bounded, drifting or exploding from the energy
 record, against two fixed thresholds.  Exploding is detected by the energy
 crossing EXPLODE_FACTOR (1000) times H_0, or, when H_0 <= 0, by |y|^2
-crossing the same multiple of |y_0|^2; drift statistics for such runs are
-taken over the pre-crossing prefix so they stay finite.  A run that does
-not explode is bounded when both its largest deviation from H_0 and its
-fitted drift over the run stay within BOUNDED_FRACTION (1 %) of |H_0|.
+crossing the same multiple of |y_0|^2; a non-finite value counts as a
+crossing, so a run that overflows to NaN explodes.  Drift statistics for
+such runs are taken over the pre-crossing prefix so they stay finite.  A
+run that does not explode is bounded when both its largest deviation from
+H_0 and its fitted drift over the run stay within BOUNDED_FRACTION (1 %) of
+|H_0|.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from contextlib import ExitStack
 import dataclasses
 from dataclasses import dataclass
 import functools
+import math
 import os
 from pathlib import Path
 
@@ -85,14 +90,17 @@ class Scenario:
     def __post_init__(self):
         if not _NAME_RE.match(self.name):
             raise ValueError(f"bad scenario name {self.name!r}")
-        if not self.h > 0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        if not 0 < self.omega < np.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        for key, value in (("q0", self.q0), ("p0", self.p0)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         if self.starter not in STARTERS:
             raise ValueError(f"unknown starter {self.starter!r}")
         bad = [o for o in self.outputs if o not in OUTPUT_KINDS]
@@ -309,11 +317,16 @@ def write_artifacts(
             ["step", "t", "H", "dH"],
             lambda b: [H[b].tolist(), (H[b] - h0).tolist()],
         )
-    if "error" in outputs and traj.errors is not None:
-        E = traj.errors[::stride]
-        tables["error"] = (["step", "t", "error"], lambda b: [E[b].tolist()])
-    files = {kind: str(outdir / f"{name}-{kind}.csv") for kind in tables}
     steps = range(0, len(traj.states), stride)
+    if "error" in outputs and traj.error_at is not None:
+        # evaluated at the written rows only, one block at a time
+        def errors(b):
+            rows = steps[b]
+            rows = np.arange(rows.start, rows.stop, rows.step)
+            return [traj.error_at(rows).tolist()]
+
+        tables["error"] = (["step", "t", "error"], errors)
+    files = {kind: str(outdir / f"{name}-{kind}.csv") for kind in tables}
     with ExitStack() as stack:
         writers = []
         for kind, (header, columns) in tables.items():
@@ -351,7 +364,8 @@ def classify(traj: Trajectory):
             size = np.einsum("ij,ij->i", traj.states, traj.states)
     crossing = None
     if size[0] > 0:
-        over = np.nonzero(size >= EXPLODE_FACTOR * size[0])[0]
+        # not below the threshold: a NaN (overflow past inf) crosses too
+        over = np.nonzero(~(size < EXPLODE_FACTOR * size[0]))[0]
         if len(over):
             crossing = int(over[0])
     prefix = H if crossing is None else H[:crossing]
@@ -417,16 +431,13 @@ def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
         warnings += (f"stepper failed at step {failure.step}: {failure.cause}",)
 
     label, h0, max_dev, slope, crossing = classify(traj)
-    final_error = (
-        float(traj.errors[-1]) if traj.errors is not None and len(traj.errors) else None
-    )
     result = ScenarioResult(
         scenario=s,
         files=files,
         h0=h0,
         max_deviation=max_dev,
         slope=slope,
-        final_error=final_error,
+        final_error=traj.final_error,
         radius_deviation=_radius_deviation(traj, crossing),
         classification=label,
         crossing_step=crossing,

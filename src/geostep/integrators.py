@@ -31,10 +31,17 @@ rows of M^1 .. M^B (B = 256) are stacked into one block, so a single
 matrix-vector product emits the next B states from the current window; the
 window then advances to the last k states emitted.  The powers are formed
 by doubling in extended precision and rounded once, so the blocked path
-keeps the accuracy of one product per step.  The exact-flow channel of a
-general linear field is propagated the same way with M = expm(hA).  The
-generic per-step path is kept as the reference implementation and for
-nonlinear fields; both paths agree to roundoff and tests assert it.
+keeps the accuracy of one product per step.  The generic per-step path is
+kept as the reference implementation and for nonlinear fields; both paths
+agree to roundoff and tests assert it.
+
+The exact-error channel |y_j - exact flow at t_j| of a linear field is
+evaluated only at the rows a caller asks for (`Trajectory.error_at`): the
+written CSV rows and the last row, not every step of a 10^6-step run.  On
+the oscillator each asked-for row costs one closed-form `sho_exact` value;
+a general linear field propagates the exact flow once per trajectory, the
+same way as the scheme with M = expm(hA), when a row is first asked for.
+Either way the values are bit-identical to slicing the full channel.
 """
 from __future__ import annotations
 
@@ -42,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import functools
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -187,17 +195,36 @@ Scheme = MethodSpec | PCPair | PartitionedPair
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: states (steps, 2n), energies, optional exact-error channel."""
+    """Recorded run: states (steps, 2n), energies and, on linear fields, the
+    exact-error channel.
+
+    The channel is not stored: `error_at(rows)` gives its values at an
+    integer array of non-negative row indices, computed on request, and
+    `errors` is the whole channel (None when there is no `error_at`).
+    """
 
     h: float
     states: np.ndarray
     energies: np.ndarray
-    errors: np.ndarray | None
     start_count: int
+    error_at: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def steps(self) -> int:
         return len(self.states)
+
+    @functools.cached_property
+    def errors(self) -> np.ndarray | None:
+        if self.error_at is None:
+            return None
+        return self.error_at(np.arange(self.steps))
+
+    @property
+    def final_error(self) -> float | None:
+        """The channel at the last row; None without a channel or a row."""
+        if self.error_at is None or not self.steps:
+            return None
+        return float(self.error_at(np.array([self.steps - 1]))[0])
 
     @property
     def times(self) -> np.ndarray:
@@ -244,15 +271,34 @@ def exact_start(field, y0, h: float, count: int) -> list[np.ndarray]:
     return [expm(j * h * field.A) @ y0 for j in range(count + 1)]
 
 
-def _exact_trajectory(field: LinearHamiltonian, y0, h: float, steps: int) -> np.ndarray:
-    """Exact flow sampled at the trajectory grid, for the error channel."""
+def _error_at(field: LinearHamiltonian, y0, h: float, states: np.ndarray):
+    """rows -> |states[rows] - exact flow at h * rows|, the exact-error
+    channel from y0 (not states[0], whose zeros the exact starter may have
+    given the other sign).  `sho_exact` is looked up on this module at call
+    time, so a wrapper installed on it sees every evaluation."""
     y0 = np.array(y0, dtype=float)
     if _is_sho(field):
         w = float(np.sqrt(field.S[0, 0]))
-        return sho_exact(w, y0, h * np.arange(steps))
-    from scipy.linalg import expm
 
-    return _power_rows(expm(h * field.A), y0, steps, 0)
+        def exact(rows):
+            return sho_exact(w, y0, h * rows)
+    else:
+        @functools.cache
+        def flow():
+            from scipy.linalg import expm  # slow to import; only general fields need it
+
+            return _power_rows(expm(h * field.A), y0, len(states), 0)
+
+        def exact(rows):
+            return flow()[rows]
+
+    def error_at(rows):
+        rows = np.asarray(rows)
+        # overflow in exploding runs is data, not an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.linalg.norm(states[rows] - exact(rows), axis=1)
+
+    return error_at
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +559,14 @@ def window_matrix(scheme: Scheme, field: LinearHamiltonian, h: float) -> np.ndar
 
 def _trajectory(field, y0, h, states, k) -> Trajectory:
     """The run's recorded states with their energies and, on linear fields,
-    the exact-error channel from y0 (not states[0], whose zeros the exact
-    starter may have given the other sign)."""
+    the exact-error channel."""
     # overflow in exploding runs is data, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         energies = field.energies(states)
-        errors = None
-        if isinstance(field, LinearHamiltonian):
-            exact = _exact_trajectory(field, y0, h, len(states))
-            errors = np.linalg.norm(states - exact, axis=1)
-    return Trajectory(h, states, energies, errors, start_count=k)
+    error_at = None
+    if isinstance(field, LinearHamiltonian):
+        error_at = _error_at(field, y0, h, states)
+    return Trajectory(h, states, energies, k, error_at)
 
 
 def _generic_loop(scheme, field, y0, window, h, steps):
@@ -591,11 +635,11 @@ def _matrix_loop(scheme, field, window, h, steps):
 
 def integrate(scheme: Scheme, field, y0, h: float, steps: int,
               starter: str = "rk4", force_generic: bool = False) -> Trajectory:
-    """Run a scheme and record states, energies and the exact-error channel.
+    """Run a scheme; return its states, energies and exact-error channel.
 
     `steps` counts recorded states including the k starter states; it must
-    be at least k.  `starter` names one of `STARTERS`.  Errors are recorded
-    only for linear fields, where the exact flow is available.
+    be at least k.  `starter` names one of `STARTERS`.  The exact-error
+    channel exists only for linear fields, where the exact flow is known.
     """
     if starter not in STARTERS:
         raise ValueError(f"starter must be one of {STARTERS}, got {starter!r}")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from geostep import integrators
+from geostep.experiments import Scenario, run_scenario
 from geostep.methods import builtin_methods
 from geostep.systems import sho
 
@@ -105,3 +106,30 @@ def test_integrate_calls_traced_functions_by_module_attribute(monkeypatch, start
     ab4 = builtin_methods()["ab4"]
     integrators.integrate(ab4, sho(1.0), np.array([1.0, 0.0]), 0.1, 20, starter=starter)
     assert calls == {f"{starter}_start": 1, "window_matrix": 1}
+
+
+def test_exact_channel_calls_sho_exact_by_module_attribute(monkeypatch, tmp_path):
+    # the tracer's `systems.sho_exact` span exists only while integrate and
+    # run_scenario look sho_exact up on the integrators module when they call
+    # it; the error channel is evaluated after integrate returns, so a
+    # reference captured when the trajectory was built would miss a wrapper
+    # installed later
+    original = integrators.sho_exact
+    rows = Counter()
+
+    def wrap(label):
+        def counted(omega, y0, t):
+            rows[label] += np.size(t)
+            return original(omega, y0, t)
+        monkeypatch.setattr(integrators, "sho_exact", counted)
+
+    wrap("starter")
+    ab4 = builtin_methods()["ab4"]
+    traj = integrators.integrate(ab4, sho(1.0), np.array([1.0, 0.0]), 0.1, 20,
+                                 starter="exact")
+    wrap("channel")
+    assert traj.final_error is not None and len(traj.errors) == 20
+    wrap("scenario")
+    run_scenario(Scenario("traced", "leapfrog", steps=50, stride=7), tmp_path)
+    # 4 starter states; the last row, then all 20; 8 written rows and the last
+    assert rows == {"starter": 4, "channel": 21, "scenario": 9}

@@ -418,6 +418,21 @@ def test_experiment_scenario_file_with_steps_override(tmp_path, capsys):
         assert sum(1 for _ in fh) == 12001
 
 
+@pytest.mark.parametrize("key, value", [
+    ("h", "inf"), ("omega", "inf"), ("q0", "nan"), ("p0", "inf"),
+])
+def test_experiment_non_finite_scenario_field_exits_1(tmp_path, capsys, key, value):
+    f = tmp_path / "s.txt"
+    f.write_text(f"scenario: bad\nmethod: leapfrog\nsteps: 50\n{key}: {value}\n")
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys, "experiment", "--scenario", str(f), "--outdir", str(out),
+    )
+    assert code == 1
+    assert f"{key} must be" in err
+    assert not out.exists()
+
+
 def test_experiment_scenario_name_cannot_escape_outdir(tmp_path, capsys):
     f = tmp_path / "s.txt"
     f.write_text("scenario: ../escaped\nmethod: midpoint\nsteps: 100\n")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from geostep import integrators
 from geostep.methods import MethodError
 from geostep.integrators import (
     PartitionedPair, PCPair, Trajectory, integrate, rk4_start,
@@ -111,6 +112,15 @@ def test_parse_scenario_errors():
         parse_scenario("scenario: x\nmethod: ab4\nmethod: am4\n")
     with pytest.raises(ValueError, match="malformed|could not convert"):
         parse_scenario("scenario: x\nmethod: ab4\nh: fast\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("h", "inf"), ("omega", "inf"), ("q0", "nan"), ("q0", "inf"), ("p0", "-inf"),
+])
+def test_parse_scenario_rejects_non_finite_fields(key, value):
+    # as integrate and sho do, but at the boundary and naming the field
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        parse_scenario(f"scenario: x\nmethod: leapfrog\n{key}: {value}\n")
 
 
 def test_figure_scenarios_mapping():
@@ -321,8 +331,8 @@ def _edge_trajectory(h0):
     energies[-len(special):] = special
     errors = np.abs(rng.standard_normal(rows))
     errors[7:49:7] = special
-    return Trajectory(h=0.1, states=states, energies=energies, errors=errors,
-                      start_count=1)
+    return Trajectory(h=0.1, states=states, energies=energies, start_count=1,
+                      error_at=errors.__getitem__)
 
 
 def _reference_csv(traj, stride, outputs):
@@ -363,8 +373,8 @@ def test_write_artifacts_memory_stays_flat(tmp_path):
     rows = 100_000
     rng = np.random.default_rng(3)
     traj = Trajectory(h=0.1, states=rng.standard_normal((rows, 4)),
-                      energies=rng.standard_normal(rows),
-                      errors=rng.standard_normal(rows), start_count=1)
+                      energies=rng.standard_normal(rows), start_count=1,
+                      error_at=rng.standard_normal(rows).__getitem__)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -416,6 +426,54 @@ def test_classify_catches_blow_up_when_h0_is_not_positive(y0):
     label, h0, _, _, crossing = classify(traj)
     assert h0 <= 0
     assert label == "exploding" and crossing is not None
+
+
+@pytest.mark.parametrize(
+    "diagonal, y0", [((1.0, 1.0), (1.0, 0.0)), ((-1.0, 1.0), (1.0, 1.0))],
+    ids=["H0-positive", "H0-zero"],
+)
+def test_classify_counts_a_nan_as_the_crossing(diagonal, y0):
+    # a run that overflows straight to nan, never passing through a finite
+    # value over the threshold
+    field = LinearHamiltonian.from_hessian(np.diag(diagonal))
+    states = np.array([y0, [np.nan, np.nan], [np.nan, np.nan]])
+    traj = Trajectory(h=0.1, states=states, energies=field.energies(states),
+                      start_count=1)
+    label, _, max_dev, slope, crossing = classify(traj)
+    assert (label, crossing) == ("exploding", 1)
+    assert (max_dev, slope) == (0.0, 0.0)
+
+
+def test_blow_up_to_nan_scenario_is_exploding(tmp_path):
+    # the rk4 starter's first stage already overflows: H is nan from step 1
+    s = parse_scenario("scenario: nanblow\nmethod: leapfrog\nh: 1e300\nsteps: 50\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = run_scenario(s, tmp_path)
+    assert rep.classification == "exploding"
+    assert rep.crossing_step == 1
+    assert np.all(np.isfinite([rep.max_deviation, rep.slope, rep.radius_deviation]))
+    summary = Path(rep.files["summary"]).read_text()
+    assert "classification: exploding\ncrossingStep: 1\n" in summary
+
+
+def test_long_scenario_evaluates_the_exact_flow_at_the_read_rows_only(
+    tmp_path, monkeypatch
+):
+    # 10^6 steps at stride 1000: the error CSV's 1000 rows and the last row
+    rows = []
+
+    def counted(omega, y0, t, _fn=integrators.sho_exact):
+        rows.append(np.size(t))
+        return _fn(omega, y0, t)
+
+    monkeypatch.setattr(integrators, "sho_exact", counted)
+    s = {s.name: s for s in builtin_scenarios()}["fig2-m1-corrected"]
+    assert (s.steps, s.stride, s.starter) == (1_000_000, 1000, "rk4")
+    rep = run_scenario(s, tmp_path)
+    assert sum(rows) <= 1001
+    assert rep.final_error is not None
+    with open(rep.files["error"]) as fh:
+        assert sum(1 for _ in fh) == 1001  # header and 1000 rows
 
 
 def test_classify_drifting_implicit_euler():

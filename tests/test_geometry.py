@@ -325,8 +325,8 @@ def test_energy_drift_exact_flow_is_flat():
         h=0.1,
         states=states,
         energies=FIELD.energies(states),
-        errors=None,
         start_count=1,
+        error_at=None,
     )
     label, _, max_dev, slope, _ = classify(exact)
     assert label == "bounded"

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from geostep import integrators
@@ -415,6 +417,74 @@ def test_exact_channel_on_general_field_matches_matrix_exponential():
         assert traj.errors[j] == pytest.approx(
             np.linalg.norm(traj.states[j] - exact), abs=1e-12
         )
+
+
+def _full_error_channel(field, y0, h, states):
+    """|y_j - exact flow at t_j| over every row at once."""
+    steps = len(states)
+    if integrators._is_sho(field):
+        exact = sho_exact(float(np.sqrt(field.S[0, 0])), y0, h * np.arange(steps))
+    else:
+        exact = integrators._power_rows(expm(h * field.A), y0, steps, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(states - exact, axis=1)
+
+
+@st.composite
+def linear_runs(draw):
+    """(trajectory, field, y0, h): runs on the oscillator and on a random SPD
+    2-DOF Hessian, an overflowing run and the partial run of a StepFailure."""
+    kind = draw(st.sampled_from(["sho", "hessian", "overflow", "failure"]))
+    unit = st.floats(-1.0, 1.0)
+    if kind == "failure":
+        # on diag(-1, 1), I - hA is exactly singular at h = 1, as in
+        # test_singular_implicit_step_reports_step_failure
+        field, h = LinearHamiltonian.from_hessian(np.diag([-1.0, 1.0])), 1.0
+        y0 = np.array([draw(unit), draw(unit)])
+        with pytest.raises(StepFailure) as info:
+            integrate(MS["implicit-euler"], field, y0, h, 50,
+                      force_generic=draw(st.booleans()))
+        return info.value.partial, field, y0, h
+    if kind == "hessian":
+        B = np.array(draw(st.lists(unit, min_size=16, max_size=16))).reshape(4, 4)
+        field = LinearHamiltonian.from_hessian(B @ B.T + 0.5 * np.eye(4))
+    else:
+        field = sho(draw(st.floats(0.5, 2.0)))
+    y0 = np.array([draw(unit) for _ in range(field.dim)])
+    if not np.any(y0):
+        y0[0] = 1.0
+    if kind == "overflow":
+        # explicit Euler grows |y| by sqrt(1 + (omega h)^2) >= sqrt(5) per
+        # step: from |y0| = 1 past the float range within 900 steps, then
+        # inf - inf = nan
+        a = draw(st.floats(0.0, 2 * np.pi))
+        y0 = np.array([np.cos(a), np.sin(a)])
+        scheme, h, steps = MS["explicit-euler"], draw(st.floats(4.0, 8.0)), 1500
+    else:
+        name = draw(st.sampled_from(["leapfrog", "ab4", "m1-corrected", "pc-m2",
+                                     "m3-line1,m3b-corrected"]))
+        scheme, h = resolve_scheme(name), draw(st.floats(0.01, 0.3))
+        steps = draw(st.integers(scheme.k, 3 * _BLOCK))
+    starter = draw(st.sampled_from(STARTERS))
+    traj = integrate(scheme, field, y0, h, steps, starter=starter)
+    if kind == "overflow":
+        assert np.isinf(traj.states).any() and np.isnan(traj.states).any()
+    return traj, field, y0, h
+
+
+@given(linear_runs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_property_error_rows_equal_the_full_channel(run, data):
+    traj, field, y0, h = run
+    full = _full_error_channel(field, y0, h, traj.states)
+    last = traj.steps - 1
+    stride = data.draw(st.integers(1, traj.steps))
+    picked = data.draw(st.lists(st.integers(0, last), max_size=20))
+    for rows in (np.arange(0, traj.steps, stride), np.array(picked, dtype=int),
+                 np.array([last])):
+        assert np.array_equal(traj.error_at(rows), full[rows], equal_nan=True)
+    assert np.array_equal(traj.errors, full, equal_nan=True)
+    assert np.array_equal(traj.final_error, full[-1], equal_nan=True)
 
 
 def test_nonlinear_field_uses_generic_path():
