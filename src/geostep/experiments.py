@@ -369,11 +369,17 @@ def classify(traj: Trajectory):
         if len(over):
             crossing = int(over[0])
     prefix = H if crossing is None else H[:crossing]
-    t = traj.h * np.arange(len(prefix))  # the prefix of traj.times
-    if len(prefix) >= 2:
-        max_dev = float(np.max(np.abs(prefix - h0)))
-        A = np.vstack([t, np.ones_like(t)]).T
-        slope = float(np.linalg.lstsq(A, prefix, rcond=None)[0][0])
+    N = len(prefix)
+    if N >= 2:
+        dev = np.subtract(prefix, h0)  # the one row-length temporary
+        max_dev = float(np.max(np.abs(dev, out=dev)))
+        del dev  # freed before the design matrix is formed
+        # the design matrix [t, 1] is the transpose of one (2, N) array, the
+        # layout `np.vstack([t, ones]).T` has; t is the prefix of traj.times
+        design = np.empty((2, N))
+        np.multiply(np.arange(N), traj.h, out=design[0])
+        design[1] = 1.0
+        slope = float(np.linalg.lstsq(design.T, prefix, rcond=None)[0][0])
     else:
         max_dev, slope = 0.0, 0.0
     if crossing is not None:

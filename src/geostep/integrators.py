@@ -601,6 +601,12 @@ def _power_rows(M: np.ndarray, Y: np.ndarray, count: int, tail: int) -> np.ndarr
     `tail:` of M^1 .. M^B are stacked once into a (B d, k d) block, so one
     product emits B states; the next window is the last k states emitted,
     which is M^B Y because M shifts the window.
+
+    The result is filled in place: it is C-contiguous, so the window of
+    states j-k .. j-1 is its flat slice [(j-k) d, j d), and each full
+    block's product is written by `np.matmul(..., out=)` straight into the
+    next B d floats, with no product array or reshape per block.  Only a
+    last, partial block multiplies a slice of the stacked rows.
     """
     kd = len(Y)
     d = kd - tail
@@ -620,10 +626,14 @@ def _power_rows(M: np.ndarray, Y: np.ndarray, count: int, tail: int) -> np.ndarr
         rows = np.concatenate([rows, rows[: block * d - len(rows)] @ power])
         power = power @ power
     rows = rows.astype(float)
-    for j in range(k, count, block):
-        n = min(block, count - j)
-        window = out[j - k : j].reshape(kd)
-        out[j : j + n] = (rows[: n * d] @ window).reshape(n, d)
+    flat = out.reshape(-1)  # a view: out is C-contiguous
+    full = count - (count - k) % block  # end of the last full block
+    for j in range(k, full, block):
+        window = flat[(j - k) * d : j * d]
+        np.matmul(rows, window, out=flat[j * d : (j + block) * d])
+    if full < count:
+        window = flat[(full - k) * d : full * d]
+        flat[full * d :] = rows[: (count - full) * d] @ window
     return out
 
 
@@ -658,8 +668,9 @@ def integrate(scheme: Scheme, field, y0, h: float, steps: int,
     if not math.isfinite(h0):
         raise ValueError(f"the energy at y0 must be finite, got H(y0) = {h0}")
     start = exact_start if starter == "exact" else rk4_start
-    window = start(field, y0, h, k - 1)
+    # overflow in exploding runs is data, not an error; the starter's too
     with np.errstate(over="ignore", invalid="ignore"):
+        window = start(field, y0, h, k - 1)
         if not isinstance(field, LinearHamiltonian) or force_generic:
             states = _generic_loop(scheme, field, y0, window, h, steps)
         else:

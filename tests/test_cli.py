@@ -1,10 +1,14 @@
 """Command surface: exit codes, CSV validity, flag handling."""
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import geostep
 from geostep.cli import main
 from geostep.methods import REGISTRY_NAMES
 
@@ -431,6 +435,23 @@ def test_experiment_non_finite_scenario_field_exits_1(tmp_path, capsys, key, val
     assert code == 1
     assert f"{key} must be" in err
     assert not out.exists()
+
+
+def test_experiment_overflowing_scenario_prints_no_numpy_warning(tmp_path):
+    # leapfrog at h = 1e300 overflows in the rk4 starter's first stage; in a
+    # fresh interpreter numpy's warnings would reach stderr
+    f = tmp_path / "s.txt"
+    f.write_text("scenario: nanblow\nmethod: leapfrog\nh: 1e300\nsteps: 50\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(geostep.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "geostep.cli", "experiment", "--scenario", str(f),
+         "--outdir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "nanblow: exploding" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_experiment_scenario_name_cannot_escape_outdir(tmp_path, capsys):

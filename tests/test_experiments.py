@@ -2,6 +2,7 @@
 import csv
 import filecmp
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from geostep.cli import main
 from geostep.systems import LinearHamiltonian, sho
 from geostep.experiments import (
     _CSV_BLOCK,
+    BOUNDED_FRACTION,
+    EXPLODE_FACTOR,
     OUTPUT_KINDS,
     Scenario,
     builtin_pairs,
@@ -444,10 +447,93 @@ def test_classify_counts_a_nan_as_the_crossing(diagonal, y0):
     assert (max_dev, slope) == (0.0, 0.0)
 
 
+def _classify_by_vstack(traj: Trajectory):
+    """`classify` with its statistics formed term by term: the time grid, a
+    vector of ones, their `vstack` as the `lstsq` design matrix and
+    |H - H0| as its own array.  The reference for `classify`'s bits."""
+    H = np.asarray(traj.energies, dtype=float)
+    h0 = float(H[0])
+    if h0 > 0:
+        size = H
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.einsum("ij,ij->i", traj.states, traj.states)
+    crossing = None
+    if size[0] > 0:
+        over = np.nonzero(~(size < EXPLODE_FACTOR * size[0]))[0]
+        if len(over):
+            crossing = int(over[0])
+    prefix = H if crossing is None else H[:crossing]
+    t = traj.h * np.arange(len(prefix))
+    if len(prefix) >= 2:
+        max_dev = float(np.max(np.abs(prefix - h0)))
+        A = np.vstack([t, np.ones_like(t)]).T
+        slope = float(np.linalg.lstsq(A, prefix, rcond=None)[0][0])
+    else:
+        max_dev, slope = 0.0, 0.0
+    if crossing is not None:
+        return "exploding", h0, max_dev, slope, crossing
+    scale = abs(h0) if h0 != 0 else 1.0
+    budget = BOUNDED_FRACTION * scale
+    if max_dev <= budget and abs(slope) * traj.h * (len(H) - 1) <= budget:
+        return "bounded", h0, max_dev, slope, None
+    return "drifting", h0, max_dev, slope, None
+
+
+def _bits(result):
+    """A classify result with each float as its bytes, so -0.0 != 0.0."""
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                 for v in result)
+
+
+INDEFINITE = LinearHamiltonian.from_hessian(np.diag([-1.0, 1.0]))
+
+
+@pytest.mark.parametrize("method, field, y0, h, steps, label", [
+    ("midpoint", sho(1.0), (1.0, 0.0), 0.1, 10_000, "bounded"),
+    ("m1-corrected", sho(1.0), (0.6, 0.8), 0.1, 50_000, "bounded"),
+    ("implicit-euler", sho(1.0), (1.0, 0.0), 0.1, 10_000, "drifting"),
+    ("explicit-euler", sho(1.0), (1.0, 0.0), 0.1, 10_000, "exploding"),
+    ("leapfrog", INDEFINITE, (1.0, 1.0), 0.1, 2000, "exploding"),
+    ("leapfrog", INDEFINITE, (1.0, 0.0), 0.1, 2000, "exploding"),
+    ("leapfrog", INDEFINITE, (1.0, 0.0), 0.1, 1, "bounded"),
+], ids=["bounded", "bounded-long", "drifting", "exploding-prefix",
+        "H0-zero", "H0-negative", "one-row"])
+def test_classify_is_bit_identical_to_the_vstack_formulation(
+    method, field, y0, h, steps, label
+):
+    scheme = resolve_scheme(method)
+    traj = integrate(scheme, field, y0, h, max(steps, scheme.k))
+    if steps < scheme.k:
+        traj = Trajectory(h, traj.states[:steps], traj.energies[:steps], steps)
+    got = classify(traj)
+    assert got[0] == label
+    assert _bits(got) == _bits(_classify_by_vstack(traj))
+
+
+def test_classify_memory_peak_on_a_long_record():
+    # 10^6 rows: the design matrix is 16 MB, a row-length vector 8 MB
+    rows = 1_000_000
+    rng = np.random.default_rng(5)
+    traj = Trajectory(h=0.1, states=np.zeros((rows, 2)),
+                      energies=0.5 + 1e-12 * rng.standard_normal(rows),
+                      start_count=1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert classify(traj)[0] == "bounded"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
 def test_blow_up_to_nan_scenario_is_exploding(tmp_path):
-    # the rk4 starter's first stage already overflows: H is nan from step 1
+    # the rk4 starter's first stage already overflows: H is nan from step 1.
+    # The overflow is data, so the run raises no numpy warning either.
     s = parse_scenario("scenario: nanblow\nmethod: leapfrog\nh: 1e300\nsteps: 50\n")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rep = run_scenario(s, tmp_path)
     assert rep.classification == "exploding"
     assert rep.crossing_step == 1

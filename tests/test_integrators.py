@@ -367,6 +367,70 @@ def test_blocked_path_with_short_blocks_on_large_systems(monkeypatch):
     assert np.max(np.abs(fast.states - slow.states)) < 1e-12
 
 
+def _power_rows_per_block(M, Y, count, tail):
+    """`_power_rows` with a reshaped window and a fresh product array for
+    every block: the reference for the states' bits."""
+    kd = len(Y)
+    d = kd - tail
+    k = kd // d
+    out = np.empty((count, d))
+    out[:k] = Y.reshape(k, d)
+    block = min(_BLOCK, count - k, max(1, integrators._ROW_FLOATS // (d * kd)))
+    if block <= 0:
+        return out
+    power = M.astype(np.longdouble)
+    rows = power[tail:]
+    while len(rows) < block * d:
+        rows = np.concatenate([rows, rows[: block * d - len(rows)] @ power])
+        power = power @ power
+    rows = rows.astype(float)
+    for j in range(k, count, block):
+        n = min(block, count - j)
+        window = out[j - k : j].reshape(kd)
+        out[j : j + n] = (rows[: n * d] @ window).reshape(n, d)
+    return out
+
+
+@pytest.mark.parametrize("name, field, h", [
+    ("ab4", FIELD2, 0.1),
+    ("pc-m2", FIELD2, 0.1),
+    ("m3-line1,m3b-corrected", FIELD, 0.1),
+    ("leapfrog", FIELD2, 0.1),  # k = 2 on d = 4: a tail of one state
+    ("explicit-euler", FIELD, 6.0),  # overflows to inf, then nan
+])
+@pytest.mark.parametrize("extra", [0, 1, _BLOCK - 1, _BLOCK, 3 * _BLOCK + 5])
+def test_power_rows_equal_the_per_block_products(name, field, h, extra):
+    scheme = resolve_scheme(name)
+    M = window_matrix(scheme, field, h)
+    d = field.dim
+    Y = np.concatenate(rk4_start(field, np.linspace(1.0, 0.5, d), h, scheme.k - 1))
+    count, tail = scheme.k + extra, M.shape[0] - d
+    if name == "explicit-euler":
+        count += 2000
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = integrators._power_rows(M, Y, count, tail)
+        expected = _power_rows_per_block(M, Y, count, tail)
+    assert np.array_equal(got, expected, equal_nan=True)
+    if name == "explicit-euler":
+        assert np.isnan(got).any()
+
+
+@pytest.mark.parametrize("name", ["ab4", "leapfrog"])
+@pytest.mark.parametrize("extra", [0, 1, 2, 3, 50])
+def test_power_rows_with_short_blocks_equal_the_per_block_products(
+    monkeypatch, name, extra
+):
+    # a row budget of three states per product, fewer than ab4's k = 4
+    scheme = resolve_scheme(name)
+    d = FIELD2.dim
+    monkeypatch.setattr(integrators, "_ROW_FLOATS", 3 * d * scheme.k * d)
+    M = window_matrix(scheme, FIELD2, 0.1)
+    Y = np.concatenate(rk4_start(FIELD2, Y02, 0.1, scheme.k - 1))
+    count, tail = scheme.k + extra, M.shape[0] - d
+    assert np.array_equal(integrators._power_rows(M, Y, count, tail),
+                          _power_rows_per_block(M, Y, count, tail))
+
+
 def test_blocked_pc_m2_matches_generic_over_long_run():
     # the PECE window matrix is non-normal, so powers of it are the
     # worst case for roundoff growth in the stacked rows

@@ -1,8 +1,11 @@
 """Field construction, canonical structure, exact oscillator flow."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geostep.systems import (
+    _ENERGY_BLOCK,
     GradientField,
     LinearHamiltonian,
     load_linear_system,
@@ -87,6 +90,58 @@ def test_energies_match_scalar_hamiltonian():
     H = field.energies(states)
     assert np.allclose(H, [0.5, 0.5, 0.25])
     assert field.hamiltonian(states[2]) == pytest.approx(0.25)
+
+
+SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e300]
+
+
+@st.composite
+def hessians_and_states(draw):
+    """(S, Y): a symmetric S, definite or indefinite, for n = 1..3, and rows
+    on both sides of a block edge, some of them or some of their entries
+    special values."""
+    n = draw(st.integers(1, 3))
+    d = 2 * n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.standard_normal((d, d))
+    kind = draw(st.sampled_from(["positive", "negative", "indefinite"]))
+    S = {"positive": B @ B.T + 0.1 * np.eye(d), "negative": -B @ B.T - np.eye(d),
+         "indefinite": B + B.T}[kind]
+    if draw(st.booleans()):
+        rows = draw(st.integers(1, 40))
+    else:
+        rows = draw(st.integers(1, 3)) * _ENERGY_BLOCK + draw(st.integers(-2, 2))
+    scale = rng.choice([1.0, 1.0, 1.0, 1e-170, 1e160, 1e-300, 1e300], (rows, 1))
+    Y = rng.standard_normal((rows, d)) * scale
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, d - 1),
+                      st.sampled_from(SPECIAL))
+    for i, j, v in draw(st.lists(cells, max_size=30)):
+        Y[i, j] = v
+    for i, v in draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                        st.sampled_from(SPECIAL)), max_size=10)):
+        Y[i] = v
+    return S, Y
+
+
+@given(hessians_and_states())
+@settings(max_examples=60, deadline=None)
+def test_property_energies_equal_einsum(case):
+    S, Y = case
+    field = LinearHamiltonian.from_hessian(S)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        expected = 0.5 * np.einsum("ij,jk,ik->i", Y, field.S, Y)
+        got = field.energies(Y)
+    assert np.array_equal(got, expected, equal_nan=True)
+    # array_equal takes -0.0 for 0.0: the signs of the zeros agree as well
+    zero = expected == 0.0
+    assert np.array_equal(np.signbit(got[zero]), np.signbit(expected[zero]))
+
+
+@pytest.mark.parametrize("shape", [(5,), (5, 1), (5, 3), (5, 2, 1)])
+def test_energies_reject_states_of_another_width(shape):
+    # a (5, 1) block would otherwise broadcast into both columns
+    with pytest.raises(ValueError, match="states must have shape"):
+        sho(1.0).energies(np.ones(shape))
 
 
 def test_gradient_field_wraps_nonlinear_hamiltonian():
