@@ -14,7 +14,9 @@ effective beta b_l = sum_j beta_j gamma_jl, the derivative weights a linear
 field sees, which is beta itself unless gamma is explicit.
 
 Everything in this module is exact: coefficients are `fractions.Fraction`
-and the defect sums, polynomial gcd and symmetry checks never round.  Only
+and the defect sums, polynomial gcd and symmetry checks never round.  The
+defect and pairing sums run over integers, the coefficients scaled by the
+lcm of their denominators, and are divided by it once per entry.  Only
 `root_condition` goes through floating point, via companion-matrix
 eigenvalues (that is what `numpy.roots` computes).
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+import math
 import re
 
 import numpy as np
@@ -258,6 +261,15 @@ def defect_horizon(k: int) -> int:
     return 2 * k + 4
 
 
+def _scaled(m: MethodSpec) -> tuple[int, list[int], list[int]]:
+    """(D, A, B): D the lcm of the denominators of alpha and the effective
+    beta b, A_j = D alpha_j and B_j = D b_j as integers."""
+    alpha, beta = m.alpha, m.effective_beta()
+    D = math.lcm(*(c.denominator for c in alpha + beta))
+    A, B = ([c.numerator * (D // c.denominator) for c in v] for v in (alpha, beta))
+    return D, A, B
+
+
 def order_analysis(m: MethodSpec) -> tuple[int, tuple[Fraction, ...], bool]:
     """Exact consistency defects and the order they certify.
 
@@ -268,17 +280,17 @@ def order_analysis(m: MethodSpec) -> tuple[int, tuple[Fraction, ...], bool]:
 
     b the effective beta (beta itself unless gamma is explicit), and
     order = largest s with C_0 .. C_s all zero and C_{s+1} nonzero
-    (0 when inconsistent), consistent = (C_0 = C_1 = 0).
+    (0 when inconsistent), consistent = (C_0 = C_1 = 0).  Each D*C_l is
+    summed in integers (see `_scaled`) and divided by D once.
     """
     L = defect_horizon(m.k)
-    beta = m.effective_beta()
-    defects = [sum(m.alpha, Fraction(0))]
+    D, A, B = _scaled(m)
+    defects = [Fraction(sum(A), D)]
+    powers = [1] * (m.k + 1)  # j^(l-1)
     for l in range(1, L + 1):
-        c = sum((m.alpha[j] * Fraction(j) ** l for j in range(m.k + 1)), Fraction(0))
-        c -= l * sum(
-            (beta[j] * Fraction(j) ** (l - 1) for j in range(m.k + 1)), Fraction(0)
-        )
-        defects.append(c)
+        sb = sum(b * p for b, p in zip(B, powers))
+        powers = [p * j for j, p in enumerate(powers)]
+        defects.append(Fraction(sum(a * p for a, p in zip(A, powers)) - l * sb, D))
     first_nonzero = next((i for i, c in enumerate(defects) if c != 0), None)
     if first_nonzero is None:
         raise MethodError(
@@ -357,17 +369,16 @@ def lambda_matrix(m: MethodSpec) -> tuple[tuple[Fraction, ...], ...]:
 
     a is alpha and b the effective beta.  Indices i, j run 1..k and
     out-of-range coefficients count as zero.  The convention is pinned by
-    the two-step central scheme, whose matrix is [[0, 2], [2, 0]].
+    the two-step central scheme, whose matrix is [[0, 2], [2, 0]].  Each
+    entry is summed over the integers D a and D b (see `_scaled`) and
+    divided by D^2 once.
     """
-    k, a, b = m.k, m.alpha, m.effective_beta()
+    k, (D, A, B) = m.k, _scaled(m)
 
     def lam(i: int, j: int) -> Fraction:
-        s = Fraction(0)
-        for mm in range(0, k + 1):
-            if i + mm <= k and j + mm <= k:
-                s += a[i + mm] * b[j + mm]
-                s += a[j + mm] * b[i + mm]
-        return s
+        s = sum(A[i + mm] * B[j + mm] + A[j + mm] * B[i + mm]
+                for mm in range(k + 1 - max(i, j)))
+        return Fraction(s, D * D)
 
     return tuple(tuple(lam(i, j) for j in range(1, k + 1)) for i in range(1, k + 1))
 

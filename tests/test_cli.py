@@ -377,6 +377,51 @@ def test_verify_unknown_method_exits_1(capsys):
 
 
 # ---------------------------------------------------------------------------
+# exact certificates against the benchmark's record
+#
+# The `certify` benchmark compares numeric strings only to rel 1e-6, so a
+# wrong rational could pass it.  Here every exact field must match its
+# recorded text.  The record is read, never rewritten; it still pins the
+# index-0 warning that `m3-line2-as-printed` carries twice.
+
+CERTIFY_RECORD = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "certify_expected.json")
+    .read_text()
+)
+EXACT_FIELDS = ("method", "order", "defects", "consistent", "symmetric",
+                "irreducible", "normalization", "lambda", "warnings")
+
+
+def _exact_fields(doc: dict) -> dict:
+    """The exact fields of every report in an `analyze --json` document (a
+    pair nests one report per member), each as its JSON text."""
+    if "defects" in doc:
+        return {f: json.dumps(doc[f]) for f in EXACT_FIELDS}
+    return {key: _exact_fields(v) if isinstance(v, dict) else json.dumps(v)
+            for key, v in doc.items()}
+
+
+@pytest.mark.parametrize("name", REGISTRY_NAMES)
+def test_analyze_json_exact_fields_match_benchmark_record(capsys, name):
+    want = CERTIFY_RECORD[f"analyze:{name}"]
+    code, out, _ = run(capsys, "analyze", "--method", name, "--json")
+    assert code == want["exit"]
+    assert _exact_fields(json.loads(out)) == _exact_fields(json.loads(want["stdout"]))
+
+
+def test_verify_order_and_symmetry_rows_match_benchmark_record(capsys):
+    def exact_rows(text):
+        return [r for r in text.splitlines()
+                if r.split(",")[4:5] in (["order"], ["symmetry"])]
+
+    want = CERTIFY_RECORD["verify"]
+    code, out, _ = run(capsys, "verify")
+    assert code == want["exit"]
+    assert exact_rows(out) == exact_rows(want["stdout"])
+    assert len(exact_rows(out)) == 22  # one of each per single scheme
+
+
+# ---------------------------------------------------------------------------
 # experiment
 
 

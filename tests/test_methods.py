@@ -395,3 +395,90 @@ def test_property_symmetric_methods_report_even_order_when_consistent(m):
     order, _, consistent = order_analysis(sym)
     if consistent:
         assert order % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# integer sums against the term-by-term rational formulas
+
+
+def reference_certificates(m):
+    """Defects, order and pairing matrix summed in `Fraction`s term by term,
+    with the effective beta formed here from beta and the gamma rows."""
+    k, a = m.k, m.alpha
+    b = [sum((m.beta[j] * m.gamma_rows[j][l] for j in range(k + 1)), F(0))
+         for l in range(k + 1)]
+    L = defect_horizon(k)
+    defects = [sum(a, F(0))]
+    for l in range(1, L + 1):
+        c = sum((a[j] * F(j) ** l for j in range(k + 1)), F(0))
+        c -= l * sum((b[j] * F(j) ** (l - 1) for j in range(k + 1)), F(0))
+        defects.append(c)
+    nonzero = [i for i, c in enumerate(defects) if c != 0]
+    if not nonzero:
+        raise MethodError(
+            f"all defects vanish through C_{L}; not a finite-order scheme"
+        )
+    consistent = defects[0] == 0 and defects[1] == 0
+    order = nonzero[0] - 1 if consistent else 0
+    lam = tuple(
+        tuple(
+            sum((a[i + s] * b[j + s] + a[j + s] * b[i + s]
+                 for s in range(k + 1) if i + s <= k and j + s <= k), F(0))
+            for j in range(1, k + 1)
+        )
+        for i in range(1, k + 1)
+    )
+    return (order, tuple(defects), consistent), lam
+
+
+# numerator and denominator drawn as integers: cheaper than st.fractions
+wide_coef = st.builds(F, st.integers(-240, 240), st.integers(1, 60))
+
+
+def _unit_sum(draw, n):
+    """n rationals that sum to one."""
+    head = draw(st.lists(wide_coef, min_size=n - 1, max_size=n - 1))
+    return head + [1 - sum(head, F(0))]
+
+
+@st.composite
+def any_kind_specs(draw):
+    k = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["lmm", "one-leg", "generalized"]))
+    empty_start = draw(st.booleans())  # alpha_0 = beta_0 = 0
+    alpha = draw(st.lists(wide_coef, min_size=k + 1, max_size=k + 1))
+    if alpha[k] == 0:
+        alpha[k] = F(1)
+    if kind == "one-leg":
+        beta = ([F(0)] + _unit_sum(draw, k)) if empty_start else _unit_sum(draw, k + 1)
+    else:
+        beta = draw(st.lists(wide_coef, min_size=k + 1, max_size=k + 1))
+    if empty_start:
+        alpha[0] = beta[0] = F(0)
+    gamma = None
+    if kind == "generalized":
+        gamma = tuple(tuple(_unit_sum(draw, k + 1)) for _ in range(k + 1))
+    return MethodSpec("m", k, tuple(alpha), tuple(beta), kind, gamma)
+
+
+@given(any_kind_specs())
+@settings(max_examples=200, deadline=None)
+def test_property_integer_sums_equal_rational_formulas(m):
+    certificates, lam = reference_certificates(m)
+    assert order_analysis(m) == certificates
+    assert lambda_matrix(m) == lam
+
+
+def test_all_vanishing_defects_raise_the_same_error():
+    # no valid scheme has order past its horizon (Dahlquist's bound is 2k),
+    # so zero the coefficients of a built one to reach the check
+    m = replace(MS["leapfrog"])  # a copy: the shared registry stays intact
+    object.__setattr__(m, "alpha", (F(0),) * 3)
+    object.__setattr__(m, "beta", (F(0),) * 3)
+    with pytest.raises(MethodError) as want:
+        reference_certificates(m)
+    with pytest.raises(MethodError) as got:
+        order_analysis(m)
+    assert str(got.value) == str(want.value) == (
+        "all defects vanish through C_8; not a finite-order scheme"
+    )
