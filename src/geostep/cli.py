@@ -1,5 +1,7 @@
 """Command line surface: analyze, integrate, verify, experiment, list.
 
+A call builds the argument parser of its own command only.
+
 Exit codes: 0 all good, 1 usage or input error, 2 completed with warnings
 (inconsistent method analyzed, verification rows failing, partial run).
 The default verification tolerance can be set through the GEOSTEP_TOL
@@ -213,60 +215,71 @@ def cmd_list(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+# name -> (help, handler, ((flag, add_argument keywords), ...))
+COMMANDS = {
+    "analyze": ("order, symmetry and structure report", cmd_analyze, (
+        ("--method", dict(required=True, help="registry name or file")),
+        ("--json", dict(action="store_true", help="machine-readable output")),
+    )),
+    "integrate": ("run a scheme and write CSV artifacts", cmd_integrate, (
+        ("--method", dict(required=True, help="registry name, file, or "
+                          "'first,second' partitioned pair")),
+        ("--system", dict(default="sho", help="'sho' or a Hessian file")),
+        ("--omega", dict(type=float, default=None,
+                         help="oscillator frequency (sho only, default 1)")),
+        ("--h", dict(type=float, default=0.1, help="step size")),
+        ("--steps", dict(type=int, default=1000,
+                         help="total recorded states, starter window included")),
+        ("--q0", dict(default="1", help="initial positions, comma-separated")),
+        ("--p0", dict(default="0", help="initial momenta, comma-separated")),
+        ("--starter", dict(choices=STARTERS, default="rk4")),
+        ("--out", dict(default=".", help="output directory")),
+        ("--stride", dict(type=int, default=1, help="CSV row decimation")),
+        ("--swap-partition", dict(action="store_true",
+                                  help="second pair member drives q instead of p")),
+    )),
+    "verify": ("pass/fail structure checks as CSV rows", cmd_verify, (
+        ("--check", dict(choices=CHECKS, default=None, help="one check (default: all)")),
+        ("--method", dict(default=None,
+                          help="registry name or file (default: all built-ins)")),
+        ("--system", dict(default="sho")),
+        ("--omega", dict(type=float, default=None)),
+        ("--h", dict(type=float, default=0.1)),
+        ("--tol", dict(type=float, default=None,
+                       help="pass threshold (default GEOSTEP_TOL or 1e-10)")),
+    )),
+    "experiment": ("run canned or file-defined scenarios", cmd_experiment, (
+        ("--figure", dict(type=int, default=None, help="canned group 1..4")),
+        ("--scenario", dict(default=None, help="scenario file")),
+        ("--steps", dict(type=int, default=None, help="override step count")),
+        ("--outdir", dict(default=".", help="output directory")),
+    )),
+    "list": ("print the built-in registry", cmd_list, ()),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The full command tree, or only `command`'s branch of it.  A one-branch
+    parser still shows all five commands in its usage line; the full tree
+    names no metavar, so its own errors say "argument command"."""
     p = _Parser(prog="geostep", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True)
-
-    a = sub.add_parser("analyze", help="order, symmetry and structure report")
-    a.add_argument("--method", required=True, help="registry name or file")
-    a.add_argument("--json", action="store_true", help="machine-readable output")
-    a.set_defaults(func=cmd_analyze)
-
-    i = sub.add_parser("integrate", help="run a scheme and write CSV artifacts")
-    i.add_argument("--method", required=True,
-                   help="registry name, file, or 'first,second' partitioned pair")
-    i.add_argument("--system", default="sho", help="'sho' or a Hessian file")
-    i.add_argument("--omega", type=float, default=None,
-                   help="oscillator frequency (sho only, default 1)")
-    i.add_argument("--h", type=float, default=0.1, help="step size")
-    i.add_argument("--steps", type=int, default=1000,
-                   help="total recorded states, starter window included")
-    i.add_argument("--q0", default="1", help="initial positions, comma-separated")
-    i.add_argument("--p0", default="0", help="initial momenta, comma-separated")
-    i.add_argument("--starter", choices=STARTERS, default="rk4")
-    i.add_argument("--out", default=".", help="output directory")
-    i.add_argument("--stride", type=int, default=1, help="CSV row decimation")
-    i.add_argument("--swap-partition", action="store_true",
-                   help="second pair member drives q instead of p")
-    i.set_defaults(func=cmd_integrate)
-
-    v = sub.add_parser("verify", help="pass/fail structure checks as CSV rows")
-    v.add_argument("--check", choices=CHECKS, default=None,
-                   help="one check (default: all)")
-    v.add_argument("--method", default=None,
-                   help="registry name or file (default: all built-ins)")
-    v.add_argument("--system", default="sho")
-    v.add_argument("--omega", type=float, default=None)
-    v.add_argument("--h", type=float, default=0.1)
-    v.add_argument("--tol", type=float, default=None,
-                   help="pass threshold (default GEOSTEP_TOL or 1e-10)")
-    v.set_defaults(func=cmd_verify)
-
-    e = sub.add_parser("experiment", help="run canned or file-defined scenarios")
-    e.add_argument("--figure", type=int, default=None, help="canned group 1..4")
-    e.add_argument("--scenario", default=None, help="scenario file")
-    e.add_argument("--steps", type=int, default=None, help="override step count")
-    e.add_argument("--outdir", default=".", help="output directory")
-    e.set_defaults(func=cmd_experiment)
-
-    l = sub.add_parser("list", help="print the built-in registry")
-    l.set_defaults(func=cmd_list)
+    sub = p.add_subparsers(dest="command", required=True, metavar=(
+        None if command is None else "{" + ",".join(COMMANDS) + "}"))
+    for name in COMMANDS if command is None else (command,):
+        summary, func, arguments = COMMANDS[name]
+        s = sub.add_parser(name, help=summary)
+        for flag, kwargs in arguments:
+            s.add_argument(flag, **kwargs)
+        s.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top level takes no option but -h, so the first token names the
+    # command; for -h or a usage error the full tree does the printing
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None
+                        ).parse_args(argv)
     if getattr(args, "h", None) is not None and not 0 < args.h < np.inf:
         print("error: h must be positive and finite", file=sys.stderr)
         return 1

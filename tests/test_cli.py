@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import geostep
+from geostep import cli
 from geostep.cli import main
 from geostep.methods import REGISTRY_NAMES
 
@@ -112,6 +113,66 @@ def test_unknown_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["list", "--frobnicate"])
     assert exc.value.code == 1
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    # the `geostep` entry point calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["geostep", "list"])
+    assert main() == 0
+    assert capsys.readouterr().out.splitlines() == list(REGISTRY_NAMES)
+
+
+# ---------------------------------------------------------------------------
+# parser construction
+
+
+def _commands(parser) -> list[str]:
+    return list(next(a for a in parser._actions if a.dest == "command").choices)
+
+
+def test_a_call_builds_only_its_commands_parser(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    code, _, _ = run(capsys, "analyze", "--method", "ab4", "--json")
+    assert code == 0
+    assert built == ["geostep", "geostep analyze"]
+
+
+def test_build_parser_offers_the_named_command_or_all():
+    assert _commands(cli.build_parser("verify")) == ["verify"]
+    assert _commands(cli.build_parser()) == list(cli.COMMANDS) == [
+        "analyze", "integrate", "verify", "experiment", "list"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                    "'analyze', 'integrate', 'verify', 'experiment', 'list')"),
+        (["analyze", "--method", "ab4", "--bogus"], "unrecognized arguments: --bogus"),
+        (["list", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+    ],
+    ids=["empty", "unknown-command", "analyze-unknown-flag", "list-unknown-flag"],
+)
+def test_top_level_usage_errors_name_all_five_commands(capsys, monkeypatch, argv,
+                                                        message):
+    # a one-command parser must print the same usage line as the full tree
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out.out == ""
+    assert out.err == (
+        "usage: geostep [-h] {analyze,integrate,verify,experiment,list} ...\n"
+        f"geostep: error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
