@@ -31,6 +31,8 @@ SYM_TOL = 1e-14
 # rows per block in `LinearHamiltonian.energies`: the block's columns and
 # its running sums stay within a 2 MiB L2 cache up to n of about 10
 _ENERGY_BLOCK = 8192
+# fewer rows go to einsum itself, which is faster there: see `energies`
+_EINSUM_ROWS = 256
 
 
 class SystemError_(ValueError):
@@ -85,20 +87,23 @@ class LinearHamiltonian:
     def energies(self, states: np.ndarray) -> np.ndarray:
         """H along a (m, 2n) array of states, vectorized.
 
-        Each row's sum starts at 0.0 and adds (y_j * S_jk) * y_k for (j, k)
-        in row-major order, then is scaled by 0.5: the order in which
-        `0.5 * np.einsum("ij,jk,ik->i", y, S, y)` sums, so every finite,
-        infinite and signed-zero result has the same bits (NaN stays NaN,
-        its sign may differ).  The rows are walked in blocks of
-        `_ENERGY_BLOCK`, each copied once into column-major scratch, so
-        each of the (2n)^2 terms is three contiguous in-cache vector
-        operations on the block.
+        Below `_EINSUM_ROWS` rows this is `0.5 * np.einsum("ij,jk,ik->i",
+        y, S, y)` itself, which on one or two rows of a 2 x 2 S sums in
+        another order.  On longer inputs each row's sum starts at 0.0 and
+        adds (y_j * S_jk) * y_k for (j, k) in row-major order, then is
+        scaled by 0.5: einsum's order there, so every finite, infinite and
+        signed-zero result has the same bits (NaN stays NaN, its sign may
+        differ).  The rows are walked in blocks of `_ENERGY_BLOCK`, each
+        copied once into column-major scratch, so each of the (2n)^2 terms
+        is three contiguous in-cache vector operations on the block.
         """
         y = np.asarray(states, dtype=float)
         S = self.S
         d = S.shape[0]
         if y.ndim != 2 or y.shape[1] != d:
             raise ValueError(f"states must have shape (m, {d}), got {y.shape}")
+        if len(y) < _EINSUM_ROWS:
+            return 0.5 * np.einsum("ij,jk,ik->i", y, S, y)
         out = np.empty(len(y))
         cols = np.empty((d, min(_ENERGY_BLOCK, len(y))))
         term = np.empty(cols.shape[1])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geostep.systems import (
+    _EINSUM_ROWS,
     _ENERGY_BLOCK,
     GradientField,
     LinearHamiltonian,
@@ -97,9 +98,9 @@ SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e300]
 
 @st.composite
 def hessians_and_states(draw):
-    """(S, Y): a symmetric S, definite or indefinite, for n = 1..3, and rows
-    on both sides of a block edge, some of them or some of their entries
-    special values."""
+    """(S, Y): a symmetric S, definite or indefinite, for n = 1..3, and a
+    few rows or rows on both sides of the einsum switch or of a block edge,
+    some of them or some of their entries special values."""
     n = draw(st.integers(1, 3))
     d = 2 * n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -107,8 +108,11 @@ def hessians_and_states(draw):
     kind = draw(st.sampled_from(["positive", "negative", "indefinite"]))
     S = {"positive": B @ B.T + 0.1 * np.eye(d), "negative": -B @ B.T - np.eye(d),
          "indefinite": B + B.T}[kind]
-    if draw(st.booleans()):
+    where = draw(st.sampled_from(["few", "switch", "blocks"]))
+    if where == "few":
         rows = draw(st.integers(1, 40))
+    elif where == "switch":
+        rows = _EINSUM_ROWS + draw(st.integers(-2, 2))
     else:
         rows = draw(st.integers(1, 3)) * _ENERGY_BLOCK + draw(st.integers(-2, 2))
     scale = rng.choice([1.0, 1.0, 1.0, 1e-170, 1e160, 1e-300, 1e300], (rows, 1))
