@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geostep import integrators
+from geostep import experiments, integrators
 from geostep.methods import MethodError
 from geostep.integrators import (
     PartitionedPair, PCPair, Trajectory, integrate, rk4_start,
@@ -29,6 +29,7 @@ from geostep.experiments import (
     format_scenario,
     parse_scenario,
     resolve_scheme,
+    run_and_write,
     run_scenario,
     write_artifacts,
 )
@@ -311,6 +312,24 @@ def test_outputs_subset_respected(tmp_path):
     result = run_scenario(s, tmp_path)
     assert set(result.files) == {"energy", "summary"}
 
+
+@pytest.mark.parametrize("stride, outputs, match", [
+    (0, OUTPUT_KINDS, "stride"),
+    (-1, OUTPUT_KINDS, "stride"),
+    (1, ("phase", "bogus"), "unknown outputs"),
+])
+def test_bad_stride_or_output_kind_is_rejected_before_integrating(
+        tmp_path, monkeypatch, stride, outputs, match):
+    runs = []
+    monkeypatch.setattr(experiments, "integrate",
+                        lambda *a, **k: runs.append(a) or integrate(*a, **k))
+    with pytest.raises(ValueError, match=match):
+        run_and_write("bad", builtin_methods()["leapfrog"], sho(), [1.0, 0.0],
+                      0.1, 20, "rk4", tmp_path, stride, outputs)
+    traj = integrate(builtin_methods()["leapfrog"], sho(), [1.0, 0.0], 0.1, 20)
+    with pytest.raises(ValueError, match=match):
+        write_artifacts("bad", traj, tmp_path, stride, outputs)
+    assert runs == [] and list(tmp_path.iterdir()) == []
 
 def test_rerun_is_byte_identical(tmp_path):
     s = Scenario("det", "m1-as-printed", steps=3000, stride=7)
