@@ -52,10 +52,8 @@ from .integrators import (
 from .geometry import (
     StepTransitionMatrix,
     StructureDefectReport,
-    TransferMatrix,
     area_defect,
     g_symplecticity_defect,
-    numerical_jacobian,
     reversibility_residual,
     step_transition,
     transfer_matrix,

@@ -144,7 +144,7 @@ def _verify_row(check: str, m: me.MethodSpec, field, h, tol):
     if check == "g-symplectic":
         val = ge.g_symplecticity_defect(m, field, h).defect
     elif check == "area":
-        val = ge.area_defect(ge.transfer_matrix(m, field, h).M)
+        val = ge.area_defect(ge.transfer_matrix(m, field, h))
     elif check == "reversibility":
         steps = m.k + REVERSIBILITY_STEPS
         traj = integrate(m, field, np.array([1.0, 0.0] * field.n), h, steps)

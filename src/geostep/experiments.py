@@ -328,7 +328,8 @@ def write_artifacts(
     written rows on, where the process may use two CPUs and `os.fork`
     exists, one forked child formats the second half of the rows into
     unnamed temporary files that are then appended; the bytes are the same
-    either way.  Raises ChildProcessError if that child fails.
+    either way.  Raises ChildProcessError if that child fails.  With no
+    table to write it only creates `outdir` and returns {}.
     """
     _check_written(stride, outputs)
     outdir = Path(outdir)
@@ -359,6 +360,8 @@ def write_artifacts(
             return [traj.error_at(rows).tolist()]
 
         tables["error"] = (["step", "t", "error"], errors)
+    if not tables:
+        return {}
     files = {kind: str(outdir / f"{name}-{kind}.csv") for kind in tables}
     # fixed newline and %.17g (the text of format(x, ".17g")) so reruns are
     # byte-identical

@@ -1,5 +1,5 @@
-"""Structural diagnostics: transfer matrices, quadratic-invariant defects,
-area preservation, step transition operators and time-reversal residuals.
+"""Structural diagnostics: window maps, pairing defects, area defects,
+step transition operators and time-reversal residuals.
 
 A linear field is passed as a `LinearHamiltonian`.  The window map is the
 scheme's own step (`integrators.window_matrix`) and the reversibility
@@ -14,41 +14,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .methods import MethodSpec, lambda_matrix
-from .integrators import (
-    Scheme, _compile, _relation, numerical_jacobian, window_matrix,
-)
+from .integrators import Scheme, _compile, _relation, window_matrix
 from .systems import LinearHamiltonian, structure_matrix
 
 __all__ = [
-    "TransferMatrix",
     "StepTransitionMatrix",
     "StructureDefectReport",
     "transfer_matrix",
     "g_symplecticity_defect",
     "area_defect",
-    "numerical_jacobian",
     "step_transition",
     "reversibility_residual",
 ]
 
 
 @dataclass(frozen=True)
-class TransferMatrix:
-    """One-step linear map on the stacked window of k states."""
-
-    method: str
-    h: float
-    k: int
-    dim: int  # single-state dimension 2n
-    M: np.ndarray
-
-
-@dataclass(frozen=True)
 class StepTransitionMatrix:
     """Matrix G with y_{n+1} ~ G y_n on the principal mode of a linear run."""
 
-    method: str
-    h: float
     G: np.ndarray
     residual: float
     principal_roots: tuple[complex, ...]
@@ -58,38 +41,30 @@ class StepTransitionMatrix:
 class StructureDefectReport:
     """Conservation defect of the window bilinear form K = Lambda (x) J."""
 
-    method: str
-    h: float
     defect: float  # ||M^T K M - K||_F / ||K||_F
-    area_defect: float  # | |det M| - 1 |
     structure_matrix: str
     K: np.ndarray
     M: np.ndarray
 
 
 def transfer_matrix(scheme: Scheme, field: LinearHamiltonian,
-                    h: float) -> TransferMatrix:
-    """Compile the one-step window map of a scheme on a linear field."""
-    M = window_matrix(scheme, field, h)
-    return TransferMatrix(
-        method=scheme.name,
-        h=h,
-        k=scheme.k,
-        dim=field.dim,
-        M=M,
-    )
+                    h: float) -> np.ndarray:
+    """The (k 2n) x (k 2n) one-step window map of a scheme on a linear field,
+    as `integrators.window_matrix` compiles it.  A function of its own so
+    that `bench/tracing.py` times the geometry checks' share by this name."""
+    return window_matrix(scheme, field, h)
 
 
 def g_symplecticity_defect(m: MethodSpec, field: LinearHamiltonian,
                            h: float) -> StructureDefectReport:
-    """How far the window map is from conserving its bilinear pairing.
+    """How far the window map M is from conserving its bilinear pairing K.
 
     The pairing couples window slots through the coefficient products of the
     scheme; when that pairing vanishes identically (every product cancels)
     the slotwise canonical form is used instead so the report still measures
     something, and the description string says so.
     """
-    tm = transfer_matrix(m, field, h)
+    M = transfer_matrix(m, field, h)
     lam = np.array([[float(x) for x in row] for row in lambda_matrix(m)])
     J = structure_matrix(field.n)
     if np.any(lam != 0.0):
@@ -98,31 +73,20 @@ def g_symplecticity_defect(m: MethodSpec, field: LinearHamiltonian,
     else:
         K = np.kron(np.eye(m.k), J)
         desc = f"I_k (x) J (pairing vanished), k = {m.k}"
-    M = tm.M
     defect = float(
         np.linalg.norm(M.T @ K @ M - K) / np.linalg.norm(K)
     )
-    area = float(abs(abs(np.linalg.det(M)) - 1.0))
     return StructureDefectReport(
-        method=m.name,
-        h=h,
         defect=defect,
-        area_defect=area,
         structure_matrix=desc,
         K=K,
         M=M,
     )
 
 
-def area_defect(step_map, y: np.ndarray | None = None) -> float:
-    """| |det D| - 1 | for a one-step map given as a matrix or a callable."""
-    if callable(step_map):
-        if y is None:
-            raise ValueError("a callable map needs a point y")
-        D = numerical_jacobian(step_map, y)
-    else:
-        D = np.asarray(step_map, dtype=float)
-    return float(abs(abs(np.linalg.det(D)) - 1.0))
+def area_defect(M: np.ndarray) -> float:
+    """| |det M| - 1 | for a one-step map given as its matrix."""
+    return float(abs(abs(np.linalg.det(np.asarray(M, dtype=float))) - 1.0))
 
 
 ROOT_PICK_TOL = 1e-8
@@ -184,8 +148,6 @@ def step_transition(m: MethodSpec, field: LinearHamiltonian,
         Gp = G @ Gp
     residual = float(np.linalg.norm(R))
     return StepTransitionMatrix(
-        method=m.name,
-        h=h,
         G=np.asarray(G, dtype=float),
         residual=residual,
         principal_roots=tuple(complex(z) for z in zeta),

@@ -126,12 +126,6 @@ class MethodSpec:
                    "the scheme is effectively a shorter-step one",),
             )
 
-    def with_warning(self, msg: str) -> "MethodSpec":
-        return MethodSpec(
-            self.name, self.k, self.alpha, self.beta, self.kind, self.gamma,
-            self.warnings + (msg,),
-        )
-
     @property
     def gamma_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The stored gamma, else the kind's default: the identity for
@@ -505,7 +499,6 @@ def builtin_methods() -> dict[str, MethodSpec]:
     for name in ("m1-as-printed", "m3-line2-as-printed"):
         _, defects, consistent = order_analysis(reg[name])
         if not consistent:
-            reg[name] = reg[name].with_warning(
-                f"coefficients kept as printed; inconsistent (C_1 = {defects[1]})"
-            )
+            msg = f"coefficients kept as printed; inconsistent (C_1 = {defects[1]})"
+            reg[name] = replace(reg[name], warnings=reg[name].warnings + (msg,))
     return reg

@@ -77,9 +77,6 @@ class LinearHamiltonian:
     def evaluate(self, y: np.ndarray) -> np.ndarray:
         return self.A @ y
 
-    def gradient(self, y: np.ndarray) -> np.ndarray:
-        return self.S @ y
-
     def hamiltonian(self, y: np.ndarray) -> float:
         y = np.asarray(y, dtype=float)
         return 0.5 * float(y @ self.S @ y)

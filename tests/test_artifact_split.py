@@ -14,7 +14,9 @@ import geostep
 from geostep import experiments
 from geostep.cli import main
 from geostep.experiments import _CSV_BLOCK, OUTPUT_KINDS, write_artifacts
-from geostep.integrators import Trajectory
+from geostep.integrators import Trajectory, integrate
+from geostep.methods import builtin_methods
+from geostep.systems import GradientField
 
 B = _CSV_BLOCK
 THRESHOLD = 2 * B  # the smallest threshold write_artifacts allows
@@ -93,6 +95,29 @@ def test_split_write_is_byte_identical(tmp_path, monkeypatch, forks, length,
         assert split[kind] == text, kind
         assert text.count(b"\n") == 1 + written + (failed is not None)
     _no_children_left()
+
+
+@pytest.mark.parametrize("outputs", [(), ("error",)])
+def test_no_table_formats_no_row_and_forks_no_child(tmp_path, monkeypatch,
+                                                     outputs):
+    # a pendulum run has no error channel, so ("error",) asks for no table
+    field = GradientField(
+        1,
+        hamiltonian_fn=lambda y: 0.5 * y[1] ** 2 - np.cos(y[0]),
+        gradient_fn=lambda y: np.array([np.sin(y[0]), y[1]]),
+    )
+    traj = integrate(builtin_methods()["leapfrog"], field, np.array([1.0, 0.0]),
+                     0.1, experiments._PARALLEL_ROWS)
+    assert traj.error_at is None
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+
+    def fork():
+        raise AssertionError("forked with no table to write")
+
+    monkeypatch.setattr(os, "fork", fork)
+    outdir = tmp_path / "out"
+    assert write_artifacts("none", traj, outdir, 1, outputs) == {}
+    assert outdir.is_dir() and not any(outdir.iterdir())
 
 
 def test_split_halves_are_whole_blocks(tmp_path, monkeypatch, forks):

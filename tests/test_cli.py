@@ -1,6 +1,7 @@
 """Command surface: exit codes, CSV validity, flag handling."""
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -480,6 +481,15 @@ def test_verify_order_and_symmetry_rows_match_benchmark_record(capsys):
     assert code == want["exit"]
     assert exact_rows(out) == exact_rows(want["stdout"])
     assert len(exact_rows(out)) == 22  # one of each per single scheme
+    # every row: all columns but the value exactly, the value to the
+    # certify benchmark's own rel 1e-6 / abs 1e-13
+    got = [r.split(",") for r in out.splitlines()]
+    rec = [r.split(",") for r in want["stdout"].splitlines()]
+    assert got[0] == rec[0] and len(got) == len(rec) == 1 + 66
+    for g, w in zip(got[1:], rec[1:]):
+        assert g[:5] + g[6:] == w[:5] + w[6:], g
+        assert g[5] == w[5] or math.isclose(
+            float(g[5]), float(w[5]), rel_tol=1e-6, abs_tol=1e-13), (g, w)
 
 
 # ---------------------------------------------------------------------------

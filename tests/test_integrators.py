@@ -22,6 +22,7 @@ from geostep.integrators import (
     Trajectory,
     exact_start,
     integrate,
+    numerical_jacobian,
     pad_method,
     rk4_start,
     step,
@@ -750,3 +751,14 @@ def test_window_matrix_euler_and_leapfrog():
 def test_window_matrix_midpoint_has_unit_determinant():
     M = window_matrix(MS["midpoint"], FIELD, 0.1)
     assert abs(np.linalg.det(M) - 1.0) < 1e-14
+
+
+def test_numerical_jacobian_of_a_linear_map_is_its_matrix():
+    M = window_matrix(MS["explicit-euler"], FIELD, 0.1)
+    fd = numerical_jacobian(lambda y: M @ y, np.array([0.4, -0.3]))
+    assert np.allclose(fd, M, atol=1e-6)
+
+
+def test_numerical_jacobian_rejects_non_finite_maps():
+    with pytest.raises(ValueError, match="non-finite"):
+        numerical_jacobian(lambda y: np.full(2, np.inf), np.array([1.0, 1.0]))
