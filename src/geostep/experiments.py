@@ -47,7 +47,9 @@ from typing import NoReturn
 
 import numpy as np
 
-from .methods import _NAME_RE, MethodError, MethodSpec, builtin_methods, parse_method
+from .methods import (
+    _NAME_RE, MethodError, MethodSpec, _read_fields, builtin_methods, parse_method,
+)
 from .integrators import (
     PCPair,
     PartitionedPair,
@@ -228,7 +230,7 @@ def figure_scenarios(figure: int, steps: int | None = None) -> list[Scenario]:
 
 
 # ---------------------------------------------------------------------------
-# text format (same line grammar as the method files)
+# text format (the method files' line grammar, `methods._read_fields`)
 
 _SCENARIO_KEYS = (
     "scenario", "method", "omega", "h", "steps", "q0", "p0",
@@ -238,23 +240,7 @@ _SCENARIO_KEYS = (
 
 def parse_scenario(text: str) -> Scenario:
     """Parse one scenario from the line-based text format."""
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ValueError(f"expected 'key: value', got {raw!r}")
-        key = key.strip()
-        if key not in _SCENARIO_KEYS:
-            raise ValueError(f"unknown key {key!r}")
-        if key in fields:
-            raise ValueError(f"duplicate key {key!r}")
-        fields[key] = value.strip()
-    for req in ("scenario", "method"):
-        if req not in fields:
-            raise ValueError(f"missing required key {req!r}")
+    fields, _ = _read_fields(text, _SCENARIO_KEYS, ("scenario", "method"), ValueError)
     kw: dict = {"name": fields["scenario"], "method": fields["method"]}
     try:
         for key, conv in (

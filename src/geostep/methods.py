@@ -15,10 +15,11 @@ field sees, which is beta itself unless gamma is explicit.
 
 Everything in this module is exact: coefficients are `fractions.Fraction`
 and the defect sums, polynomial gcd and symmetry checks never round.  The
-defect and pairing sums run over integers, the coefficients scaled by the
-lcm of their denominators, and are divided by it once per entry.  Only
-`root_condition` goes through floating point, via companion-matrix
-eigenvalues (that is what `numpy.roots` computes).
+defect and pairing sums and the gcd of rho and sigma read one set of
+integers, alpha and the effective beta times the lcm D of their
+denominators (`_scaled`); each sum is divided by D once per entry.  Only
+`root_condition` uses floats, via companion-matrix eigenvalues (that is
+what `numpy.roots` computes).
 """
 from __future__ import annotations
 
@@ -54,6 +55,8 @@ KINDS = ("lmm", "one-leg", "generalized")
 # still counts as a simple root on the unit circle
 ROOT_MOD_TOL = 1e-10
 ROOT_SEP_TOL = 1e-8
+
+_MAX_K = 64  # largest k of a method file; `analyze` takes about 0.1 s there
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -184,48 +187,59 @@ class AnalysisReport:
 # text format
 
 
-def parse_method(text: str) -> MethodSpec:
-    """Parse the line-based method format.
-
-    Keys `name`, `k`, `alpha`, `beta` are required; `kind` and `gamma` are
-    optional.  `gamma:` is followed by k+1 plain rows of k+1 rationals.
-    `#` starts a comment; blank lines are ignored.
-    """
-    fields: dict[str, str] = {}
-    gamma_rows: list[tuple[Fraction, ...]] = []
-    in_gamma = False
+def _read_fields(text: str, keys, required, error: type[ValueError],
+                 block: str | None = None) -> tuple[dict[str, str], list[str]]:
+    """The `key: value` grammar of method and scenario files: `#` starts a
+    comment, blank lines are skipped, every key is one of `keys` and
+    appears at most once, and every key in `required` appears (else
+    `error`).  Lines without a colon after the `block` key are its rows."""
+    fields, rows, last = {}, [], None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if in_gamma and ":" not in line:
-            gamma_rows.append(tuple(_fr(t) for t in line.split()))
+        key, sep, value = line.partition(":")
+        if not sep and block is not None and last == block:
+            rows.append(line)
             continue
-        in_gamma = False
-        key, _, value = line.partition(":")
-        if not _:
-            raise MethodError(f"expected 'key: value', got {raw!r}")
-        key = key.strip()
-        if key == "gamma":
-            in_gamma = True
-            continue
-        if key not in ("name", "k", "alpha", "beta", "kind"):
-            raise MethodError(f"unknown key {key!r}")
+        if not sep:
+            raise error(f"expected 'key: value', got {raw!r}")
+        last = key = key.strip()
+        if key not in keys:
+            raise error(f"unknown key {key!r}")
         if key in fields:
-            raise MethodError(f"duplicate key {key!r}")
+            raise error(f"duplicate key {key!r}")
         fields[key] = value.strip()
-
-    for req in ("name", "k", "alpha", "beta"):
+    for req in required:
         if req not in fields:
-            raise MethodError(f"missing required key {req!r}")
+            raise error(f"missing required key {req!r}")
+    return fields, rows
+
+
+def parse_method(text: str) -> MethodSpec:
+    """Parse the line-based method format.
+
+    Keys `name`, `k`, `alpha`, `beta` are required; `kind` and `gamma` are
+    optional; k is at most `_MAX_K`.  `gamma:` takes no value and is
+    followed by k+1 plain rows of k+1 rationals.  `#` starts a comment;
+    blank lines are ignored.
+    """
+    fields, rows = _read_fields(
+        text, ("name", "k", "alpha", "beta", "kind", "gamma"),
+        ("name", "k", "alpha", "beta"), MethodError, block="gamma",
+    )
+    if fields.get("gamma"):
+        raise MethodError(f"gamma: takes no value, got {fields['gamma']!r}")
     try:
         k = int(fields["k"])
     except ValueError as exc:
         raise MethodError(f"malformed k {fields['k']!r}") from exc
+    if k > _MAX_K:
+        raise MethodError(f"k must be <= {_MAX_K}, got {k}")
     alpha = tuple(_fr(t) for t in fields["alpha"].split())
     beta = tuple(_fr(t) for t in fields["beta"].split())
-    kind = fields.get("kind", "generalized" if gamma_rows else "lmm")
-    gamma = tuple(gamma_rows) if gamma_rows else None
+    gamma = tuple(tuple(_fr(t) for t in row.split()) for row in rows) or None
+    kind = fields.get("kind", "generalized" if gamma else "lmm")
     return MethodSpec(fields["name"], k, alpha, beta, kind, gamma)
 
 
@@ -304,39 +318,36 @@ def is_symmetric(m: MethodSpec) -> bool:
     )
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    i = len(c) - 1
-    while i > 0 and c[i] == 0:
-        i -= 1
-    return c[: i + 1]
+def _primitive(p: list[int]) -> list[int]:
+    """p without its zero top coefficients, divided by its content."""
+    while p and not p[-1]:
+        p.pop()
+    c = math.gcd(*p)
+    return [x // c for x in p] if c > 1 else p
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(c != 0 for c in a):
-        shift = len(a) - 1 - db
-        q = a[-1] / lead
-        for i in range(db + 1):
-            a[shift + i] -= q * b[i]
-        a = _poly_trim(a)
-        if len(a) == 1 and a[0] == 0:
-            break
-    return a
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(a), _poly_trim(b)
-    while not (len(b) == 1 and b[0] == 0):
-        a, b = b, _poly_mod(a, b)
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two integer polynomials (ascending coefficients, [] for zero)
+    up to a constant factor, by a primitive polynomial remainder sequence:
+    each pseudo-division step is divided by its content, so the
+    coefficients do not swell as in a Euclid over the rationals (Collins,
+    J. ACM 14 (1967) 128-142; Brown, J. ACM 18 (1971) 478-504)."""
+    a, b = _primitive(list(a)), _primitive(list(b))
+    while b:
+        while len(a) >= len(b):  # a <- (lc(b) a - lc(a) z^s b) / gcd, primitive
+            g = math.gcd(a[-1], b[-1])
+            ca, cb, s = b[-1] // g, a[-1] // g, len(a) - len(b)
+            a = _primitive([ca * x - (cb * b[i - s] if i >= s else 0)
+                            for i, x in enumerate(a)])
+        a, b = b, a
     return a
 
 
 def is_irreducible(m: MethodSpec) -> bool:
     """True when rho and sigma (from the effective beta) share no common
-    polynomial factor (exact gcd)."""
-    g = _poly_gcd(list(m.alpha), list(m.effective_beta()))
-    return len(g) == 1 and g[0] != 0
+    polynomial factor (exact gcd over `_scaled`'s integers)."""
+    _, A, B = _scaled(m)
+    return len(_gcd(A, B)) == 1
 
 
 def root_condition(m: MethodSpec) -> tuple[bool, tuple[complex, ...]]:

@@ -1,8 +1,10 @@
 """Command surface: exit codes, CSV validity, flag handling."""
 import csv
+from fractions import Fraction
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 import geostep
 from geostep import cli
 from geostep.cli import main
-from geostep.methods import REGISTRY_NAMES
+from geostep.methods import _MAX_K, REGISTRY_NAMES
 
 
 def run(capsys, *argv):
@@ -102,6 +104,38 @@ def test_analyze_parse_failure_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--method", str(f))
     assert code == 1
     assert "error" in err
+
+
+def random_scheme_text(k, seed=0):
+    """A consistent k-step scheme with random small integer alpha and
+    rational beta: at k = 64 a Euclid over `Fraction`s takes 11 s on it."""
+    rng = random.Random(seed)
+    alpha = [rng.randint(-9, 9) for _ in range(k + 1)]
+    alpha[k] = rng.randint(1, 3)
+    alpha[0] -= sum(alpha)
+    beta = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(k + 1)]
+    beta[k] += sum(j * a for j, a in enumerate(alpha)) - sum(beta)
+    return (f"name: r{k}\nk: {k}\nalpha: {' '.join(map(str, alpha))}\n"
+            f"beta: {' '.join(map(str, beta))}\n")
+
+
+def test_analyze_at_the_k_bound_finishes_and_past_it_exits_1(tmp_path):
+    # in a fresh interpreter with a timeout, so a coefficient swell fails the
+    # suite instead of stalling it
+    env = dict(os.environ, PYTHONPATH=str(Path(geostep.__file__).parents[1]))
+    procs = []
+    for k in (_MAX_K, _MAX_K + 1):
+        f = tmp_path / f"k{k}.txt"
+        f.write_text(random_scheme_text(k))
+        procs.append(subprocess.run(
+            [sys.executable, "-m", "geostep.cli", "analyze", "--method", str(f)],
+            capture_output=True, text=True, env=env, timeout=60,
+        ))
+    at, past = procs
+    assert at.returncode == 0, at.stderr
+    assert f"method: r{_MAX_K}\norder: 1\n" in at.stdout
+    assert past.returncode == 1 and past.stdout == ""
+    assert past.stderr == f"error: k must be <= {_MAX_K}, got {_MAX_K + 1}\n"
 
 
 def test_missing_required_flag_is_usage_error(capsys):

@@ -118,6 +118,20 @@ def test_parse_scenario_errors():
         parse_scenario("scenario: x\nmethod: ab4\nh: fast\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# c\n\nscenario: x\nmethod ab4\n", "expected 'key: value', got 'method ab4'"),
+    ("scenario: x\nmethod: ab4\ncolor: red\n", "unknown key 'color'"),
+    ("scenario: x\nmethod: ab4 # c\nmethod: am4\n", "duplicate key 'method'"),
+    ("scenario: x\n", "missing required key 'method'"),
+    ("scenario: x\nmethod: ab4\ngamma:\n", "unknown key 'gamma'"),
+])
+def test_parse_scenario_error_messages(text, message):
+    # the method files' line grammar, but plain ValueErrors
+    with pytest.raises(ValueError) as exc:
+        parse_scenario(text)
+    assert type(exc.value) is ValueError and str(exc.value) == message
+
+
 @pytest.mark.parametrize("key, value", [
     ("h", "inf"), ("omega", "inf"), ("q0", "nan"), ("q0", "inf"), ("p0", "-inf"),
 ])

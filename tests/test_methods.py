@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geostep import methods
 from geostep.methods import (
+    _MAX_K,
     AnalysisReport,
     MethodError,
     MethodSpec,
@@ -138,14 +140,56 @@ def test_parse_ignores_comments_and_blank_lines():
     assert parse_method(text).name == "x"
 
 
+GAMMA_TEXT = (
+    "name: g\nk: 1\nalpha: -1 1\nbeta: 1/2 1/2\nkind: generalized\n"
+    "gamma:\n1 0\n0 1\n"
+)
+
+
 def test_parse_gamma_block():
-    text = (
-        "name: g\nk: 1\nalpha: -1 1\nbeta: 1/2 1/2\nkind: generalized\n"
-        "gamma:\n1 0\n0 1\n"
-    )
-    m = parse_method(text)
+    m = parse_method(GAMMA_TEXT)
     assert m.gamma == ((F(1), F(0)), (F(0), F(1)))
     assert parse_method(format_method(m)) == m
+
+
+def test_parse_rejects_a_value_on_the_gamma_line():
+    with pytest.raises(MethodError, match="^gamma: takes no value, got 'junk'$"):
+        parse_method(GAMMA_TEXT.replace("gamma:", "gamma: junk"))
+
+
+def test_parse_reports_a_second_gamma_block_as_a_duplicate_key():
+    with pytest.raises(MethodError, match="^duplicate key 'gamma'$"):
+        parse_method(GAMMA_TEXT + "gamma:\n1 0\n0 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("name: x\nk: 1\nalpha -1 1\nbeta: 1 0\n", "expected 'key: value', got 'alpha -1 1'"),
+    ("name: x\nk: 1\nalpha: -1 1\nbeta: 1 0\n1 0\n", "expected 'key: value', got '1 0'"),
+    (GOOD_TEXT + "zeta: 1\n", "unknown key 'zeta'"),
+    (GOOD_TEXT + "name: y\n", "duplicate key 'name'"),
+    ("name: x\nalpha: -1 1\nbeta: 1 0\n", "missing required key 'k'"),
+    ("name: x\nk: one\nalpha: -1 1\nbeta: 1 0\n", "malformed k 'one'"),
+    (GAMMA_TEXT.replace("1 0\n0 1", "1 x\n0 1"), "malformed rational 'x'"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(MethodError) as exc:
+        parse_method(text)
+    assert str(exc.value) == message
+
+
+def long_scheme_text(k):
+    """rho = z^k - 1 and sigma = k z^k: a consistent k-step scheme."""
+    return f"name: long\nk: {k}\nalpha: -1{' 0' * (k - 1)} 1\nbeta:{' 0' * k} {k}\n"
+
+
+def test_parse_accepts_k_at_the_bound():
+    m = parse_method(long_scheme_text(_MAX_K))
+    assert m.k == _MAX_K and order_analysis(m)[2]
+
+
+def test_parse_rejects_k_past_the_bound():
+    with pytest.raises(MethodError, match=f"^k must be <= {_MAX_K}, got {_MAX_K + 1}$"):
+        parse_method(long_scheme_text(_MAX_K + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +284,78 @@ def test_symmetric_methods_satisfy_polynomial_reflection():
 )
 def test_irreducibility(name, expected):
     assert is_irreducible(MS[name]) is expected
+
+
+# The Euclid over `Fraction`s that `is_irreducible` ran before the integer
+# remainder sequence, kept as the reference: ascending coefficient lists.
+
+
+def _poly_trim(c):
+    i = len(c) - 1
+    while i > 0 and c[i] == 0:
+        i -= 1
+    return c[: i + 1]
+
+
+def _poly_mod(a, b):
+    a = a[:]
+    db, lead = len(b) - 1, b[-1]
+    while len(a) - 1 >= db and any(c != 0 for c in a):
+        shift = len(a) - 1 - db
+        q = a[-1] / lead
+        for i in range(db + 1):
+            a[shift + i] -= q * b[i]
+        a = _poly_trim(a)
+        if len(a) == 1 and a[0] == 0:
+            break
+    return a
+
+
+def reference_gcd(a, b):
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while not (len(b) == 1 and b[0] == 0):
+        a, b = b, _poly_mod(a, b)
+    return a
+
+
+def reference_irreducible(m):
+    g = reference_gcd(m.alpha, m.effective_beta())
+    return len(g) == 1 and g[0] != 0
+
+
+def integer_gcd(m):
+    _, A, B = methods._scaled(m)
+    return methods._gcd(A, B)
+
+
+def assert_proportional(g, ref):
+    """g = c ref for a nonzero constant c."""
+    assert len(g) == len(ref) and g[-1] != 0
+    assert all(x * ref[-1] == r * g[-1] for x, r in zip(g, ref))
+
+
+@pytest.mark.parametrize("name", sorted(MS))
+def test_registry_gcd_matches_the_rational_euclid(name):
+    m = MS[name]
+    assert_proportional(integer_gcd(m), reference_gcd(m.alpha, m.beta))
+    assert is_irreducible(m) is reference_irreducible(m)
+
+
+@pytest.mark.parametrize("alpha, beta, gcd", [
+    # beta = 0: gcd(rho, 0) is rho itself
+    ((-1, 0, 1), (0, 0, 0), (-1, 0, 1)),
+    # explicit (beta_k = 0): coprime, and sharing z + 1
+    ((-1, 1), (1, 0), (1,)),
+    ((-1, 0, 1), (1, 1, 0), (1, 1)),
+    # a dead index 0 shares the factor z
+    ((0, -1, 1), (0, 1, 0), (0, 1)),
+    ((0, -1, 0, 1), (0, 1, 4, 1), (0, 1)),
+])
+def test_gcd_edge_cases(alpha, beta, gcd):
+    m = MethodSpec("e", len(alpha) - 1, tuple(map(F, alpha)), tuple(map(F, beta)))
+    assert_proportional(integer_gcd(m), reference_gcd(m.alpha, m.beta))
+    assert_proportional(integer_gcd(m), [F(c) for c in gcd])
+    assert is_irreducible(m) is (len(gcd) == 1) is reference_irreducible(m)
 
 
 def test_root_condition_of_builtins():
@@ -467,6 +583,45 @@ def test_property_integer_sums_equal_rational_formulas(m):
     certificates, lam = reference_certificates(m)
     assert order_analysis(m) == certificates
     assert lambda_matrix(m) == lam
+
+
+def poly_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def planted_factor_specs(draw):
+    """Schemes rho = p c, sigma = q c with c = z - r planted, or c = 1."""
+    planted = draw(st.booleans())
+    c = [-draw(wide_coef), F(1)] if planted else [F(1)]
+    k = draw(st.integers(min_value=len(c), max_value=8))
+    n = k + 2 - len(c)  # coefficients of p and q
+    p = draw(st.lists(wide_coef, min_size=n, max_size=n))
+    if p[-1] == 0:
+        p[-1] = F(1)
+    q = draw(st.lists(wide_coef, min_size=n, max_size=n))
+    return MethodSpec("m", k, tuple(poly_mul(p, c)), tuple(poly_mul(q, c))), planted
+
+
+@given(planted_factor_specs())
+@settings(max_examples=200, deadline=None)
+def test_property_integer_gcd_equals_the_rational_euclid(case):
+    m, planted = case
+    assert_proportional(integer_gcd(m), reference_gcd(m.alpha, m.beta))
+    assert is_irreducible(m) is reference_irreducible(m)
+    if planted:
+        assert not is_irreducible(m)
+
+
+@given(any_kind_specs())
+@settings(max_examples=100, deadline=None)
+def test_property_irreducible_reads_the_effective_beta(m):
+    assert_proportional(integer_gcd(m), reference_gcd(m.alpha, m.effective_beta()))
+    assert is_irreducible(m) is reference_irreducible(m)
 
 
 def test_all_vanishing_defects_raise_the_same_error():
