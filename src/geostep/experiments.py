@@ -34,7 +34,6 @@ from __future__ import annotations
 from contextlib import ExitStack
 import dataclasses
 from dataclasses import dataclass
-import functools
 import gc
 import math
 import os
@@ -48,7 +47,7 @@ from typing import NoReturn
 import numpy as np
 
 from .methods import (
-    _NAME_RE, MethodError, MethodSpec, _read_fields, builtin_methods, parse_method,
+    _METHODS, _NAME_RE, _PAIRS, MethodError, MethodSpec, _read_fields, parse_method,
 )
 from .integrators import (
     PCPair,
@@ -142,13 +141,14 @@ class ScenarioResult:
 # scheme registry plumbing
 
 
+_PC_PAIRS = {name: PCPair(name, predictor=_METHODS[p], corrector=_METHODS[c])
+             for name, (p, c) in _PAIRS.items()}
+
+
 def builtin_pairs() -> dict[str, PCPair]:
-    """Named predictor-corrector pairs shipped with the package."""
-    return _pairs(builtin_methods())
-
-
-def _pairs(ms: dict[str, MethodSpec]) -> dict[str, PCPair]:
-    return {"pc-m2": PCPair("pc-m2", predictor=ms["ab4"], corrector=ms["am4"])}
+    """Named predictor-corrector pairs shipped with the package, a fresh dict
+    of the same frozen pairs on each call."""
+    return dict(_PC_PAIRS)
 
 
 def resolve_scheme(spec: str) -> Scheme:
@@ -156,25 +156,22 @@ def resolve_scheme(spec: str) -> Scheme:
     name, or "first,second" (a partitioned pair of two methods, files or
     registry names; first drives q).
 
-    A file path wins over a registry name spelled the same.  The registry
-    is built at most once per call, and not at all when every name is a
-    file.
+    A file path wins over a registry name spelled the same.  Registry
+    names are read from the tables built at import, so only a file builds
+    a scheme.
     """
     spec = spec.strip()
     names = [p.strip() for p in spec.split(",")]
     if len(names) > 2:
         raise MethodError(f"a partitioned pair needs two names, got {spec!r}")
-    registry = functools.cache(builtin_methods)
 
     def lookup(name: str) -> Scheme:
         if os.path.isfile(name):
             return parse_method(Path(name).read_text())
-        ms = registry()
-        if name in ms:
-            return ms[name]
-        pairs = _pairs(ms) if len(names) == 1 else {}  # a pair is no member
-        if name in pairs:
-            return pairs[name]
+        if name in _METHODS:
+            return _METHODS[name]
+        if name in _PC_PAIRS and len(names) == 1:  # a pair is no member
+            return _PC_PAIRS[name]
         raise MethodError(f"unknown method {name!r}")
 
     schemes = [lookup(name) for name in names]

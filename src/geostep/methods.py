@@ -20,6 +20,10 @@ integers, alpha and the effective beta times the lcm D of their
 denominators (`_scaled`); each sum is divided by D once per entry.  Only
 `root_condition` uses floats, via companion-matrix eigenvalues (that is
 what `numpy.roots` computes).
+
+The built-in registry is built once, at import: one table of schemes keyed
+by name, and the predictor-corrector pairs named by their members beside
+it; `REGISTRY_NAMES` is read off both.
 """
 from __future__ import annotations
 
@@ -57,6 +61,7 @@ ROOT_MOD_TOL = 1e-10
 ROOT_SEP_TOL = 1e-8
 
 _MAX_K = 64  # largest k of a method file; `analyze` takes about 0.1 s there
+_MAX_BITS = 64  # bits of its `_scaled` integers; about 0.16 s at both bounds
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -222,7 +227,8 @@ def parse_method(text: str) -> MethodSpec:
     Keys `name`, `k`, `alpha`, `beta` are required; `kind` and `gamma` are
     optional; k is at most `_MAX_K`.  `gamma:` takes no value and is
     followed by k+1 plain rows of k+1 rationals.  `#` starts a comment;
-    blank lines are ignored.
+    blank lines are ignored.  `_scaled`'s integers and gamma's numerators
+    and denominators have at most `_MAX_BITS` bits, so every float is finite.
     """
     fields, rows = _read_fields(
         text, ("name", "k", "alpha", "beta", "kind", "gamma"),
@@ -238,9 +244,17 @@ def parse_method(text: str) -> MethodSpec:
         raise MethodError(f"k must be <= {_MAX_K}, got {k}")
     alpha = tuple(_fr(t) for t in fields["alpha"].split())
     beta = tuple(_fr(t) for t in fields["beta"].split())
-    gamma = tuple(tuple(_fr(t) for t in row.split()) for row in rows) or None
-    kind = fields.get("kind", "generalized" if gamma else "lmm")
-    return MethodSpec(fields["name"], k, alpha, beta, kind, gamma)
+    gamma = (tuple(tuple(_fr(t) for t in row.split()) for row in rows)
+             if "gamma" in fields else None)
+    kind = fields.get("kind", "lmm" if gamma is None else "generalized")
+    m = MethodSpec(fields["name"], k, alpha, beta, kind, gamma)
+    D, A, B = _scaled(m)
+    bits = max(abs(x).bit_length() for x in (D, *A, *B, *(
+        x for row in gamma or () for c in row for x in c.as_integer_ratio())))
+    if bits > _MAX_BITS:
+        raise MethodError(f"coefficients must scale to integers of at most "
+                          f"{_MAX_BITS} bits, got {bits}")
+    return m
 
 
 def format_method(m: MethodSpec) -> str:
@@ -424,92 +438,55 @@ def report_to_dict(r: AnalysisReport) -> dict:
 
 
 def format_report(r: AnalysisReport) -> str:
-    """Flat key: value rendering of a report."""
-    roots = " ".join(
-        f"{z.real:.12g}{z.imag:+.12g}j" if z.imag else f"{z.real:.12g}"
-        for z in r.rho_roots
-    )
-    lam = "; ".join(" ".join(str(c) for c in row) for row in r.lambda_)
-    lines = [
-        f"method: {r.method}",
-        f"order: {r.order}",
-        "defects: " + " ".join(str(c) for c in r.defects),
-        f"consistent: {str(r.consistent).lower()}",
-        f"symmetric: {str(r.symmetric).lower()}",
-        f"irreducible: {str(r.irreducible).lower()}",
-        f"rootConditionSatisfied: {str(r.root_condition_satisfied).lower()}",
-        f"rhoRoots: {roots}",
-        f"normalization: {r.normalization}",
-        f"lambda: {lam}",
-    ]
-    for w in r.warnings:
-        lines.append(f"warning: {w}")
+    """Flat key: value rendering of `report_to_dict`'s fields, one line per
+    field and one `warning:` line per warning."""
+    d = report_to_dict(r)
+    d["rhoRoots"] = " ".join(f"{z.real:.12g}{z.imag:+.12g}j" if z.imag
+                             else f"{z.real:.12g}" for z in r.rho_roots)
+    d["lambda"] = "; ".join(" ".join(row) for row in d["lambda"])
+    warnings = d.pop("warnings")
+    text = {bool: lambda v: str(v).lower(), list: " ".join}
+    lines = [f"{key}: {text.get(type(v), str)(v)}" for key, v in d.items()]
+    lines += [f"warning: {w}" for w in warnings]
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # built-in schemes
 
-REGISTRY_NAMES = (
-    "ab4",
-    "am4",
-    "explicit-euler",
-    "implicit-euler",
-    "leapfrog",
-    "m1-as-printed",
-    "m1-corrected",
-    "m3-line1",
-    "m3-line2-as-printed",
-    "m3b-corrected",
-    "midpoint",
-    "pc-m2",
-)
+
+def _m(name: str, alpha: str, beta: str, kind: str = "lmm") -> MethodSpec:
+    a, b = (tuple(_fr(t) for t in v.split()) for v in (alpha, beta))
+    return MethodSpec(name, len(a) - 1, a, b, kind)
 
 
-def _m(name, alpha, beta, kind="lmm"):
-    return MethodSpec(
-        name,
-        len(alpha) - 1,
-        tuple(Fraction(a) for a in alpha),
-        tuple(Fraction(b) for b in beta),
-        kind,
-    )
+def _as_printed(m: MethodSpec) -> MethodSpec:
+    """A known-bad printing, kept verbatim but saying so up front."""
+    c1 = order_analysis(m)[1][1]
+    msg = f"coefficients kept as printed; inconsistent (C_1 = {c1})"
+    return replace(m, warnings=m.warnings + (msg,))
+
+
+_METHODS = {m.name: m for m in (
+    _m("explicit-euler", "-1 1", "1 0"),
+    _m("implicit-euler", "-1 1", "0 1"),
+    _m("midpoint", "-1 1", "1/2 1/2", "one-leg"),
+    _m("leapfrog", "-1 0 1", "0 2 0"),
+    _as_printed(_m("m1-as-printed", "-1 1 -1 1", "0 1/2 1/2 0")),
+    _m("m1-corrected", "-1 1 -1 1", "0 1 1 0"),
+    _m("ab4", "0 0 0 -1 1", "-9/24 37/24 -59/24 55/24 0"),
+    _m("am4", "0 0 0 -1 1", "0 1/24 -5/24 19/24 9/24"),
+    _as_printed(_m("m3-line2-as-printed", "0 -1 0 1", "0 2 2 0")),
+    _m("m3b-corrected", "0 -1 0 1", "0 0 2 0"),
+)}
+# the first line of the paper's M3 pair is m1-corrected under another name
+_METHODS["m3-line1"] = replace(_METHODS["m1-corrected"], name="m3-line1")
+# (predictor, corrector) of each pair; `experiments` builds the PCPairs
+_PAIRS = {"pc-m2": ("ab4", "am4")}
+REGISTRY_NAMES = tuple(sorted([*_METHODS, *_PAIRS]))
 
 
 def builtin_methods() -> dict[str, MethodSpec]:
-    """The named single schemes (the pc-m2 pair is built from ab4 and am4 in
-    `experiments.builtin_pairs`)."""
-    F = Fraction
-    reg = {
-        "explicit-euler": _m("explicit-euler", (-1, 1), (1, 0)),
-        "implicit-euler": _m("implicit-euler", (-1, 1), (0, 1)),
-        "midpoint": _m("midpoint", (-1, 1), (F(1, 2), F(1, 2)), kind="one-leg"),
-        "leapfrog": _m("leapfrog", (-1, 0, 1), (0, 2, 0)),
-        "m1-as-printed": _m(
-            "m1-as-printed", (-1, 1, -1, 1), (0, F(1, 2), F(1, 2), 0)
-        ),
-        "m1-corrected": _m("m1-corrected", (-1, 1, -1, 1), (0, 1, 1, 0)),
-        "ab4": _m(
-            "ab4",
-            (0, 0, 0, -1, 1),
-            (F(-9, 24), F(37, 24), F(-59, 24), F(55, 24), 0),
-        ),
-        "am4": _m(
-            "am4",
-            (0, 0, 0, -1, 1),
-            (0, F(1, 24), F(-5, 24), F(19, 24), F(9, 24)),
-        ),
-        "m3-line2-as-printed": _m(
-            "m3-line2-as-printed", (0, -1, 0, 1), (0, 2, 2, 0)
-        ),
-        "m3b-corrected": _m("m3b-corrected", (0, -1, 0, 1), (0, 0, 2, 0)),
-    }
-    # the first line of the paper's M3 pair is m1-corrected under another name
-    reg["m3-line1"] = replace(reg["m1-corrected"], name="m3-line1")
-    # keep the two known-bad printings verbatim but say so up front
-    for name in ("m1-as-printed", "m3-line2-as-printed"):
-        _, defects, consistent = order_analysis(reg[name])
-        if not consistent:
-            msg = f"coefficients kept as printed; inconsistent (C_1 = {defects[1]})"
-            reg[name] = replace(reg[name], warnings=reg[name].warnings + (msg,))
-    return reg
+    """The named single schemes, a fresh dict of the same frozen specs on
+    each call (the pc-m2 pair is `experiments.builtin_pairs`)."""
+    return dict(_METHODS)

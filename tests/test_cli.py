@@ -14,7 +14,7 @@ import pytest
 import geostep
 from geostep import cli
 from geostep.cli import main
-from geostep.methods import _MAX_K, REGISTRY_NAMES
+from geostep.methods import _MAX_BITS, _MAX_K, REGISTRY_NAMES
 
 
 def run(capsys, *argv):
@@ -136,6 +136,54 @@ def test_analyze_at_the_k_bound_finishes_and_past_it_exits_1(tmp_path):
     assert f"method: r{_MAX_K}\norder: 1\n" in at.stdout
     assert past.returncode == 1 and past.stdout == ""
     assert past.stderr == f"error: k must be <= {_MAX_K}, got {_MAX_K + 1}\n"
+
+
+def wide_scheme_text(k, bits, seed=0):
+    """A consistent k-step scheme whose largest `_scaled` integer has exactly
+    `bits` bits: beta over the odd prime D = 2^31 - 1, and the whole
+    relation times a power of two, which doubles every integer but D."""
+    rng = random.Random(seed)
+    D = 2**31 - 1
+    alpha = [rng.randint(-9, 9) for _ in range(k + 1)]
+    alpha[k] = rng.randint(1, 3)
+    alpha[0] -= sum(alpha)
+    beta = [Fraction(rng.randint(1 - D, D - 1), D) for _ in range(k + 1)]
+    beta[k] += sum(j * a for j, a in enumerate(alpha)) - sum(beta)
+    top = max(abs(c * D).numerator.bit_length() for c in alpha + beta)
+    s = 2 ** (bits - top)
+    return (f"name: w{bits}\nk: {k}\nalpha: {' '.join(str(a * s) for a in alpha)}\n"
+            f"beta: {' '.join(str(b * s) for b in beta)}\n")
+
+
+def test_analyze_at_the_bit_bound_finishes_and_past_it_exits_1(tmp_path):
+    # like the k bound: in a fresh interpreter with a timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(geostep.__file__).parents[1]))
+    procs = []
+    for bits in (_MAX_BITS, _MAX_BITS + 1):
+        f = tmp_path / f"w{bits}.txt"
+        f.write_text(wide_scheme_text(_MAX_K, bits))
+        procs.append(subprocess.run(
+            [sys.executable, "-m", "geostep.cli", "analyze", "--method", str(f)],
+            capture_output=True, text=True, env=env, timeout=60,
+        ))
+    at, past = procs
+    assert at.returncode == 0, at.stderr
+    assert f"method: w{_MAX_BITS}\norder: 1\n" in at.stdout
+    assert past.returncode == 1 and past.stdout == ""
+    assert past.stderr == (f"error: coefficients must scale to integers of at most "
+                           f"{_MAX_BITS} bits, got {_MAX_BITS + 1}\n")
+
+
+@pytest.mark.parametrize("command", ["analyze", "integrate", "verify"])
+def test_coefficients_past_the_float_range_exit_1(tmp_path, capsys, command):
+    # 10^400 overflowed float() in root_condition and the compiled relation
+    f = tmp_path / "big.txt"
+    f.write_text("name: big\nk: 1\nalpha: -1e400 1e400\nbeta: 1 0\n")
+    code, out, err = run(capsys, command, "--method", str(f), *(
+        ["--out", str(tmp_path)] if command == "integrate" else []))
+    assert (code, out) == (1, "")
+    assert err == ("error: coefficients must scale to integers of at most "
+                   f"{_MAX_BITS} bits, got 1329\n")
 
 
 def test_missing_required_flag_is_usage_error(capsys):
@@ -503,6 +551,22 @@ def test_analyze_json_exact_fields_match_benchmark_record(capsys, name):
     code, out, _ = run(capsys, "analyze", "--method", name, "--json")
     assert code == want["exit"]
     assert _exact_fields(json.loads(out)) == _exact_fields(json.loads(want["stdout"]))
+
+
+@pytest.mark.parametrize(
+    "spec", [*REGISTRY_NAMES, "m3-line1,m3b-corrected", "m3-line1,m3-line2-as-printed"]
+)
+def test_report_text_lines_follow_the_dict_keys(spec):
+    scheme = geostep.experiments.resolve_scheme(spec)
+    members = getattr(scheme, "members", (("", scheme),))
+    for _, m in members:
+        r = geostep.methods.analyze(m)
+        d = geostep.methods.report_to_dict(r)
+        keys = [line.partition(":")[0]
+                for line in geostep.methods.format_report(r).splitlines()]
+        # one `warning:` line per entry of the last field, `warnings`
+        assert list(d)[-1] == "warnings"
+        assert keys == list(d)[:-1] + ["warning"] * len(d["warnings"])
 
 
 def test_verify_order_and_symmetry_rows_match_benchmark_record(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from geostep import experiments, integrators
-from geostep.methods import MethodError
+from geostep.methods import MethodError, MethodSpec
 from geostep.integrators import (
     PartitionedPair, PCPair, Trajectory, integrate, rk4_start,
 )
@@ -182,71 +182,92 @@ def test_builtin_pairs_only_pc():
 
 
 @pytest.fixture
-def registry_builds(monkeypatch):
-    """Counts builtin_methods() calls through every module binding."""
-    import geostep.experiments
-    import geostep.methods
+def spec_builds(monkeypatch):
+    """Names of the MethodSpecs constructed while the test runs (every
+    construction, `dataclasses.replace` included, runs __post_init__)."""
+    names = []
+    original = MethodSpec.__post_init__
 
-    calls = []
-    original = geostep.methods.builtin_methods
+    def counted(self):
+        names.append(self.name)
+        original(self)
 
-    def counted():
-        calls.append(1)
-        return original()
-
-    for mod in (geostep.methods, geostep.experiments):
-        monkeypatch.setattr(mod, "builtin_methods", counted)
-    return calls
+    monkeypatch.setattr(MethodSpec, "__post_init__", counted)
+    return names
 
 
-@pytest.mark.parametrize(
-    "spec", list(REGISTRY_NAMES) + ["m3-line1,m3b-corrected", "ab4,leapfrog"]
-)
-def test_resolve_scheme_builds_the_registry_once(registry_builds, spec):
-    resolve_scheme(spec)
-    assert len(registry_builds) == 1
+@pytest.mark.parametrize("spec,builds", [
+    *(pytest.param(name, [], id=name) for name in REGISTRY_NAMES),
+    pytest.param("m3-line1,m3b-corrected", [], id="m3-line1,m3b-corrected"),
+    # only the shorter member of a pair is built again, zero-padded to k = 4
+    pytest.param("ab4,leapfrog", ["leapfrog"], id="ab4,leapfrog"),
+])
+def test_resolve_scheme_builds_the_registry_once(spec_builds, spec, builds):
+    # the registry was built once, at import; a name hands out its entry
+    scheme = resolve_scheme(spec)
+    assert spec_builds == builds
+    if "," not in spec:
+        assert scheme is (builtin_methods() | builtin_pairs())[spec]
 
 
 def test_resolve_scheme_builds_no_registry_for_files(
-    registry_builds, tmp_path, monkeypatch
+    spec_builds, tmp_path, monkeypatch
 ):
     monkeypatch.chdir(tmp_path)
-    # files named like registry entries win over them
+    # files named like registry entries win over them; each file is one build
     Path("ab4").write_text("name: fileab4\nk: 1\nalpha: -1 1\nbeta: 1 0\n")
     Path("pc-m2").write_text("name: filepc\nk: 2\nalpha: -1 0 1\nbeta: 0 2 0\n")
     assert resolve_scheme("ab4").name == "fileab4"
     assert resolve_scheme("pc-m2").name == "filepc"
+    assert spec_builds == ["fileab4", "filepc"]
+    spec_builds.clear()
+    # two files, then the k = 1 member padded to the pair's k = 2
     assert resolve_scheme(" ab4 , pc-m2 ").name == "fileab4,filepc"
-    assert registry_builds == []
-    # a file member and a registry member: one build
+    assert spec_builds == ["fileab4", "filepc", "fileab4"]
+    spec_builds.clear()
+    # a file member and a registry member: the file, padded to leapfrog's k
     assert resolve_scheme("ab4,leapfrog").name == "fileab4,leapfrog"
-    assert len(registry_builds) == 1
+    assert spec_builds == ["fileab4", "fileab4"]
 
 
-def test_pc_pair_is_not_a_partitioned_member(registry_builds):
+def test_pc_pair_is_not_a_partitioned_member():
     with pytest.raises(MethodError, match="unknown method 'pc-m2'"):
         resolve_scheme("m3-line1,pc-m2")
     code = main(["analyze", "--method", "m3-line1,pc-m2"])
     assert code == 1
 
 
+def test_mutating_a_registry_dict_changes_no_later_lookup():
+    ms, pairs = builtin_methods(), builtin_pairs()
+    leapfrog, pc = ms["leapfrog"], pairs["pc-m2"]
+    ms["leapfrog"] = ms.pop("ab4")
+    pairs["ab4"] = pairs.pop("pc-m2")
+    assert builtin_methods()["leapfrog"] is leapfrog
+    assert set(builtin_methods()) == set(REGISTRY_NAMES) - {"pc-m2"}
+    assert builtin_pairs() == {"pc-m2": pc}
+    assert resolve_scheme("leapfrog") is leapfrog
+    assert resolve_scheme("ab4").name == "ab4"
+    assert resolve_scheme("pc-m2") is pc
+
+
 @pytest.mark.parametrize(
-    "argv,builds",
+    "argv",
     [
-        (["analyze", "--method", "ab4"], 1),
-        (["analyze", "--method", "pc-m2", "--json"], 1),
-        (["integrate", "--method", "leapfrog", "--steps", "20"], 1),
-        (["integrate", "--method", "m3-line1,m3b-corrected", "--steps", "20"], 1),
-        (["experiment", "--figure", "4", "--steps", "20"], 2),
+        ["analyze", "--method", "ab4"],
+        ["analyze", "--method", "pc-m2", "--json"],
+        ["integrate", "--method", "leapfrog", "--steps", "20"],
+        ["integrate", "--method", "m3-line1,m3b-corrected", "--steps", "20"],
+        ["experiment", "--figure", "4", "--steps", "20"],
     ],
     ids=["analyze", "analyze-pair", "integrate", "integrate-pair", "experiment"],
 )
 def test_cli_builds_the_registry_once_per_scheme(
-    registry_builds, tmp_path, monkeypatch, capsys, argv, builds
+    spec_builds, tmp_path, monkeypatch, capsys, argv
 ):
+    # once, at import: a run on registry names builds no scheme again
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
-    assert len(registry_builds) == builds
+    assert spec_builds == []
 
 
 # ---------------------------------------------------------------------------

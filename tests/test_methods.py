@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from geostep import methods
 from geostep.methods import (
+    _MAX_BITS,
     _MAX_K,
     AnalysisReport,
     MethodError,
@@ -190,6 +191,32 @@ def test_parse_accepts_k_at_the_bound():
 def test_parse_rejects_k_past_the_bound():
     with pytest.raises(MethodError, match=f"^k must be <= {_MAX_K}, got {_MAX_K + 1}$"):
         parse_method(long_scheme_text(_MAX_K + 1))
+
+
+def test_parse_rejects_an_empty_gamma_block():
+    text = "name: eg\nk: 1\nalpha: -1 1\nbeta: 1/2 1/2\ngamma:\n"
+    for extra in ("", "kind: generalized\n"):
+        with pytest.raises(MethodError, match="^gamma must be a 2x2 matrix$"):
+            parse_method(text + extra)
+
+
+WIDE = 2**_MAX_BITS - 1  # the largest integer of _MAX_BITS bits
+
+
+@pytest.mark.parametrize("body", [
+    "alpha: -{n} {n}\nbeta: 1 0\n",
+    "alpha: -1 1\nbeta: 0 {n}\n",
+    "alpha: -1 1\nbeta: 0 1/{n}\n",
+    # gamma's own entries count, though the effective beta is (1/2, 1/2)
+    "alpha: -1 1\nbeta: 1/2 1/2\ngamma:\n{n} {m}\n{m} {n}\n",
+], ids=["alpha", "beta", "denominator", "gamma"])
+def test_parse_bounds_the_bits_of_the_scaled_integers(body):
+    def parse(n):
+        return parse_method("name: w\nk: 1\n" + body.format(n=n, m=1 - n))
+
+    parse(WIDE)
+    with pytest.raises(MethodError, match=f"at most {_MAX_BITS} bits, got {_MAX_BITS + 1}$"):
+        parse(WIDE + 1)
 
 
 # ---------------------------------------------------------------------------

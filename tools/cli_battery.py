@@ -1,0 +1,101 @@
+"""Run a fixed battery of `geostep` commands and print everything they show.
+
+    python tools/cli_battery.py SRC > run.txt
+
+SRC is the directory that holds the `geostep` package (`src` in a
+checkout).  Each case runs in a fresh `python -m geostep.cli` with
+PYTHONPATH=SRC, inside an output directory that is emptied before it, and
+prints its argv, exit code, stdout, stderr and the sha256 of every file it
+wrote, by relative path.  Method files are written next to the output
+directory and named by relative path, so two runs print the same text when
+the two trees behave the same: `diff old.txt new.txt` is the identity
+check.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+from pathlib import Path
+import shutil
+import subprocess
+import sys
+import tempfile
+
+REGISTRY = ("ab4", "am4", "explicit-euler", "implicit-euler", "leapfrog",
+            "m1-as-printed", "m1-corrected", "m3-line1", "m3-line2-as-printed",
+            "m3b-corrected", "midpoint", "pc-m2")
+SPECS = REGISTRY + ("m3-line1,m3b-corrected", "m3-line1,m3-line2-as-printed",
+                    "ab4,leapfrog", "nosuch", "pc-m2,ab4")
+
+HEAD = "name: {name}\nk: 1\nalpha: -1 1\n"
+# method files, each well-formed but for what its name says
+FILES = {
+    "good": HEAD + "beta: 1/2 1/2\n",
+    "gamma": HEAD + "beta: 1/2 1/2\ngamma:\n1 0\n1/2 1/2\n",
+    "no-colon": "name: x\nk: 1\nalpha -1 1\nbeta: 1 0\n",
+    "stray-row": HEAD + "beta: 1 0\n1 0\n",
+    "unknown-key": HEAD + "beta: 1 0\nzeta: 1\n",
+    "duplicate-key": HEAD + "beta: 1 0\nname: y\n",
+    "missing-key": "name: x\nalpha: -1 1\nbeta: 1 0\n",
+    "malformed-k": "name: x\nk: one\nalpha: -1 1\nbeta: 1 0\n",
+    "malformed-rational": HEAD + "beta: 1/0 1\n",
+    "short-beta": HEAD + "beta: 1\n",
+    "bad-name": "name: -x\nk: 1\nalpha: -1 1\nbeta: 1 0\n",
+    "zero-lead": "name: x\nk: 1\nalpha: -1 0\nbeta: 1 0\n",
+    "k-past-bound": "name: x\nk: 65\nalpha:" + " 0" * 65 + " 1\nbeta:" + " 0" * 66 + "\n",
+    "gamma-value": HEAD + "beta: 1/2 1/2\ngamma: junk\n1 0\n0 1\n",
+    "gamma-twice": HEAD + "beta: 1/2 1/2\ngamma:\n1 0\n0 1\ngamma:\n1 0\n0 1\n",
+    "gamma-empty": HEAD + "beta: 1/2 1/2\ngamma:\n",
+    "gamma-row-sum": HEAD + "beta: 1/2 1/2\ngamma:\n1 1\n0 1\n",
+    "generalized-no-gamma": HEAD + "beta: 1/2 1/2\nkind: generalized\n",
+    "one-leg-sum": HEAD + "beta: 1 1\nkind: one-leg\n",
+    "huge": "name: big\nk: 1\nalpha: -1e400 1e400\nbeta: 1 0\n",
+    "bits-65": HEAD + f"beta: 0 {2**64}\n",
+}
+ALL_COMMANDS = ("good", "gamma", "huge")
+
+INTEGRATE = ("integrate", "--steps", "300", "--stride", "7", "--method")
+
+
+def cases() -> list[list[str]]:
+    out = [["list"]]
+    for spec in SPECS:
+        out += [["analyze", "--method", spec], ["analyze", "--json", "--method", spec],
+                [*INTEGRATE, spec]]
+    out += [["verify"], ["verify", "--h", "0.3", "--omega", "2"],
+            ["experiment", "--figure", "1"]]
+    for name in FILES:
+        path = f"../in/{name}.txt"
+        out.append(["analyze", "--method", path])
+        if name in ALL_COMMANDS:
+            out += [[*INTEGRATE, path], ["verify", "--method", path]]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/cli_battery.py SRC", file=sys.stderr)
+        return 1
+    env = dict(os.environ, PYTHONPATH=str(Path(argv[0]).resolve()))
+    env.pop("GEOSTEP_TOL", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs, outdir = Path(tmp, "in"), Path(tmp, "out")
+        inputs.mkdir()
+        for name, text in FILES.items():
+            (inputs / f"{name}.txt").write_text(text.format(name=name))
+        for args in cases():
+            shutil.rmtree(outdir, ignore_errors=True)
+            outdir.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "geostep.cli", *args],
+                                  cwd=outdir, env=env, capture_output=True, text=True)
+            print(f"$ geostep {' '.join(args)}\nexit: {proc.returncode}")
+            print(f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}--- files")
+            for f in sorted(p for p in outdir.rglob("*") if p.is_file()):
+                digest = hashlib.sha256(f.read_bytes()).hexdigest()
+                print(f"{digest}  {f.relative_to(outdir).as_posix()}")
+            print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
