@@ -18,11 +18,15 @@ y_0 .. y_{steps-1}: the starter supplies the first k (the window, y_0
 included) and the scheme generates the rest.  `steps = k` therefore returns
 the starter output untouched.
 
-Implicit relations on linear fields are solved directly.  Nonlinear ones go
-through simplified Newton to the fixed tolerance `NEWTON_TOLERANCE`, with at
-most `NEWTON_MAX_ITERATIONS` iterations per step: the Jacobian comes from
-central differences of the relation, is inverted once and kept across the
-steps of a run, and is refreshed only when the iteration stalls.
+An implicit step forms its residual G(z), the relation at z_k = z, once:
+a closure over the constants the window fixes, in the kernel's own order of
+operations.  Linear fields solve G(z) = 0 directly, from -G(0).  Nonlinear
+ones go through simplified Newton on G to the fixed tolerance
+`NEWTON_TOLERANCE`, with at most `NEWTON_MAX_ITERATIONS` iterations per
+step: the Jacobian comes from central differences of G, is inverted once and
+kept across the steps of a run, and is refreshed only when the iteration
+stalls.  The stopping test reads |z| only once a running upper bound on it
+lets the test pass, so it stops exactly where reading |z| each time would.
 
 Linear fields get a blocked propagation path.  The window transfer matrix M
 is built once per run: a block that shifts the window, over the scheme's
@@ -101,6 +105,7 @@ class StepFailure(RuntimeError):
 # NEWTON_TOLERANCE of 1 + |z|, and fails after NEWTON_MAX_ITERATIONS
 NEWTON_TOLERANCE = 1e-14
 NEWTON_MAX_ITERATIONS = 50
+_HALF_TOL = 0.5 * NEWTON_TOLERANCE
 
 
 # the names `integrate` takes for its starter: `rk4_start`, `exact_start`
@@ -402,15 +407,24 @@ def _relation(rel, field, zs, h: float, fs=None):
 
 def _stepper(m: MethodSpec):
     """Compile m once into a solver of its relation for z_k given z_0 ..
-    z_{k-1} and their f window.  It runs the kernel on the slots (r, c_1 ..
-    c_n, z_k), formed once per step: r is the relation without the terms
-    that reach z_k, c_i the known part of reaching leg i's argument.
+    z_{k-1} and their f window.  Once per step it forms the residual
 
-    On nonlinear fields the solve is simplified Newton on G(z), the kernel
-    on the slots with z_k = z.  The inverse Newton matrix is kept by this
-    stepper from step to step and refreshed at the current iterate only when
-    an increment exceeds a quarter of the previous one, so a stepper compiled
-    per run shares nothing with other runs."""
+        G(z) = r + a_k z - sum_i h w_i f(c_i + g_i z),
+
+    where r is the relation without the terms that reach z_k and, for each
+    leg i that reaches z_k, w_i is its weight, c_i the known part of its
+    argument (`None` when it has none) and g_i its coefficient of z_k.  G
+    adds and multiplies in `_relation`'s order (1.0 z == z bit for bit), so
+    it gives the bits of the relation at z_k = z.  On linear fields -G(0) is
+    the right-hand side of a direct solve.
+
+    On nonlinear fields the solve is simplified Newton on G.  The inverse
+    Newton matrix is kept by this stepper from step to step and refreshed at
+    the current iterate only when an increment exceeds a quarter of the
+    previous one, so a stepper compiled per run shares nothing with other
+    runs.  The stopping test reads |z| only once an upper bound on it, |z_0|
+    plus the increments' sizes, lets the test pass, so it stops where the
+    test on |z| at every iteration would."""
     k, a_k = m.k, float(m.alpha[m.k])
     lead_beta = float(m.effective_beta()[k])
     alpha, legs = _compile(m)
@@ -418,16 +432,12 @@ def _stepper(m: MethodSpec):
     # alpha's last term is always alpha_k
     reaching = [leg for leg in legs if leg[1][-1][0] == k]
     known = (alpha[:-1], [leg for leg in legs if leg not in reaching])
-    last = len(reaching) + 1
-    solve = ([(0, 1.0), (last, a_k)], [
-        (w, ([(i, 1.0)] if len(terms) > 1 else []) + [(last, terms[-1][1])])
-        for i, (w, terms) in enumerate(reaching, 1)
-    ])
     inverse = None  # of G's Jacobian, kept across steps
 
     def newton(G, z):
         nonlocal inverse
         previous = math.inf
+        bound = math.sqrt(z @ z)  # >= |z|, as long as it is not NaN
         for _ in range(NEWTON_MAX_ITERATIONS):
             g = G(z)
             if inverse is None:
@@ -442,8 +452,11 @@ def _stepper(m: MethodSpec):
             if not math.isfinite(size):
                 raise ConvergenceError("Newton iteration diverged (non-finite)")
             z = z - dz
-            # half the budget so the relation residual stays within tolerance
-            if size <= 0.5 * NEWTON_TOLERANCE * (1.0 + math.sqrt(z @ z)):
+            bound += size
+            # half the budget so the relation residual stays within tolerance;
+            # the factor on the bound covers the rounding of both norms
+            if (size <= _HALF_TOL * (1.0 + bound) * (1.0 + 1e-9)
+                    and size <= _HALF_TOL * (1.0 + math.sqrt(z @ z))):
                 return z
             if size > 0.25 * previous:
                 inverse = None  # stalled: refresh at the current iterate
@@ -453,15 +466,24 @@ def _stepper(m: MethodSpec):
         )
 
     def advance(field, ys, fs, h):
-        slots = [_relation(known, field, ys, h, fs)]
+        r = _relation(known, field, ys, h, fs)
         if not reaching:
-            return slots[0] / -a_k
-        slots += [_comb(terms[:-1], ys) for _, terms in reaching]
+            return r / -a_k
+        consts = [(h * w, _comb(terms[:-1], ys) if len(terms) > 1 else None,
+                   terms[-1][1]) for w, terms in reaching]
+
+        def G(z):
+            g = r + a_k * z
+            for hw, c, g_i in consts:
+                u = g_i * z if c is None else c + g_i * z
+                g = g - hw * _f(field, u)
+            return g
+
         if isinstance(field, LinearHamiltonian):
             # the relation is affine in z_k: its value at z_k = 0 is the rhs
-            rhs = -_relation(solve, field, slots + [np.zeros_like(ys[-1])], h)
+            rhs = -G(np.zeros_like(ys[-1]))
             return _linear_lead_solve(a_k, lead_beta, field.A, h, rhs)
-        return newton(lambda z: _relation(solve, field, slots + [z], h), ys[-1])
+        return newton(G, ys[-1])
 
     return advance
 

@@ -63,6 +63,11 @@ ROOT_SEP_TOL = 1e-8
 _MAX_K = 64  # largest k of a method file; `analyze` takes about 0.1 s there
 _MAX_BITS = 64  # bits of its `_scaled` integers; about 0.16 s at both bounds
 
+# Python's own bound on the digits of a decimal string it converts to int
+_MAX_EXPONENT = 4300
+# a decimal token with an exponent: its mantissa, then the exponent as
+# int() reads it (Fraction checks the rest)
+_DECIMAL_RE = re.compile(r"[-+]?([\d_.]*)[eE]([-+]?\d+(?:_\d+)*)")
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -72,6 +77,22 @@ class MethodError(ValueError):
 
 
 def _fr(tok: str) -> Fraction:
+    """A rational token, `p/q` or decimal.  `Fraction` expands a decimal
+    exponent into an integer, in time that grows faster than the exponent,
+    so an exponent more than `_MAX_EXPONENT` places past the token's own
+    digits is rejected first: such a value is far past `_MAX_BITS` bits
+    (unless it is zero), and nearer ones reach the bit check, which reports
+    their exact size."""
+    decimal = _DECIMAL_RE.fullmatch(tok)
+    if decimal:
+        mantissa, exponent = decimal.groups()
+        digits = len(mantissa) - mantissa.count("_") - mantissa.count(".")
+        try:
+            far = abs(int(exponent)) > digits + _MAX_EXPONENT
+        except ValueError:  # more digits than int() converts
+            far = True
+        if far:
+            raise MethodError(f"decimal exponent out of range in {tok!r}")
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:

@@ -12,6 +12,7 @@ linear field y' = A y with A = J S.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 from typing import Callable
 
 import numpy as np
@@ -118,9 +119,21 @@ class LinearHamiltonian:
         return out
 
 
+@functools.cache
+def _canonical(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, sign) with g[perm] * sign = J g for a gradient g of size 2n."""
+    perm = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
+    return perm, np.repeat([1.0, -1.0], n)
+
+
 @dataclass(frozen=True)
 class GradientField:
-    """General canonical field y' = J grad H(y) given H and its gradient."""
+    """General canonical field y' = J grad H(y) given H and its gradient.
+
+    `evaluate` forms J g as g[perm] * sign: the same bits as copying g's
+    halves and negating one, except that -1.0 * NaN keeps the sign bit that
+    negation would flip (only runs that have already blown up show it).
+    """
 
     n: int
     hamiltonian_fn: Callable[[np.ndarray], float]
@@ -132,11 +145,11 @@ class GradientField:
 
     def evaluate(self, y: np.ndarray) -> np.ndarray:
         g = np.asarray(self.gradient_fn(y), dtype=float)
-        n = self.n
-        out = np.empty(2 * n)
-        out[:n] = g[n:]
-        out[n:] = -g[:n]
-        return out
+        if g.shape != (2 * self.n,):
+            raise ValueError(f"the gradient must have shape ({2 * self.n},), "
+                             f"got {g.shape}")
+        perm, sign = _canonical(self.n)
+        return g[perm] * sign
 
     def hamiltonian(self, y: np.ndarray) -> float:
         return float(self.hamiltonian_fn(y))

@@ -174,6 +174,22 @@ def test_analyze_at_the_bit_bound_finishes_and_past_it_exits_1(tmp_path):
                            f"{_MAX_BITS} bits, got {_MAX_BITS + 1}\n")
 
 
+@pytest.mark.parametrize("token", ["1e100000000", "1e-100000000"])
+def test_decimal_exponent_past_the_bit_bound_exits_1_at_once(tmp_path, token):
+    # Fraction expanded the exponent first: 0.26 s at 1e1000000, and the
+    # time grows faster than the exponent.  In a fresh interpreter with a
+    # timeout, so a stall fails the suite instead of holding it up.
+    env = dict(os.environ, PYTHONPATH=str(Path(geostep.__file__).parents[1]))
+    f = tmp_path / "far.txt"
+    f.write_text(f"name: far\nk: 1\nalpha: -1 1\nbeta: {token} 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "geostep.cli", "analyze", "--method", str(f)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: decimal exponent out of range in {token!r}\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "integrate", "verify"])
 def test_coefficients_past_the_float_range_exit_1(tmp_path, capsys, command):
     # 10^400 overflowed float() in root_condition and the compiled relation

@@ -674,6 +674,148 @@ def test_newton_refreshes_a_slowly_contracting_matrix(name, h, limit):
     assert np.mean(per_step) <= limit
 
 
+def reference_stepper(m):
+    """The stepper as it was before its compiled residual: the kernel
+    `_relation` on the slots (r, c_1 .. c_n, z), with |z| read at every
+    Newton iteration.  Kept as the reference the residual must match."""
+    k, a_k = m.k, float(m.alpha[m.k])
+    lead_beta = float(m.effective_beta()[k])
+    alpha, legs = integrators._compile(m)
+    reaching = [leg for leg in legs if leg[1][-1][0] == k]
+    known = (alpha[:-1], [leg for leg in legs if leg not in reaching])
+    last = len(reaching) + 1
+    solve = ([(0, 1.0), (last, a_k)], [
+        (w, ([(i, 1.0)] if len(terms) > 1 else []) + [(last, terms[-1][1])])
+        for i, (w, terms) in enumerate(reaching, 1)
+    ])
+    inverse = None
+
+    def newton(G, z):
+        nonlocal inverse
+        previous = np.inf
+        for _ in range(integrators.NEWTON_MAX_ITERATIONS):
+            g = G(z)
+            if inverse is None:
+                try:
+                    inverse = np.linalg.inv(numerical_jacobian(G, z))
+                except ValueError as exc:
+                    raise ConvergenceError(f"no usable Newton matrix: {exc}") from exc
+            dz = inverse @ g
+            size = np.sqrt(dz @ dz)
+            if not np.isfinite(size):
+                raise ConvergenceError("Newton iteration diverged (non-finite)")
+            z = z - dz
+            if size <= 0.5 * integrators.NEWTON_TOLERANCE * (1.0 + np.sqrt(z @ z)):
+                return z
+            if size > 0.25 * previous:
+                inverse = None
+            previous = size
+        raise ConvergenceError(
+            f"no convergence in {integrators.NEWTON_MAX_ITERATIONS} Newton iterations"
+        )
+
+    def advance(field, ys, fs, h):
+        slots = [integrators._relation(known, field, ys, h, fs)]
+        if not reaching:
+            return slots[0] / -a_k
+        slots += [integrators._comb(terms[:-1], ys) for _, terms in reaching]
+        if isinstance(field, LinearHamiltonian):
+            rhs = -integrators._relation(solve, field, slots + [np.zeros_like(ys[-1])], h)
+            return integrators._linear_lead_solve(a_k, lead_beta, field.A, h, rhs)
+        return newton(lambda z: integrators._relation(solve, field, slots + [z], h),
+                      ys[-1])
+
+    return advance
+
+
+def gamma_scheme(name, *rows):
+    """k = 1, alpha (-1, 1), beta (1/2, 1/2) with the given gamma rows."""
+    return MethodSpec(name, 1, (F(-1), F(1)), (F(1, 2), F(1, 2)), "generalized",
+                      tuple(tuple(F(c) for c in row) for row in rows))
+
+
+# every scheme whose step solves for z_k: a one-leg gamma scheme, and one
+# with two legs reaching z_k, the second with no known part
+IMPLICIT_SCHEMES = {n: m for n, m in MS.items() if not m.explicit} | {
+    "gamma-one-leg": gamma_scheme("gamma-one-leg", ("1/2", "1/2"), ("1/2", "1/2")),
+    "gamma-two-legs": gamma_scheme("gamma-two-legs", ("1/3", "2/3"), (0, 1)),
+}
+
+
+def counting_quartic():
+    """A 2-DOF field, H = |p|^2/2 + (q1^4 + q2^4)/4 + q1^2 q2^2/2 + q1 q2,
+    with a count of gradient calls in `calls[0]`."""
+    calls = [0]
+
+    def grad(y):
+        calls[0] += 1
+        q1, q2 = y[0], y[1]
+        return np.array([q1 ** 3 + q1 * q2 * q2 + q2, q2 ** 3 + q1 * q1 * q2 + q1,
+                         y[2], y[3]])
+
+    return GradientField(2, hamiltonian_fn=lambda y: 0.0, gradient_fn=grad), calls
+
+
+def same_bits(a, b):
+    """a and b hold the same floats bit for bit, NaN signs and payloads aside."""
+    a, b = a.copy(), b.copy()
+    a[np.isnan(a)] = b[np.isnan(b)] = np.nan
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def run_outcome(scheme, counting_field, y0, h, steps=120):
+    """(states, gradient calls, failing step, failure message) of one run."""
+    field, calls = counting_field()
+    with np.errstate(all="ignore"):
+        try:
+            states, failure = integrate(scheme, field, np.array(y0), h, steps).states, None
+        except StepFailure as exc:
+            states, failure = exc.partial.states, (exc.step, type(exc.cause), str(exc.cause))
+    return states, calls[0], failure
+
+
+RESIDUAL_RUNS = [  # field, y0
+    (counting_pendulum, (1.0, 0.0)),
+    (counting_pendulum, (3.0, 1.5)),
+    (counting_quartic, (1.0, -0.5, 0.2, 0.3)),
+    (counting_quartic, (4.0, 3.0, -2.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("h", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("name", sorted(IMPLICIT_SCHEMES))
+def test_residual_takes_the_reference_steps(monkeypatch, name, h):
+    scheme = IMPLICIT_SCHEMES[name]
+    new = [run_outcome(scheme, *run, h) for run in RESIDUAL_RUNS]
+    monkeypatch.setattr(integrators, "_stepper", reference_stepper)
+    old = [run_outcome(scheme, *run, h) for run in RESIDUAL_RUNS]
+    for (states, calls, failure), (ref_states, ref_calls, ref_failure) in zip(new, old):
+        assert same_bits(states, ref_states)
+        assert calls == ref_calls
+        assert failure == ref_failure
+
+
+def test_residual_fails_at_the_reference_step(monkeypatch):
+    # am4 on the quartic from a large state stops converging mid-run
+    run = (MS["am4"], counting_quartic, (4.0, 3.0, -2.0, 1.0), 0.3)
+    states, calls, failure = run_outcome(*run)
+    assert failure == (34, ConvergenceError, "no convergence in 50 Newton iterations")
+    monkeypatch.setattr(integrators, "_stepper", reference_stepper)
+    ref_states, ref_calls, ref_failure = run_outcome(*run)
+    assert failure == ref_failure and calls == ref_calls
+    assert same_bits(states, ref_states)
+
+
+@pytest.mark.parametrize("name", sorted(IMPLICIT_SCHEMES))
+def test_residual_gives_the_reference_window_matrix(monkeypatch, name):
+    field = LinearHamiltonian.from_hessian(
+        [[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.0, 0.0],
+         [0.0, 0.0, 1.0, 0.2], [0.1, 0.0, 0.2, 1.5]])
+    new = window_matrix(IMPLICIT_SCHEMES[name], field, 0.3)
+    monkeypatch.setattr(integrators, "_stepper", reference_stepper)
+    assert np.array_equal(new, window_matrix(IMPLICIT_SCHEMES[name], field, 0.3))
+
+
 def pendulum_schemes():
     """Every explicit registry method, pc-m2 (PECE) and both m3 pairs, with
     and without `swap`."""

@@ -1,4 +1,5 @@
 """Exact-arithmetic analysis tests: orders, defects, polynomials, pairing."""
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -217,6 +218,28 @@ def test_parse_bounds_the_bits_of_the_scaled_integers(body):
     parse(WIDE)
     with pytest.raises(MethodError, match=f"at most {_MAX_BITS} bits, got {_MAX_BITS + 1}$"):
         parse(WIDE + 1)
+
+
+@pytest.mark.parametrize("mantissa", ["1", "-2.5", "1_0", ".000_1"])
+@pytest.mark.parametrize("sign", ["", "-", "+"])
+def test_parse_rejects_a_decimal_exponent_past_the_reach_of_the_bit_check(mantissa, sign):
+    digits = sum(c.isdigit() for c in mantissa)
+    far = digits + methods._MAX_EXPONENT
+    text = "name: w\nk: 1\nalpha: -1 1\nbeta: {} 0\n"
+    # at the reach the bit check still sees the value and reports its size
+    with pytest.raises(MethodError, match=f"at most {_MAX_BITS} bits, got "):
+        parse_method(text.format(f"{mantissa}e{sign}{far}"))
+    token = f"{mantissa}E{sign}{far + 1}"
+    message = f"decimal exponent out of range in '{token}'"
+    with pytest.raises(MethodError, match=f"^{re.escape(message)}$"):
+        parse_method(text.format(token))
+
+
+def test_parse_counts_the_mantissa_digits_against_the_exponent():
+    # 10^4299 * 10^-4310: the exponent is past _MAX_EXPONENT, the value is not
+    tiny = "1" + "0" * 4299 + "e-4310"
+    m = parse_method(f"name: w\nk: 1\nalpha: -1 1\nbeta: {tiny} 0\n")
+    assert m.beta[0] == F(1, 10**11)
 
 
 # ---------------------------------------------------------------------------

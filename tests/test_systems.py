@@ -1,4 +1,6 @@
 """Field construction, canonical structure, exact oscillator flow."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,27 @@ def test_gradient_field_wraps_nonlinear_hamiltonian():
     # y' = (dH/dp, -dH/dq)
     assert np.allclose(field.evaluate(y), [0.7, -np.sin(0.3)])
     assert field.hamiltonian(y) == pytest.approx(0.5 * 0.49 - np.cos(0.3))
+
+
+@pytest.mark.parametrize("n, shape", [(1, (2, 1)), (1, ()), (1, (1,)), (1, (3,)),
+                                      (1, (1, 2)), (2, (2,)), (2, (2, 2))])
+def test_gradient_field_rejects_gradients_of_another_shape(n, shape):
+    # a (2, 1) gradient was silently flattened in, a 0-d one raised IndexError
+    field = GradientField(n, hamiltonian_fn=lambda y: 0.0,
+                          gradient_fn=lambda y: np.ones(shape))
+    want = f"the gradient must have shape ({2 * n},), got {shape}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        field.evaluate(np.zeros(2 * n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gradient_field_evaluate_is_j_times_the_gradient(n):
+    # the same bits as (g[n:], -g[:n]), signed zeros and infinities included
+    g = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -2.5][: 2 * n])
+    field = GradientField(n, hamiltonian_fn=lambda y: 0.0, gradient_fn=lambda y: g)
+    got = field.evaluate(np.zeros(2 * n))
+    want = np.concatenate([g[n:], -g[:n]])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_load_linear_system(tmp_path):
