@@ -16,8 +16,11 @@ exists, a forked child formats the second half of the rows while the
 caller formats the first; the bytes written do not depend on the split.
 Summary statistics (max deviation, slope, radius deviation,
 classification) are always computed at full resolution, never from the
-decimated files.  The exact-error channel is the exception: it is
-evaluated only at the written rows and, for `finalError`, the last row.
+decimated files.  They are formed in blocks of _STAT_BLOCK rows (8192)
+that stay in cache, so no temporary but the `lstsq` design matrix is as
+long as the run, and each has the bits of its formula over whole arrays.
+The exact-error channel is the exception: it is evaluated only at the
+written rows and, for `finalError`, the last row.
 
 Long runs are classified as bounded, drifting or exploding from the energy
 record, against two fixed thresholds.  Exploding is detected by the energy
@@ -432,58 +435,111 @@ def _child(work, spills) -> NoReturn:
         os._exit(code)
 
 
+# rows per block of the run statistics: a block of states and its float
+# columns stay within a 2 MiB L2 cache
+_STAT_BLOCK = 8192
+
+
+def _squared_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|y_j|^2 of each row into `out`, with the bits of
+    `np.einsum("ij,ij->i", rows, rows)`.  On two columns einsum's sum has
+    the bits of q*q + p*p, special values included, so that is formed
+    directly: three vector operations, not einsum's loop of two terms per
+    row."""
+    # overflow in exploding runs is data, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rows.shape[1] != 2:
+            return np.einsum("ij,ij->i", rows, rows, out=out)
+        q, p = rows.T
+        np.multiply(q, q, out=out)
+        out += p * p
+    return out
+
+
 def classify(traj: Trajectory):
     """(classification, h0, max_deviation, slope, crossing_step).
 
     Statistics come from the pre-crossing prefix when the run explodes, so
-    the reported numbers are finite even after overflow.
+    the reported numbers are finite even after overflow.  The crossing,
+    the largest |H - H_0| and the time row of the `lstsq` design matrix are
+    formed one block of _STAT_BLOCK rows at a time, with the bits the whole
+    arrays would give, so the (2, N) design matrix is the only temporary as
+    long as the run.  `traj.states` is read only when H_0 <= 0.
     """
     H = np.asarray(traj.energies, dtype=float)
     h0 = float(H[0])
+    rows = len(H)
+    work = np.empty(min(rows, _STAT_BLOCK))
+    below = np.empty(len(work), dtype=bool)
     if h0 > 0:
-        size = H
+        def size(lo, hi):
+            return H[lo:hi]
     else:
         # H cannot measure growth when H_0 <= 0 (an indefinite H can blow
         # up along H = H_0), so watch the squared state norm instead
-        with np.errstate(over="ignore", invalid="ignore"):
-            size = np.einsum("ij,ij->i", traj.states, traj.states)
+        states = traj.states
+
+        def size(lo, hi):
+            return _squared_norms(states[lo:hi], work[: hi - lo])
+    size0 = size(0, 1)[0]
+    limit = EXPLODE_FACTOR * size0
     crossing = None
-    if size[0] > 0:
-        # not below the threshold: a NaN (overflow past inf) crosses too
-        over = np.nonzero(~(size < EXPLODE_FACTOR * size[0]))[0]
-        if len(over):
-            crossing = int(over[0])
-    prefix = H if crossing is None else H[:crossing]
-    N = len(prefix)
+    peaks = []  # max |H - H_0| of each block of the prefix
+    for lo in range(0, rows, _STAT_BLOCK):
+        hi = min(lo + _STAT_BLOCK, rows)
+        if size0 > 0:
+            # not below the threshold: a NaN (overflow past inf) crosses too
+            mask = np.less(size(lo, hi), limit, out=below[: hi - lo])
+            first = int(mask.argmin())
+            if not mask[first]:
+                crossing = hi = lo + first
+        if hi > lo:
+            dev = np.subtract(H[lo:hi], h0, out=work[: hi - lo])
+            peaks.append(np.abs(dev, out=dev).max())
+        if crossing is not None:
+            break
+    N = rows if crossing is None else crossing
     if N >= 2:
-        dev = np.subtract(prefix, h0)  # the one row-length temporary
-        max_dev = float(np.max(np.abs(dev, out=dev)))
-        del dev  # freed before the design matrix is formed
+        max_dev = float(np.max(peaks))
         # the design matrix [t, 1] is the transpose of one (2, N) array, the
-        # layout `np.vstack([t, ones]).T` has; t is the prefix of traj.times
+        # layout `np.vstack([t, ones]).T` has; t is the prefix of traj.times,
+        # h * j with j exact as a float
         design = np.empty((2, N))
-        np.multiply(np.arange(N), traj.h, out=design[0])
+        ramp = np.arange(min(N, _STAT_BLOCK), dtype=float)
+        for lo in range(0, N, _STAT_BLOCK):
+            t = design[0, lo : lo + _STAT_BLOCK]
+            np.add(ramp[: len(t)], lo, out=t)
+            t *= traj.h
         design[1] = 1.0
-        slope = float(np.linalg.lstsq(design.T, prefix, rcond=None)[0][0])
+        slope = float(np.linalg.lstsq(design.T, H[:N], rcond=None)[0][0])
     else:
         max_dev, slope = 0.0, 0.0
     if crossing is not None:
         return "exploding", h0, max_dev, slope, crossing
     scale = abs(h0) if h0 != 0 else 1.0
     budget = BOUNDED_FRACTION * scale
-    t_final = traj.h * (len(H) - 1)
+    t_final = traj.h * (rows - 1)
     if max_dev <= budget and abs(slope) * t_final <= budget:
         return "bounded", h0, max_dev, slope, None
     return "drifting", h0, max_dev, slope, None
 
 
 def _radius_deviation(traj: Trajectory, crossing: int | None) -> float | None:
-    """max | ||y_j||^2 - ||y_0||^2 | over the (finite prefix of the) run."""
+    """max | ||y_j||^2 - ||y_0||^2 | over the (finite prefix of the) run,
+    formed one block of _STAT_BLOCK rows at a time."""
     states = traj.states if crossing is None else traj.states[:crossing]
-    if states.shape[1] != 2 or len(states) == 0:
+    rows = len(states)
+    if states.shape[1] != 2 or rows == 0:
         return None
-    r2 = np.einsum("ij,ij->i", states, states)
-    return float(np.max(np.abs(r2 - r2[0])))
+    work = np.empty(min(rows, _STAT_BLOCK))
+    r0 = _squared_norms(states[:1], work[:1])[0]
+    peaks = []
+    for lo in range(0, rows, _STAT_BLOCK):
+        block = states[lo : lo + _STAT_BLOCK]
+        dev = _squared_norms(block, work[: len(block)])
+        dev -= r0
+        peaks.append(np.abs(dev, out=dev).max())
+    return float(np.max(peaks))
 
 
 def run_and_write(name: str, scheme: Scheme, field, y0, h: float, steps: int,

@@ -32,10 +32,11 @@ Linear fields get a blocked propagation path.  The window transfer matrix M
 is built once per run: a block that shifts the window, over the scheme's
 own step applied to the k d unit windows (d = 2n) at once.  The last-state
 rows of M^1 .. M^B (B = 256) are stacked into one block, so a single
-matrix-vector product emits the next B states from the current window; the
-window then advances to the last k states emitted.  The powers are formed
-by doubling in extended precision and rounded once, so the blocked path
-keeps the accuracy of one product per step.  The generic per-step path is
+matrix-vector product (`ndarray.dot`, written in place into the state
+array) emits the next B states from the current window; the window then
+advances to the last k states emitted.  The powers are formed by doubling
+in extended precision and rounded once, so the blocked path keeps the
+accuracy of one product per step.  The generic per-step path is
 kept as the reference implementation and for nonlinear fields; both paths
 agree to roundoff and tests assert it.
 
@@ -626,9 +627,11 @@ def _power_rows(M: np.ndarray, Y: np.ndarray, count: int, tail: int) -> np.ndarr
 
     The result is filled in place: it is C-contiguous, so the window of
     states j-k .. j-1 is its flat slice [(j-k) d, j d), and each full
-    block's product is written by `np.matmul(..., out=)` straight into the
-    next B d floats, with no product array or reshape per block.  Only a
-    last, partial block multiplies a slice of the stacked rows.
+    block's product is written by `ndarray.dot(..., out=)` straight into
+    the next B d floats, with no product array or reshape per block.  That
+    is the BLAS matrix-vector call `np.matmul` makes, with less dispatch
+    around it.  Only a last, partial block multiplies a slice of the
+    stacked rows.
     """
     kd = len(Y)
     d = kd - tail
@@ -652,7 +655,7 @@ def _power_rows(M: np.ndarray, Y: np.ndarray, count: int, tail: int) -> np.ndarr
     full = count - (count - k) % block  # end of the last full block
     for j in range(k, full, block):
         window = flat[(j - k) * d : j * d]
-        np.matmul(rows, window, out=flat[j * d : (j + block) * d])
+        rows.dot(window, out=flat[j * d : (j + block) * d])
     if full < count:
         window = flat[(full - k) * d : full * d]
         flat[full * d :] = rows[: (count - full) * d] @ window

@@ -68,6 +68,7 @@ _MAX_EXPONENT = 4300
 # a decimal token with an exponent: its mantissa, then the exponent as
 # int() reads it (Fraction checks the rest)
 _DECIMAL_RE = re.compile(r"[-+]?([\d_.]*)[eE]([-+]?\d+(?:_\d+)*)")
+_DIGITS_RE = re.compile(r"\d+")
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_-]*$")
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -77,21 +78,24 @@ class MethodError(ValueError):
 
 
 def _fr(tok: str) -> Fraction:
-    """A rational token, `p/q` or decimal.  `Fraction` expands a decimal
-    exponent into an integer, in time that grows faster than the exponent,
-    so an exponent more than `_MAX_EXPONENT` places past the token's own
-    digits is rejected first: such a value is far past `_MAX_BITS` bits
-    (unless it is zero), and nearer ones reach the bit check, which reports
-    their exact size."""
+    """A rational token, `p/q` or decimal.  `Fraction` hands each run of
+    digits to int(), which refuses more than `_MAX_EXPONENT` of them, so a
+    token with a longer run is rejected first as too long.  `Fraction` also
+    expands a decimal exponent into an integer, in time that grows faster
+    than the exponent, so an exponent more than `_MAX_EXPONENT` places past
+    the token's own digits is rejected next: such a value is far past
+    `_MAX_BITS` bits (unless it is zero), and nearer ones reach the bit
+    check, which reports their exact size."""
+    # int() skips the underscores between digits, and counts only digits
+    longest = max(map(len, _DIGITS_RE.findall(tok.replace("_", ""))), default=0)
+    if longest > _MAX_EXPONENT:
+        raise MethodError(f"token too long: a run of {longest} digits, "
+                          f"at most {_MAX_EXPONENT}")
     decimal = _DECIMAL_RE.fullmatch(tok)
     if decimal:
         mantissa, exponent = decimal.groups()
         digits = len(mantissa) - mantissa.count("_") - mantissa.count(".")
-        try:
-            far = abs(int(exponent)) > digits + _MAX_EXPONENT
-        except ValueError:  # more digits than int() converts
-            far = True
-        if far:
+        if abs(int(exponent)) > digits + _MAX_EXPONENT:
             raise MethodError(f"decimal exponent out of range in {tok!r}")
     try:
         return Fraction(tok)

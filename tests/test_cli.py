@@ -202,6 +202,17 @@ def test_coefficients_past_the_float_range_exit_1(tmp_path, capsys, command):
                    f"{_MAX_BITS} bits, got 1329\n")
 
 
+@pytest.mark.parametrize("form", ["integer", "ratio", "decimal"])
+def test_a_token_of_5000_digits_exits_1_as_too_long(tmp_path, capsys, form):
+    token = {"integer": "1" + "0" * 4999, "ratio": "1/" + "3" * 5000,
+             "decimal": "0." + "0" * 4999 + "1e5000"}[form]
+    f = tmp_path / "long.txt"
+    f.write_text(f"name: long\nk: 1\nalpha: -1 1\nbeta: {token} 0\n")
+    code, out, err = run(capsys, "analyze", "--method", str(f))
+    assert (code, out) == (1, "")
+    assert err == "error: token too long: a run of 5000 digits, at most 4300\n"
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])

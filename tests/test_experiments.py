@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geostep import experiments, integrators
 from geostep.methods import MethodError, MethodSpec
@@ -18,6 +20,8 @@ from geostep.cli import main
 from geostep.systems import LinearHamiltonian, sho
 from geostep.experiments import (
     _CSV_BLOCK,
+    _STAT_BLOCK,
+    _radius_deviation,
     BOUNDED_FRACTION,
     EXPLODE_FACTOR,
     OUTPUT_KINDS,
@@ -502,9 +506,12 @@ def test_classify_counts_a_nan_as_the_crossing(diagonal, y0):
 
 
 def _classify_by_vstack(traj: Trajectory):
-    """`classify` with its statistics formed term by term: the time grid, a
-    vector of ones, their `vstack` as the `lstsq` design matrix and
-    |H - H0| as its own array.  The reference for `classify`'s bits."""
+    """`classify` with its statistics formed term by term over whole
+    arrays: |y|^2 of every row by einsum, the crossing mask over the whole
+    record, the time grid, a vector of ones, their `vstack` as the `lstsq`
+    design matrix and |H - H0| as its own array.  The reference for the
+    bits of `classify`, which forms them block by block; like it, this
+    reads `traj.states` only when H0 <= 0."""
     H = np.asarray(traj.energies, dtype=float)
     h0 = float(H[0])
     if h0 > 0:
@@ -532,6 +539,18 @@ def _classify_by_vstack(traj: Trajectory):
     if max_dev <= budget and abs(slope) * traj.h * (len(H) - 1) <= budget:
         return "bounded", h0, max_dev, slope, None
     return "drifting", h0, max_dev, slope, None
+
+
+def _radius_by_einsum(traj: Trajectory, crossing):
+    """`_radius_deviation` over whole arrays: einsum's |y|^2 of every row
+    of the prefix, minus the first, as one array.  The reference for its
+    bits."""
+    states = traj.states if crossing is None else traj.states[:crossing]
+    if states.shape[1] != 2 or len(states) == 0:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = np.einsum("ij,ij->i", states, states)
+        return float(np.max(np.abs(r2 - r2[0])))
 
 
 def _bits(result):
@@ -565,21 +584,117 @@ def test_classify_is_bit_identical_to_the_vstack_formulation(
     assert _bits(got) == _bits(_classify_by_vstack(traj))
 
 
+SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 5e-324]
+B = _STAT_BLOCK
+
+
+def _planted_record(h0, d, rows, seed, drift=1e-9, crossing=None, plants=(), h=0.1):
+    """A synthetic record: H0 then a random walk of step `drift`, states
+    drawn at random after a first one of |y0|^2 = d (far below any random
+    row's 1000-fold).  `crossing` is (row, energy, state factor); each plant
+    (row, column, value) sets a state entry, or the energy when the column
+    is None."""
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((rows, d))
+    states[0] = 1.0
+    energies = h0 + drift * np.cumsum(rng.standard_normal(rows))
+    energies[0] = h0
+    if crossing is not None:
+        row, energy, factor = crossing
+        energies[row] = energy
+        states[row] *= factor
+    for row, column, value in plants:
+        if column is None:
+            energies[row] = value
+        else:
+            states[row, column] = value
+    return Trajectory(h=h, states=states, energies=energies, start_count=1)
+
+
+@st.composite
+def records(draw):
+    """A record over up to four blocks of the statistics: H0 of each sign, a
+    crossing planted in the first, a middle or the last block (or none) and
+    special values planted in those blocks after the first row."""
+    h0 = draw(st.sampled_from([0.5, 5e-324, 0.0, -0.0, -0.5]))
+    d = draw(st.sampled_from([2, 4])) if h0 <= 0 else 2
+    m = draw(st.sampled_from([0, 1, 2, 3]))
+    rows = max(1, m * B + draw(st.sampled_from([-2, -1, 0, 1, 2])))
+    blocks = -(-rows // B)
+    where = st.sampled_from([0, blocks // 2, blocks - 1])
+
+    def row():
+        """A row after the first in the first, a middle or the last block."""
+        lo = draw(where) * B
+        return draw(st.integers(max(1, lo), min(rows, lo + B) - 1))
+
+    crossing = None
+    if rows > 1 and draw(st.booleans()):
+        # the threshold itself crosses, as does anything not below it
+        crossing = (row(), draw(st.sampled_from(
+            [EXPLODE_FACTOR * h0, 2 * EXPLODE_FACTOR * abs(h0), np.inf, np.nan])),
+            draw(st.sampled_from([1e2, 1e3, np.inf])))
+    columns = st.sampled_from([None, *range(d)])
+    plants = [(row(), draw(columns), draw(st.sampled_from(SPECIAL)))
+              for _ in range(draw(st.integers(0, 4)) if rows > 1 else 0)]
+    return _planted_record(
+        h0, d, rows, draw(st.integers(0, 2**32 - 1)),
+        drift=draw(st.sampled_from([0.0, 1e-9, 1e-2])), crossing=crossing,
+        plants=plants, h=draw(st.sampled_from([0.1, 1e-3, 2.5])),
+    )
+
+
+# NaN before the crossing in a later block than the first: a running max
+# that drops NaN would miss it
+@example(traj=_planted_record(0.0, 2, 3 * B, 1, plants=[(2 * B + 5, None, np.nan)]))
+@example(traj=_planted_record(-0.5, 4, 2 * B + 1, 2, plants=[(B, None, np.nan)]))
+@example(traj=_planted_record(0.5, 2, 2 * B - 1, 3, plants=[(B + 7, 1, np.nan)]))
+# crossings at the first row of a block, and at a last block of one row
+@example(traj=_planted_record(0.5, 2, 3 * B, 4, crossing=(B, 500.0, 1.0)))
+@example(traj=_planted_record(-0.5, 4, 3 * B + 1, 5, crossing=(3 * B, 0.0, 1e3)))
+@settings(max_examples=150, deadline=None)
+@given(traj=records())
+def test_blocked_statistics_are_bit_identical_to_whole_array_ones(traj):
+    got = classify(traj)
+    assert _bits(got) == _bits(_classify_by_vstack(traj))
+    crossing = got[4]
+    assert (_bits((_radius_deviation(traj, crossing),))
+            == _bits((_radius_by_einsum(traj, crossing),)))
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = f(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_classify_memory_peak_on_a_long_record():
-    # 10^6 rows: the design matrix is 16 MB, a row-length vector 8 MB
+    # 10^6 rows: the design matrix is 16 MB; every other temporary is a
+    # block of the statistics
     rows = 1_000_000
     rng = np.random.default_rng(5)
     traj = Trajectory(h=0.1, states=np.zeros((rows, 2)),
                       energies=0.5 + 1e-12 * rng.standard_normal(rows),
                       start_count=1)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        assert classify(traj)[0] == "bounded"
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    result, peak = _traced_peak(classify, traj)
+    assert result[0] == "bounded"
+    assert peak <= 17 * 2**20
+
+
+def test_radius_deviation_memory_peak_on_a_long_record():
+    # 10^6 rows: a row-length vector would be 8 MB
+    rows = 1_000_000
+    rng = np.random.default_rng(6)
+    traj = Trajectory(h=0.1, states=rng.standard_normal((rows, 2)),
+                      energies=np.zeros(rows), start_count=1)
+    radius, peak = _traced_peak(_radius_deviation, traj, None)
+    assert radius == _radius_by_einsum(traj, None)
+    assert peak <= 2**20
 
 
 def test_blow_up_to_nan_scenario_is_exploding(tmp_path):

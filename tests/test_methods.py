@@ -242,6 +242,27 @@ def test_parse_counts_the_mantissa_digits_against_the_exponent():
     assert m.beta[0] == F(1, 10**11)
 
 
+LONG_TOKENS = {
+    "integer": "1" + "0" * 4999,
+    "ratio": "1/" + "3" * 5000,
+    "decimal": "0." + "0" * 4999 + "1e5000",  # the value 1
+}
+
+
+@pytest.mark.parametrize("token", LONG_TOKENS.values(), ids=LONG_TOKENS.keys())
+def test_parse_rejects_a_run_of_digits_past_what_int_converts(token):
+    # int() refuses more than 4300 digits, which read as a malformed rational
+    message = f"token too long: a run of 5000 digits, at most {methods._MAX_EXPONENT}"
+    with pytest.raises(MethodError, match=f"^{message}$"):
+        parse_method(f"name: w\nk: 1\nalpha: -1 1\nbeta: {token} 0\n")
+
+
+def test_parse_counts_digits_not_underscores_against_the_run_bound():
+    run = "_".join(["1"] * methods._MAX_EXPONENT)
+    m = parse_method(f"name: w\nk: 1\nalpha: -1 1\nbeta: {run}/{run} 0\n")
+    assert m.beta[0] == 1
+
+
 # ---------------------------------------------------------------------------
 # order certificates (exact rational arithmetic, zero tolerance)
 

@@ -6,14 +6,16 @@ SRC is the directory that holds the `geostep` package (`src` in a
 checkout).  Each case runs in a fresh `python -m geostep.cli` with
 PYTHONPATH=SRC, inside an output directory that is emptied before it, and
 prints its argv, exit code, stdout, stderr and the sha256 of every file it
-wrote, by relative path.  Method files are written next to the output
-directory and named by relative path, so two runs print the same text when
-the two trees behave the same: `diff old.txt new.txt` is the identity
-check.
+wrote, by relative path.  Method and scenario files are written next to the
+output directory and named by relative path, so two runs print the same text
+when the two trees behave the same: `diff old.txt new.txt` is the identity
+check.  The canned figures 2-4 run 10^6 steps per scenario; the battery
+takes about 20 s on a 2-CPU host.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from pathlib import Path
 import shutil
@@ -53,6 +55,14 @@ FILES = {
     "bits-65": HEAD + f"beta: 0 {2**64}\n",
 }
 ALL_COMMANDS = ("good", "gamma", "huge")
+# scenario files: H0 = 0 (the classifier watches |y|^2), and a start off the
+# q axis over enough steps for many blocks of the run statistics
+SCENARIOS = {
+    "zero-start": "scenario: zero-start\nmethod: leapfrog\nsteps: 20000\n"
+                  "q0: 0\np0: 0\nstride: 100\n",
+    "off-axis": f"scenario: off-axis\nmethod: m1-corrected\nsteps: 100000\n"
+                f"q0: {math.cos(1)!r}\np0: {math.sin(1)!r}\nstride: 100\n",
+}
 
 INTEGRATE = ("integrate", "--steps", "300", "--stride", "7", "--method")
 
@@ -62,8 +72,9 @@ def cases() -> list[list[str]]:
     for spec in SPECS:
         out += [["analyze", "--method", spec], ["analyze", "--json", "--method", spec],
                 [*INTEGRATE, spec]]
-    out += [["verify"], ["verify", "--h", "0.3", "--omega", "2"],
-            ["experiment", "--figure", "1"]]
+    out += [["verify"], ["verify", "--h", "0.3", "--omega", "2"]]
+    out += [["experiment", "--figure", str(figure)] for figure in range(1, 5)]
+    out += [["experiment", "--scenario", f"../in/{name}.txt"] for name in SCENARIOS]
     for name in FILES:
         path = f"../in/{name}.txt"
         out.append(["analyze", "--method", path])
@@ -83,6 +94,8 @@ def main(argv: list[str]) -> int:
         inputs.mkdir()
         for name, text in FILES.items():
             (inputs / f"{name}.txt").write_text(text.format(name=name))
+        for name, text in SCENARIOS.items():
+            (inputs / f"{name}.txt").write_text(text)
         for args in cases():
             shutil.rmtree(outdir, ignore_errors=True)
             outdir.mkdir()
