@@ -11,9 +11,12 @@ from .methods import (
     AnalysisReport,
     MethodError,
     MethodSpec,
+    PCPair,
+    PartitionedPair,
     REGISTRY_NAMES,
     analyze,
     builtin_methods,
+    builtin_pairs,
     defect_horizon,
     format_method,
     format_report,
@@ -21,8 +24,10 @@ from .methods import (
     is_symmetric,
     lambda_matrix,
     order_analysis,
+    pad_method,
     parse_method,
     report_to_dict,
+    resolve_scheme,
     root_condition,
 )
 from .systems import (
@@ -35,15 +40,12 @@ from .systems import (
 )
 from .integrators import (
     ConvergenceError,
-    PCPair,
-    PartitionedPair,
     STARTERS,
     SingularStepError,
     StepFailure,
     Trajectory,
     exact_start,
     integrate,
-    pad_method,
     rk4_start,
     step,
     step_residual,
@@ -61,12 +63,10 @@ from .geometry import (
 from .experiments import (
     Scenario,
     ScenarioResult,
-    builtin_pairs,
     builtin_scenarios,
     figure_scenarios,
     format_scenario,
     parse_scenario,
-    resolve_scheme,
     run_scenario,
 )
 

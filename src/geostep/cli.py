@@ -21,7 +21,7 @@ import numpy as np
 
 from . import methods as me
 from . import geometry as ge
-from .integrators import STARTERS, PCPair, PartitionedPair, StepFailure, integrate
+from .integrators import STARTERS, StepFailure, integrate
 from .systems import LinearHamiltonian, load_linear_system, sho
 from . import experiments as ex
 
@@ -61,11 +61,11 @@ def _parse_floats(text: str, n: int, flag: str) -> np.ndarray:
 
 
 def cmd_analyze(args) -> int:
-    scheme = ex.resolve_scheme(args.method)
+    scheme = me.resolve_scheme(args.method)
     single = isinstance(scheme, me.MethodSpec)
     members = (("", scheme),) if single else scheme.members
     reports = {role: me.analyze(m) for role, m in members}
-    pece = isinstance(scheme, PCPair)
+    pece = isinstance(scheme, me.PCPair)
     if args.json:
         doc = {role: me.report_to_dict(r) for role, r in reports.items()}
         if single:
@@ -87,9 +87,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    scheme = ex.resolve_scheme(args.method)
+    scheme = me.resolve_scheme(args.method)
     if args.swap_partition:
-        if not isinstance(scheme, PartitionedPair):
+        if not isinstance(scheme, me.PartitionedPair):
             raise ValueError("--swap-partition needs a partitioned pair")
         scheme = dataclasses.replace(scheme, swap=True)
     field = _resolve_system(args.system, args.omega)
@@ -109,7 +109,7 @@ def cmd_integrate(args) -> int:
         f"{name}: steps={len(traj.states)} H0={H[0]:.17g} "
         f"finalDeviation={H[-1] - H[0]:.17g} finalError={final_err}"
     )
-    for w in ex.gather_warnings(scheme):
+    for w in scheme.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0 if failure is None else 2
 
@@ -163,7 +163,7 @@ def cmd_verify(args) -> int:
     if args.method is None:
         targets = [m for _, m in sorted(me.builtin_methods().items())]
     else:
-        scheme = ex.resolve_scheme(args.method)
+        scheme = me.resolve_scheme(args.method)
         if not isinstance(scheme, me.MethodSpec):
             raise me.MethodError(f"verify takes a single method, not {scheme.name!r}")
         targets = [scheme]

@@ -1,9 +1,9 @@
 """Scenario runner: canned oscillator experiments, CSV artifacts and the
 long-run behavior study.
 
-This is where a method string becomes a scheme (`resolve_scheme`) and a run
-becomes artifacts (`run_and_write`); the command line and the scenarios
-both go through them.
+This is where a run becomes artifacts (`run_and_write`); the command line
+and the scenarios both go through it.  A scenario's method string becomes a
+scheme through `methods.resolve_scheme`.
 
 A scenario is one integrator run on the harmonic oscillator with fixed
 parameters.  Runs write up to three CSV artifacts (phase, energy, error),
@@ -49,34 +49,23 @@ from typing import NoReturn
 
 import numpy as np
 
-from .methods import (
-    _METHODS, _NAME_RE, _PAIRS, MethodError, MethodSpec, _read_fields, parse_method,
-)
-from .integrators import (
-    PCPair,
-    PartitionedPair,
-    STARTERS,
-    Scheme,
-    StepFailure,
-    Trajectory,
-    integrate,
-)
+# builtin_pairs is bound here for callers that read the registry through
+# this module, as the benchmark's set-up probe does
+from .methods import _NAME_RE, Scheme, _read_fields, builtin_pairs, resolve_scheme
+from .integrators import STARTERS, StepFailure, Trajectory, integrate
 from .systems import sho
 
 __all__ = [
     "Scenario",
     "ScenarioResult",
-    "builtin_pairs",
     "builtin_scenarios",
     "figure_scenarios",
-    "resolve_scheme",
     "parse_scenario",
     "format_scenario",
     "run_scenario",
     "run_and_write",
     "classify",
     "write_artifacts",
-    "gather_warnings",
 ]
 
 OUTPUT_KINDS = ("phase", "energy", "error")
@@ -138,57 +127,6 @@ class ScenarioResult:
     crossing_step: int | None
     failed_step: int | None
     warnings: tuple[str, ...]
-
-
-# ---------------------------------------------------------------------------
-# scheme registry plumbing
-
-
-_PC_PAIRS = {name: PCPair(name, predictor=_METHODS[p], corrector=_METHODS[c])
-             for name, (p, c) in _PAIRS.items()}
-
-
-def builtin_pairs() -> dict[str, PCPair]:
-    """Named predictor-corrector pairs shipped with the package, a fresh dict
-    of the same frozen pairs on each call."""
-    return dict(_PC_PAIRS)
-
-
-def resolve_scheme(spec: str) -> Scheme:
-    """Turn a method field into a scheme: a method file, a registry or pair
-    name, or "first,second" (a partitioned pair of two methods, files or
-    registry names; first drives q).
-
-    A file path wins over a registry name spelled the same.  Registry
-    names are read from the tables built at import, so only a file builds
-    a scheme.
-    """
-    spec = spec.strip()
-    names = [p.strip() for p in spec.split(",")]
-    if len(names) > 2:
-        raise MethodError(f"a partitioned pair needs two names, got {spec!r}")
-
-    def lookup(name: str) -> Scheme:
-        if os.path.isfile(name):
-            return parse_method(Path(name).read_text())
-        if name in _METHODS:
-            return _METHODS[name]
-        if name in _PC_PAIRS and len(names) == 1:  # a pair is no member
-            return _PC_PAIRS[name]
-        raise MethodError(f"unknown method {name!r}")
-
-    schemes = [lookup(name) for name in names]
-    if len(schemes) == 1:
-        return schemes[0]
-    first, second = schemes
-    return PartitionedPair(f"{first.name},{second.name}", first, second)
-
-
-def gather_warnings(scheme: Scheme) -> tuple[str, ...]:
-    """The scheme's warnings; a pair's carry their member's name."""
-    if isinstance(scheme, MethodSpec):
-        return scheme.warnings
-    return tuple(f"{m.name}: {w}" for _, m in scheme.members for w in m.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +440,8 @@ def classify(traj: Trajectory):
     if N >= 2:
         max_dev = float(np.max(peaks))
         # the design matrix [t, 1] is the transpose of one (2, N) array, the
-        # layout `np.vstack([t, ones]).T` has; t is the prefix of traj.times,
-        # h * j with j exact as a float
+        # layout `np.vstack([t, ones]).T` has; t_j = h * j, with j exact as
+        # a float
         design = np.empty((2, N))
         ramp = np.arange(min(N, _STAT_BLOCK), dtype=float)
         for lo in range(0, N, _STAT_BLOCK):
@@ -575,7 +513,7 @@ def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
         s.name, scheme, sho(s.omega), np.array([s.q0, s.p0]), s.h, s.steps,
         s.starter, outdir, s.stride, s.outputs,
     )
-    warnings = gather_warnings(scheme)
+    warnings = scheme.warnings
     if failure is not None:
         warnings += (f"stepper failed at step {failure.step}: {failure.cause}",)
 

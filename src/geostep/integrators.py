@@ -9,9 +9,9 @@ h -> -h on reversed states, the reversibility residual.  Every scheme is
 compiled once into advance(field, ys, fs, h) -> y, which also steps a stack
 of windows.  `fs` is the f window: f at the k window states, `None` where
 not yet evaluated.  A leg that is a lone window state reads and fills it,
-so an explicit scheme costs one f-evaluation per step.  Pairs are built
-from their members' compiled steps; a predictor-corrector pair runs in
-PECE mode.
+so an explicit scheme costs one f-evaluation per step.  Pairs (defined in
+`methods`, like every scheme) are built from their members' compiled steps;
+a predictor-corrector pair runs in PECE mode.
 
 A trajectory with parameter `steps` holds exactly `steps` recorded states
 y_0 .. y_{steps-1}: the starter supplies the first k (the window, y_0
@@ -36,9 +36,9 @@ matrix-vector product (`ndarray.dot`, written in place into the state
 array) emits the next B states from the current window; the window then
 advances to the last k states emitted.  The powers are formed by doubling
 in extended precision and rounded once, so the blocked path keeps the
-accuracy of one product per step.  The generic per-step path is
-kept as the reference implementation and for nonlinear fields; both paths
-agree to roundoff and tests assert it.
+accuracy of one product per step.  The field alone picks the path: the
+generic per-step loop runs on nonlinear fields and is the reference the
+tests hold the blocked path to; both agree to roundoff.
 
 The exact-error channel |y_j - exact flow at t_j| of a linear field is
 evaluated only at the rows a caller asks for (`Trajectory.error_at`): the
@@ -58,18 +58,15 @@ from typing import Callable
 
 import numpy as np
 
-from .methods import MethodError, MethodSpec
+from .methods import MethodSpec, PCPair, PartitionedPair, Scheme
 from .systems import LinearHamiltonian, sho_exact
 
 __all__ = [
     "STARTERS",
-    "PCPair",
-    "PartitionedPair",
     "Trajectory",
     "ConvergenceError",
     "SingularStepError",
     "StepFailure",
-    "pad_method",
     "rk4_start",
     "exact_start",
     "step",
@@ -113,92 +110,6 @@ _HALF_TOL = 0.5 * NEWTON_TOLERANCE
 STARTERS = ("rk4", "exact")
 
 
-def pad_method(m: MethodSpec, k: int) -> MethodSpec:
-    """Embed an m.k-step scheme in a k-step window by prepending zeros."""
-    if k < m.k:
-        raise MethodError(f"cannot pad {m.name} (k={m.k}) down to k={k}")
-    if k == m.k:
-        return m
-    if m.gamma is not None:
-        raise MethodError("padding is only supported for plain coefficient schemes")
-    pad = (Fraction(0),) * (k - m.k)
-    padded = MethodSpec(m.name, k, pad + m.alpha, pad + m.beta, m.kind)
-    # keep m's own warnings, not the index-0 note that describes the padding
-    object.__setattr__(padded, "warnings", m.warnings)
-    return padded
-
-
-@dataclass(frozen=True)
-class PCPair:
-    """Predictor-corrector pair in PECE mode.
-
-    Predict y*, evaluate f(y*), correct once using f(y*) for the implicit
-    term, evaluate again at the corrected state for storage.
-    """
-
-    name: str
-    predictor: MethodSpec
-    corrector: MethodSpec
-
-    def __post_init__(self):
-        k = max(self.predictor.k, self.corrector.k)
-        object.__setattr__(self, "predictor", pad_method(self.predictor, k))
-        object.__setattr__(self, "corrector", pad_method(self.corrector, k))
-        if not self.predictor.explicit:
-            raise MethodError(f"predictor {self.predictor.name} must be explicit")
-        for m in (self.predictor, self.corrector):
-            if m.kind != "lmm":
-                raise MethodError("pc pairs are built from plain schemes")
-
-    @property
-    def k(self) -> int:
-        return self.predictor.k
-
-    @property
-    def members(self) -> tuple[tuple[str, MethodSpec], ...]:
-        """(role, method) for each member, predictor first."""
-        return ("predictor", self.predictor), ("corrector", self.corrector)
-
-
-@dataclass(frozen=True)
-class PartitionedPair:
-    """Two explicit schemes, one driving q and one driving p.
-
-    By default `first` advances the positions and `second` the momenta;
-    `swap` exchanges the assignment.  The shorter window is zero-padded so
-    both schemes share one window length.
-    """
-
-    name: str
-    first: MethodSpec
-    second: MethodSpec
-    swap: bool = False
-
-    def __post_init__(self):
-        k = max(self.first.k, self.second.k)
-        object.__setattr__(self, "first", pad_method(self.first, k))
-        object.__setattr__(self, "second", pad_method(self.second, k))
-        for m in (self.first, self.second):
-            if not m.explicit:
-                raise MethodError(f"partitioned member {m.name} must be explicit")
-            if m.kind != "lmm":
-                raise MethodError("partitioned pairs are built from plain schemes")
-
-    @property
-    def k(self) -> int:
-        return self.first.k
-
-    @property
-    def members(self) -> tuple[tuple[str, MethodSpec], ...]:
-        """(role, method) for each member, `first` first; the roles are
-        `positions` and `momenta`, exchanged by `swap`."""
-        roles = ("momenta", "positions") if self.swap else ("positions", "momenta")
-        return tuple(zip(roles, (self.first, self.second)))
-
-
-Scheme = MethodSpec | PCPair | PartitionedPair
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded run: states (steps, 2n), energies and, on linear fields, the
@@ -212,7 +123,6 @@ class Trajectory:
     h: float
     states: np.ndarray
     energies: np.ndarray
-    start_count: int
     error_at: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
@@ -231,10 +141,6 @@ class Trajectory:
         if self.error_at is None or not self.steps:
             return None
         return float(self.error_at(np.array([self.steps - 1]))[0])
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.h * np.arange(len(self.states))
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +162,12 @@ def rk4_start(field, y0, h: float, count: int) -> list[np.ndarray]:
     return out
 
 
-def _is_sho(field: LinearHamiltonian) -> bool:
+def _sho_omega(field: LinearHamiltonian) -> float | None:
+    """omega when the field is the oscillator `sho(omega)`, else None."""
     S = field.S
-    return (
-        field.n == 1 and S[0, 1] == 0.0 and S[1, 1] == 1.0 and S[0, 0] > 0.0
-    )
+    if field.n == 1 and S[0, 1] == 0.0 and S[1, 1] == 1.0 and S[0, 0] > 0.0:
+        return float(np.sqrt(S[0, 0]))
+    return None
 
 
 def exact_start(field, y0, h: float, count: int) -> list[np.ndarray]:
@@ -268,8 +175,8 @@ def exact_start(field, y0, h: float, count: int) -> list[np.ndarray]:
     if not isinstance(field, LinearHamiltonian):
         raise ValueError("exact starter requires a linear field")
     y0 = np.array(y0, dtype=float)
-    if _is_sho(field):
-        w = float(np.sqrt(field.S[0, 0]))
+    w = _sho_omega(field)
+    if w is not None:
         return [sho_exact(w, y0, j * h) for j in range(count + 1)]
     from scipy.linalg import expm  # slow to import; only general fields need it
 
@@ -283,9 +190,8 @@ def _error_at(field: LinearHamiltonian, y0, h: float, states: np.ndarray):
     given the other sign).  `sho_exact` is looked up on this module at call
     time, so a wrapper installed on it sees every evaluation."""
     y0 = np.array(y0, dtype=float)
-    if _is_sho(field):
-        w = float(np.sqrt(field.S[0, 0]))
-
+    w = _sho_omega(field)
+    if w is not None:
         def exact(rows):
             return sho_exact(w, y0, h * rows)
     else:
@@ -342,13 +248,6 @@ def _linear_lead_solve(alpha_k: float, beta_k: float, A: np.ndarray, h: float, r
 
 # ---------------------------------------------------------------------------
 # single steps (window = k states y_n .. y_{n+k-1}, returns y_{n+k})
-
-
-def _check_window(m_k: int, window) -> list[np.ndarray]:
-    ys = [np.asarray(y, dtype=float) for y in window]
-    if len(ys) != m_k:
-        raise ValueError(f"window must hold k = {m_k} states, got {len(ys)}")
-    return ys
 
 
 def _terms(coeffs) -> tuple[tuple[int, float], ...]:
@@ -537,7 +436,9 @@ def _advance(scheme: Scheme):
 
 def step(scheme: Scheme, field, window, h: float) -> np.ndarray:
     """One step of any scheme: the state following the k-state window."""
-    ys = _check_window(scheme.k, window)
+    ys = [np.asarray(y, dtype=float) for y in window]
+    if len(ys) != scheme.k:
+        raise ValueError(f"window must hold k = {scheme.k} states, got {len(ys)}")
     return _advance(scheme)(field, ys, [None] * scheme.k, h)
 
 
@@ -580,7 +481,7 @@ def window_matrix(scheme: Scheme, field: LinearHamiltonian, h: float) -> np.ndar
 # driver
 
 
-def _trajectory(field, y0, h, states, k) -> Trajectory:
+def _trajectory(field, y0, h, states) -> Trajectory:
     """The run's recorded states with their energies and, on linear fields,
     the exact-error channel."""
     # overflow in exploding runs is data, not an error
@@ -589,7 +490,7 @@ def _trajectory(field, y0, h, states, k) -> Trajectory:
     error_at = None
     if isinstance(field, LinearHamiltonian):
         error_at = _error_at(field, y0, h, states)
-    return Trajectory(h, states, energies, k, error_at)
+    return Trajectory(h, states, energies, error_at)
 
 
 def _generic_loop(scheme, field, y0, window, h, steps):
@@ -602,7 +503,7 @@ def _generic_loop(scheme, field, y0, window, h, steps):
         try:
             states[j] = advance(field, ys, fs, h)
         except (ConvergenceError, SingularStepError) as exc:
-            partial = _trajectory(field, y0, h, states[:j].copy(), k)
+            partial = _trajectory(field, y0, h, states[:j].copy())
             raise StepFailure(j, exc, partial) from exc
         ys = ys[1:] + [states[j]]
         fs = fs[1:] + [None]
@@ -662,19 +563,15 @@ def _power_rows(M: np.ndarray, Y: np.ndarray, count: int, tail: int) -> np.ndarr
     return out
 
 
-def _matrix_loop(scheme, field, window, h, steps):
-    d = len(window[0])
-    M = window_matrix(scheme, field, h)
-    return _power_rows(M, np.concatenate(window), steps, M.shape[0] - d)
-
-
 def integrate(scheme: Scheme, field, y0, h: float, steps: int,
-              starter: str = "rk4", force_generic: bool = False) -> Trajectory:
+              starter: str = "rk4") -> Trajectory:
     """Run a scheme; return its states, energies and exact-error channel.
 
     `steps` counts recorded states including the k starter states; it must
     be at least k.  `starter` names one of `STARTERS`.  The exact-error
     channel exists only for linear fields, where the exact flow is known.
+    Linear fields take the blocked window-map path, all others the generic
+    per-step loop.
     """
     if starter not in STARTERS:
         raise ValueError(f"starter must be one of {STARTERS}, got {starter!r}")
@@ -696,13 +593,15 @@ def integrate(scheme: Scheme, field, y0, h: float, steps: int,
     # overflow in exploding runs is data, not an error; the starter's too
     with np.errstate(over="ignore", invalid="ignore"):
         window = start(field, y0, h, k - 1)
-        if not isinstance(field, LinearHamiltonian) or force_generic:
+        if not isinstance(field, LinearHamiltonian):
             states = _generic_loop(scheme, field, y0, window, h, steps)
         else:
             try:
-                states = _matrix_loop(scheme, field, window, h, steps)
+                M = window_matrix(scheme, field, h)
             except SingularStepError as exc:
                 # the compiled map failed before any step was taken
-                partial = _trajectory(field, y0, h, np.array(window), k)
+                partial = _trajectory(field, y0, h, np.array(window))
                 raise StepFailure(k, exc, partial) from exc
-    return _trajectory(field, y0, h, states, k)
+            tail = M.shape[0] - field.dim
+            states = _power_rows(M, np.concatenate(window), steps, tail)
+    return _trajectory(field, y0, h, states)

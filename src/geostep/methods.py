@@ -21,15 +21,19 @@ denominators (`_scaled`); each sum is divided by D once per entry.  Only
 `root_condition` uses floats, via companion-matrix eigenvalues (that is
 what `numpy.roots` computes).
 
-The built-in registry is built once, at import: one table of schemes keyed
-by name, and the predictor-corrector pairs named by their members beside
-it; `REGISTRY_NAMES` is read off both.
+A scheme is a `MethodSpec` or a pair of them, `PCPair` (predictor-corrector
+in PECE mode) or `PartitionedPair` (one member drives q, the other p).
+This module defines them all, holds the built-in registry, one table of
+schemes keyed by name built once at import (`REGISTRY_NAMES` is read off
+it), and turns a method string into a scheme (`resolve_scheme`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 import math
+import os
+from pathlib import Path
 import re
 
 import numpy as np
@@ -37,7 +41,10 @@ import numpy as np
 __all__ = [
     "MethodError",
     "MethodSpec",
+    "PCPair",
+    "PartitionedPair",
     "AnalysisReport",
+    "pad_method",
     "parse_method",
     "format_method",
     "order_analysis",
@@ -50,6 +57,8 @@ __all__ = [
     "format_report",
     "report_to_dict",
     "builtin_methods",
+    "builtin_pairs",
+    "resolve_scheme",
     "REGISTRY_NAMES",
 ]
 
@@ -188,6 +197,99 @@ class MethodSpec:
             sum((b * g for b, g in zip(self.beta, col) if b and g), _ZERO)
             for col in zip(*self.gamma_rows)
         )
+
+
+def pad_method(m: MethodSpec, k: int) -> MethodSpec:
+    """Embed an m.k-step scheme in a k-step window by prepending zeros."""
+    if k < m.k:
+        raise MethodError(f"cannot pad {m.name} (k={m.k}) down to k={k}")
+    if k == m.k:
+        return m
+    if m.gamma is not None:
+        raise MethodError("padding is only supported for plain coefficient schemes")
+    pad = (_ZERO,) * (k - m.k)
+    padded = MethodSpec(m.name, k, pad + m.alpha, pad + m.beta, m.kind)
+    # keep m's own warnings, not the index-0 note that describes the padding
+    object.__setattr__(padded, "warnings", m.warnings)
+    return padded
+
+
+class _Pair:
+    """What the two pair types share.  Their member fields, `_fields`, are
+    zero-padded to one window length `k`, then checked in field order: a
+    member in `_explicit` must be explicit (the error calls it by the title
+    given there), and every member must be plain (else the `_plain` error).
+    `warnings` are the members', each after its member's name."""
+
+    def __post_init__(self):
+        k = max(getattr(self, f).k for f in self._fields)
+        for f in self._fields:
+            object.__setattr__(self, f, pad_method(getattr(self, f), k))
+        for f in self._fields:
+            m = getattr(self, f)
+            if f in self._explicit and not m.explicit:
+                raise MethodError(f"{self._explicit[f]} {m.name} must be explicit")
+            if m.kind != "lmm":
+                raise MethodError(self._plain)
+
+    @property
+    def k(self) -> int:
+        return getattr(self, self._fields[0]).k
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(f"{m.name}: {w}" for _, m in self.members for w in m.warnings)
+
+
+@dataclass(frozen=True)
+class PCPair(_Pair):
+    """Predictor-corrector pair in PECE mode.
+
+    Predict y*, evaluate f(y*), correct once using f(y*) for the implicit
+    term, evaluate again at the corrected state for storage.
+    """
+
+    name: str
+    predictor: MethodSpec
+    corrector: MethodSpec
+
+    _fields = ("predictor", "corrector")
+    _explicit = {"predictor": "predictor"}
+    _plain = "pc pairs are built from plain schemes"
+
+    @property
+    def members(self) -> tuple[tuple[str, MethodSpec], ...]:
+        """(role, method) for each member, predictor first."""
+        return ("predictor", self.predictor), ("corrector", self.corrector)
+
+
+@dataclass(frozen=True)
+class PartitionedPair(_Pair):
+    """Two explicit schemes, one driving q and one driving p.
+
+    By default `first` advances the positions and `second` the momenta;
+    `swap` exchanges the assignment.  The shorter window is zero-padded so
+    both schemes share one window length.
+    """
+
+    name: str
+    first: MethodSpec
+    second: MethodSpec
+    swap: bool = False
+
+    _fields = ("first", "second")
+    _explicit = dict.fromkeys(_fields, "partitioned member")
+    _plain = "partitioned pairs are built from plain schemes"
+
+    @property
+    def members(self) -> tuple[tuple[str, MethodSpec], ...]:
+        """(role, method) for each member, `first` first; the roles are
+        `positions` and `momenta`, exchanged by `swap`."""
+        roles = ("momenta", "positions") if self.swap else ("positions", "momenta")
+        return tuple(zip(roles, (self.first, self.second)))
+
+
+Scheme = MethodSpec | PCPair | PartitionedPair
 
 
 @dataclass(frozen=True)
@@ -492,7 +594,7 @@ def _as_printed(m: MethodSpec) -> MethodSpec:
     return replace(m, warnings=m.warnings + (msg,))
 
 
-_METHODS = {m.name: m for m in (
+_REGISTRY = {s.name: s for s in (
     _m("explicit-euler", "-1 1", "1 0"),
     _m("implicit-euler", "-1 1", "0 1"),
     _m("midpoint", "-1 1", "1/2 1/2", "one-leg"),
@@ -505,13 +607,48 @@ _METHODS = {m.name: m for m in (
     _m("m3b-corrected", "0 -1 0 1", "0 0 2 0"),
 )}
 # the first line of the paper's M3 pair is m1-corrected under another name
-_METHODS["m3-line1"] = replace(_METHODS["m1-corrected"], name="m3-line1")
-# (predictor, corrector) of each pair; `experiments` builds the PCPairs
-_PAIRS = {"pc-m2": ("ab4", "am4")}
-REGISTRY_NAMES = tuple(sorted([*_METHODS, *_PAIRS]))
+_REGISTRY["m3-line1"] = replace(_REGISTRY["m1-corrected"], name="m3-line1")
+_REGISTRY["pc-m2"] = PCPair("pc-m2", _REGISTRY["ab4"], _REGISTRY["am4"])
+REGISTRY_NAMES = tuple(sorted(_REGISTRY))
 
 
 def builtin_methods() -> dict[str, MethodSpec]:
     """The named single schemes, a fresh dict of the same frozen specs on
-    each call (the pc-m2 pair is `experiments.builtin_pairs`)."""
-    return dict(_METHODS)
+    each call."""
+    return {n: s for n, s in _REGISTRY.items() if isinstance(s, MethodSpec)}
+
+
+def builtin_pairs() -> dict[str, PCPair]:
+    """The named predictor-corrector pairs, a fresh dict of the same frozen
+    pairs on each call."""
+    return {n: s for n, s in _REGISTRY.items() if isinstance(s, PCPair)}
+
+
+def resolve_scheme(spec: str) -> Scheme:
+    """Turn a method field into a scheme: a method file, a registry or pair
+    name, or "first,second" (a partitioned pair of two methods, files or
+    registry names; first drives q).
+
+    A file path wins over a registry name spelled the same.  Registry
+    names are read from the table built at import, so only a file builds
+    a scheme.
+    """
+    spec = spec.strip()
+    names = [p.strip() for p in spec.split(",")]
+    if len(names) > 2:
+        raise MethodError(f"a partitioned pair needs two names, got {spec!r}")
+
+    def lookup(name: str) -> Scheme:
+        if os.path.isfile(name):
+            return parse_method(Path(name).read_text())
+        scheme = _REGISTRY.get(name)
+        # a pair is no member
+        if scheme is None or (len(names) > 1 and not isinstance(scheme, MethodSpec)):
+            raise MethodError(f"unknown method {name!r}")
+        return scheme
+
+    schemes = [lookup(name) for name in names]
+    if len(schemes) == 1:
+        return schemes[0]
+    first, second = schemes
+    return PartitionedPair(f"{first.name},{second.name}", first, second)

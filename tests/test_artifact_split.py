@@ -36,7 +36,7 @@ def _trajectory(rows, dof=2, error=True, seed=0):
         states[at:at + k, -1] = SPECIAL
         energies[at + 1:at + k] = SPECIAL[1:]  # H_0 stays finite at row 0
         errors[at:at + k] = SPECIAL
-    return Trajectory(h=0.1, states=states, energies=energies, start_count=1,
+    return Trajectory(h=0.1, states=states, energies=energies,
                       error_at=errors.__getitem__ if error else None)
 
 
@@ -129,7 +129,7 @@ def test_split_halves_are_whole_blocks(tmp_path, monkeypatch, forks):
         return np.zeros(len(r))
 
     traj = Trajectory(h=0.5, states=np.zeros((2 * B + 1, 2)),
-                      energies=np.zeros(2 * B + 1), start_count=1,
+                      energies=np.zeros(2 * B + 1),
                       error_at=error_at)
     write_artifacts("edge", traj, tmp_path)
     # the child's calls are made in its own memory; the parent's are its
@@ -167,7 +167,7 @@ def _failing_error_at(rows_that_fail):
         return errors[rows]
 
     return Trajectory(h=0.1, states=np.ones((3 * B, 2)), energies=np.ones(3 * B),
-                      start_count=1, error_at=error_at)
+                      error_at=error_at)
 
 
 def test_a_failing_child_raises_once_in_the_caller(tmp_path, forks, capfd):

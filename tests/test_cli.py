@@ -1,19 +1,26 @@
 """Command surface: exit codes, CSV validity, flag handling."""
+from contextlib import redirect_stderr, redirect_stdout
 import csv
 from fractions import Fraction
+import io
 import json
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geostep
 from geostep import cli
 from geostep.cli import main
+from geostep.integrators import STARTERS
 from geostep.methods import _MAX_BITS, _MAX_K, REGISTRY_NAMES
 
 
@@ -496,6 +503,19 @@ def test_verify_all_builtins_all_checks_is_valid_csv(capsys):
     assert methods == sorted(methods)
 
 
+def test_verify_overflowing_reversibility_reads_inf_without_a_warning(
+    tmp_path, capsys
+):
+    # the time-reversed run of this scheme at h = 100 overflows, so the
+    # residual's norm is inf; numpy's overflow warning must not escape
+    f = tmp_path / "F.txt"
+    f.write_text("name: F\nk: 2\nalpha: -1/2 1 1\nbeta: 1 1 0\n")
+    code, out, err = run(capsys, "verify", "--method", str(f), "--h", "100")
+    assert code == 2
+    assert "F,sho,1,100,reversibility,inf,1e-10,false" in out.splitlines()
+    assert err == ""
+
+
 def test_verify_order_check_flags_inconsistency(capsys):
     code, out, _ = run(
         capsys, "verify", "--check", "order", "--method", "m1-as-printed",
@@ -705,3 +725,106 @@ def test_experiment_scenario_name_cannot_escape_outdir(tmp_path, capsys):
     assert code == 1
     assert "scenario name" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.txt"]
+
+
+# ---------------------------------------------------------------------------
+# the whole command line over random inputs
+
+TOKENS = ["1", "-1", "1/2", "0", "2", "-2", "-1/2", "1/3", "-3/4", "5/12", "1e-3", "1e3"]
+H_VALUES = ["1e-8", "0.1", "1", "3", "100"]
+HESSIANS = {"one": "4 0\n0 1\n", "two": "2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n",
+            "saddle": "-1 0\n0 1\n"}
+
+
+@st.composite
+def method_texts(draw, name):
+    """A method file of k <= 4 from a fixed set of tokens: plain, one-leg or
+    generalized, some with a `gamma:` block and some with a short beta.
+    Rows that halve two entries sum to one, as gamma rows and a one-leg
+    beta must; a beta ending in zero makes a plain scheme explicit."""
+    k = draw(st.integers(1, 4))
+
+    def tokens():
+        return draw(st.lists(st.sampled_from(TOKENS), min_size=k + 1, max_size=k + 1))
+
+    def halves():
+        row = [Fraction(0)] * (k + 1)
+        for j in draw(st.lists(st.integers(0, k), min_size=2, max_size=2)):
+            row[j] += Fraction(1, 2)
+        return [str(c) for c in row]
+
+    beta = draw(st.sampled_from([tokens, halves]))()
+    if draw(st.booleans()):
+        beta[k] = "0"
+    beta = beta[: draw(st.sampled_from([k + 1] * 5 + [k]))]
+    lines = [f"name: {name}", f"k: {k}", f"alpha: {' '.join(tokens())}",
+             f"beta: {' '.join(beta)}"]
+    kind = draw(st.sampled_from([None, "lmm", "one-leg", "generalized"]))
+    if kind is not None:
+        lines.append(f"kind: {kind}")
+    if draw(st.booleans()) or (kind == "generalized" and draw(st.booleans())):
+        lines += ["gamma:"] + [" ".join(halves()) for _ in range(k + 1)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def command_lines(draw):
+    """(files, argv): input files by name, and a command line that names
+    them (and its output directory `out`) relative to the directory that
+    holds them."""
+    files = {"F": draw(method_texts("F")), "G": draw(method_texts("G"))}
+    method = draw(st.sampled_from(
+        ["F", "F", "F,leapfrog", "m3-line1,F", "F,G", "pc-m2", "F,pc-m2"]))
+    h = draw(st.sampled_from(H_VALUES))
+    command = draw(st.sampled_from(["analyze", "verify", "integrate", "experiment"]))
+    if command == "analyze":
+        argv = ["analyze", "--method", method] + draw(st.sampled_from([[], ["--json"]]))
+    elif command == "verify":
+        argv = ["verify", "--method", method, "--h", h]
+        argv += draw(st.sampled_from([[], ["--check", "reversibility"]]))
+    elif command == "integrate":
+        argv = ["integrate", "--method", method, "--h", h, "--out", "out",
+                "--steps", draw(st.sampled_from(["1", "3", "40"])),
+                "--stride", draw(st.sampled_from(["1", "3", "7", "0"])),
+                "--starter", draw(st.sampled_from(STARTERS))]
+        argv += draw(st.sampled_from([[], ["--swap-partition"]]))
+        system = draw(st.sampled_from(["sho", *HESSIANS]))
+        if system != "sho":
+            files[system] = HESSIANS[system]
+            n = 2 if system == "two" else 1
+            argv += ["--system", system, "--q0", ",".join(["1"] * n),
+                     "--p0", ",".join(["0.5"] * n)]
+    else:
+        q0, p0 = (draw(st.sampled_from(["0", "1", "-0.5", "1e300"])) for _ in "qp")
+        files["S"] = (
+            f"scenario: s\nmethod: {method}\nh: {h}\nq0: {q0}\np0: {p0}\n"
+            f"steps: {draw(st.sampled_from(['1', '5', '40']))}\n"
+            f"starter: {draw(st.sampled_from(STARTERS))}\n"
+            f"stride: {draw(st.sampled_from(['1', '7']))}\n"
+            f"outputs: {draw(st.sampled_from(['phase,energy,error', 'energy']))}\n")
+        argv = ["experiment", "--scenario", "S", "--outdir", "out"]
+    return files, argv
+
+
+@given(command_lines())
+@settings(max_examples=200, deadline=None)
+def test_property_every_command_line_exits_cleanly(case):
+    # exit 0, 1 or 2 with no exception and no numpy warning, and a usage or
+    # input error (exit 1) writes no artifact
+    files, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for name, text in files.items():
+                Path(name).write_text(text)
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert code in (0, 1, 2)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            if code == 1:
+                assert not Path("out").exists()
+        finally:
+            os.chdir(cwd)

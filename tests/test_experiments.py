@@ -392,7 +392,7 @@ def _edge_trajectory(h0):
     energies[-len(special):] = special
     errors = np.abs(rng.standard_normal(rows))
     errors[7:49:7] = special
-    return Trajectory(h=0.1, states=states, energies=energies, start_count=1,
+    return Trajectory(h=0.1, states=states, energies=energies,
                       error_at=errors.__getitem__)
 
 
@@ -401,7 +401,8 @@ def _reference_csv(traj, stride, outputs):
     def line(j, values):
         return ",".join([str(j)] + [format(float(v), ".17g") for v in values]) + "\n"
 
-    t, H, idx = traj.times, traj.energies, range(0, len(traj.states), stride)
+    t = traj.h * np.arange(len(traj.states))
+    H, idx = traj.energies, range(0, len(traj.states), stride)
     text = {}
     if "phase" in outputs:
         text["phase"] = "step,t,q1,q2,p1,p2\n" + "".join(
@@ -434,7 +435,7 @@ def test_write_artifacts_memory_stays_flat(tmp_path):
     rows = 100_000
     rng = np.random.default_rng(3)
     traj = Trajectory(h=0.1, states=rng.standard_normal((rows, 4)),
-                      energies=rng.standard_normal(rows), start_count=1,
+                      energies=rng.standard_normal(rows),
                       error_at=rng.standard_normal(rows).__getitem__)
     tracemalloc.start()
     try:
@@ -498,8 +499,7 @@ def test_classify_counts_a_nan_as_the_crossing(diagonal, y0):
     # value over the threshold
     field = LinearHamiltonian.from_hessian(np.diag(diagonal))
     states = np.array([y0, [np.nan, np.nan], [np.nan, np.nan]])
-    traj = Trajectory(h=0.1, states=states, energies=field.energies(states),
-                      start_count=1)
+    traj = Trajectory(h=0.1, states=states, energies=field.energies(states))
     label, _, max_dev, slope, crossing = classify(traj)
     assert (label, crossing) == ("exploding", 1)
     assert (max_dev, slope) == (0.0, 0.0)
@@ -608,7 +608,7 @@ def _planted_record(h0, d, rows, seed, drift=1e-9, crossing=None, plants=(), h=0
             energies[row] = value
         else:
             states[row, column] = value
-    return Trajectory(h=h, states=states, energies=energies, start_count=1)
+    return Trajectory(h=h, states=states, energies=energies)
 
 
 @st.composite
@@ -679,8 +679,7 @@ def test_classify_memory_peak_on_a_long_record():
     rows = 1_000_000
     rng = np.random.default_rng(5)
     traj = Trajectory(h=0.1, states=np.zeros((rows, 2)),
-                      energies=0.5 + 1e-12 * rng.standard_normal(rows),
-                      start_count=1)
+                      energies=0.5 + 1e-12 * rng.standard_normal(rows))
     result, peak = _traced_peak(classify, traj)
     assert result[0] == "bounded"
     assert peak <= 17 * 2**20
@@ -691,7 +690,7 @@ def test_radius_deviation_memory_peak_on_a_long_record():
     rows = 1_000_000
     rng = np.random.default_rng(6)
     traj = Trajectory(h=0.1, states=rng.standard_normal((rows, 2)),
-                      energies=np.zeros(rows), start_count=1)
+                      energies=np.zeros(rows))
     radius, peak = _traced_peak(_radius_deviation, traj, None)
     assert radius == _radius_by_einsum(traj, None)
     assert peak <= 2**20

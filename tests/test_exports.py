@@ -44,3 +44,17 @@ def test_cli_import_leaves_scipy_unloaded():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_schemes_and_resolver_are_defined_once_in_methods():
+    # `methods` defines every scheme type, the registry and the resolver;
+    # the modules that step or run schemes only import them
+    from geostep import experiments, integrators, methods
+
+    assert experiments.resolve_scheme is methods.resolve_scheme
+    assert experiments.builtin_pairs is methods.builtin_pairs
+    assert integrators.PCPair is methods.PCPair
+    assert integrators.PartitionedPair is methods.PartitionedPair
+    for obj in (methods.resolve_scheme, methods.builtin_pairs, methods.PCPair,
+                methods.PartitionedPair, methods.pad_method):
+        assert obj.__module__ == "geostep.methods"

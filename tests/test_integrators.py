@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from geostep import integrators
 from geostep.cli import build_parser
 from geostep.experiments import Scenario, builtin_scenarios, classify, resolve_scheme
-from geostep.methods import MethodError, MethodSpec, builtin_methods
+from geostep.methods import MethodError, MethodSpec, builtin_methods, pad_method
 from geostep.integrators import (
     _BLOCK,
     STARTERS,
@@ -23,7 +23,6 @@ from geostep.integrators import (
     exact_start,
     integrate,
     numerical_jacobian,
-    pad_method,
     rk4_start,
     step,
     step_residual,
@@ -43,6 +42,16 @@ def pendulum() -> GradientField:
         hamiltonian_fn=lambda y: 0.5 * y[1] ** 2 - np.cos(y[0]),
         gradient_fn=lambda y: np.array([np.sin(y[0]), y[1]]),
     )
+
+
+def generic_run(scheme, field, y0, h, steps):
+    """A run through `integrate`'s generic per-step loop, which nonlinear
+    fields take: the reference for the blocked path of linear fields."""
+    y0 = np.asarray(y0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        window = rk4_start(field, y0, h, scheme.k - 1)
+        states = integrators._generic_loop(scheme, field, y0, window, h, steps)
+    return integrators._trajectory(field, y0, h, states)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +141,8 @@ def test_window_length_is_checked():
 
 def test_oneleg_matches_lmm_on_linear_field():
     lmm_twin = MethodSpec("mid-lmm", 1, MS["midpoint"].alpha, MS["midpoint"].beta)
-    t1 = integrate(MS["midpoint"], FIELD, Y0, 0.1, 200, force_generic=True)
-    t2 = integrate(lmm_twin, FIELD, Y0, 0.1, 200, force_generic=True)
+    t1 = generic_run(MS["midpoint"], FIELD, Y0, 0.1, 200)
+    t2 = generic_run(lmm_twin, FIELD, Y0, 0.1, 200)
     assert np.max(np.abs(t1.states - t2.states)) < 1e-11
 
 
@@ -278,8 +287,8 @@ def test_pair_members_list_roles_in_first_member_order():
 def test_steps_equal_k_returns_starter_only():
     m = MS["ab4"]
     starter = rk4_start(FIELD, Y0, 0.1, m.k - 1)
-    for force_generic in (False, True):
-        traj = integrate(m, FIELD, Y0, 0.1, m.k, force_generic=force_generic)
+    for run in (integrate, generic_run):
+        traj = run(m, FIELD, Y0, 0.1, m.k)
         assert traj.steps == m.k
         assert np.array_equal(traj.states, np.array(starter))
 
@@ -305,11 +314,10 @@ def test_integrate_validates_inputs():
 def test_trajectory_times_and_channels():
     traj = integrate(MS["leapfrog"], FIELD, Y0, 0.1, 25)
     assert isinstance(traj, Trajectory)
-    assert np.allclose(traj.times, 0.1 * np.arange(25))
+    assert traj.h == 0.1 and traj.steps == 25
     assert traj.energies.shape == (25,)
     assert traj.errors.shape == (25,)
     assert traj.errors[0] == 0.0
-    assert traj.start_count == 2
 
 
 def test_exact_starter_rows_have_zero_error():
@@ -321,7 +329,7 @@ def test_exact_starter_rows_have_zero_error():
 def test_fast_path_agrees_with_generic(name):
     m = MS[name]
     fast = integrate(m, FIELD, Y0, 0.1, 300)
-    slow = integrate(m, FIELD, Y0, 0.1, 300, force_generic=True)
+    slow = generic_run(m, FIELD, Y0, 0.1, 300)
     assert np.max(np.abs(fast.states - slow.states)) < 1e-12
 
 
@@ -330,7 +338,7 @@ def test_fast_path_agrees_for_pairs():
     part = PartitionedPair("m3", MS["m3-line1"], MS["m3b-corrected"])
     for scheme in (pair, part):
         fast = integrate(scheme, FIELD, Y0, 0.1, 300)
-        slow = integrate(scheme, FIELD, Y0, 0.1, 300, force_generic=True)
+        slow = generic_run(scheme, FIELD, Y0, 0.1, 300)
         assert np.max(np.abs(fast.states - slow.states)) < 1e-12
 
 
@@ -353,7 +361,7 @@ def test_blocked_path_matches_generic_across_block_edges(kind, extra):
     scheme = BLOCKED_SCHEMES[kind]
     steps = scheme.k + extra
     fast = integrate(scheme, FIELD2, Y02, 0.1, steps)
-    slow = integrate(scheme, FIELD2, Y02, 0.1, steps, force_generic=True)
+    slow = generic_run(scheme, FIELD2, Y02, 0.1, steps)
     assert fast.steps == slow.steps == steps
     assert np.max(np.abs(fast.states - slow.states)) < 1e-12
 
@@ -364,7 +372,7 @@ def test_blocked_path_with_short_blocks_on_large_systems(monkeypatch):
     d = FIELD2.dim
     monkeypatch.setattr(integrators, "_ROW_FLOATS", 3 * d * scheme.k * d)
     fast = integrate(scheme, FIELD2, Y02, 0.1, 50)
-    slow = integrate(scheme, FIELD2, Y02, 0.1, 50, force_generic=True)
+    slow = generic_run(scheme, FIELD2, Y02, 0.1, 50)
     assert np.max(np.abs(fast.states - slow.states)) < 1e-12
 
 
@@ -438,8 +446,7 @@ def test_blocked_pc_m2_matches_generic_over_long_run():
     M = window_matrix(resolve_scheme("pc-m2"), FIELD, 0.1)
     assert np.linalg.norm(M @ M.T - M.T @ M) > 1e-3
     fast = integrate(resolve_scheme("pc-m2"), FIELD, Y0, 0.1, 10**5)
-    slow = integrate(resolve_scheme("pc-m2"), FIELD, Y0, 0.1, 10**5,
-                     force_generic=True)
+    slow = generic_run(resolve_scheme("pc-m2"), FIELD, Y0, 0.1, 10**5)
     assert np.max(np.abs(fast.states - slow.states)) < 1e-10
 
 
@@ -469,7 +476,7 @@ def test_blocked_overflow_and_crossing_match_per_step_map():
     assert first is not None and first == _first_nonfinite(ref)
     # the crossing comes long before overflow; the generic path finds it too
     short = 2000
-    slow = integrate(scheme, FIELD, y0, s.h, short, force_generic=True)
+    slow = generic_run(scheme, FIELD, y0, s.h, short)
     crossing = classify(fast)[4]
     assert crossing is not None and crossing == classify(slow)[4]
 
@@ -487,8 +494,9 @@ def test_exact_channel_on_general_field_matches_matrix_exponential():
 def _full_error_channel(field, y0, h, states):
     """|y_j - exact flow at t_j| over every row at once."""
     steps = len(states)
-    if integrators._is_sho(field):
-        exact = sho_exact(float(np.sqrt(field.S[0, 0])), y0, h * np.arange(steps))
+    omega = integrators._sho_omega(field)
+    if omega is not None:
+        exact = sho_exact(omega, y0, h * np.arange(steps))
     else:
         exact = integrators._power_rows(expm(h * field.A), y0, steps, 0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -507,8 +515,8 @@ def linear_runs(draw):
         field, h = LinearHamiltonian.from_hessian(np.diag([-1.0, 1.0])), 1.0
         y0 = np.array([draw(unit), draw(unit)])
         with pytest.raises(StepFailure) as info:
-            integrate(MS["implicit-euler"], field, y0, h, 50,
-                      force_generic=draw(st.booleans()))
+            draw(st.sampled_from([integrate, generic_run]))(
+                MS["implicit-euler"], field, y0, h, 50)
         return info.value.partial, field, y0, h
     if kind == "hessian":
         B = np.array(draw(st.lists(unit, min_size=16, max_size=16))).reshape(4, 4)
@@ -856,19 +864,18 @@ def test_f_window_changes_no_number(name):
     # them afresh, and both must give the same state bit for bit
     scheme = pendulum_schemes()[name]
     k, h = scheme.k, 0.05
-    states = integrate(scheme, pendulum(), np.array([1.0, 0.0]), h, 300,
-                       force_generic=True).states
+    states = integrate(scheme, pendulum(), np.array([1.0, 0.0]), h, 300).states
     for j in range(k, len(states)):
         assert np.array_equal(states[j], step(scheme, pendulum(), states[j - k:j], h))
 
 
-@pytest.mark.parametrize("force_generic", [False, True])
-def test_singular_implicit_step_reports_step_failure(force_generic):
+@pytest.mark.parametrize("generic", [False, True])
+def test_singular_implicit_step_reports_step_failure(generic):
     # on diag(-1, 1), A = [[0, 1], [1, 0]], so I - hA is exactly singular at h = 1
     field = LinearHamiltonian.from_hessian(np.diag([-1.0, 1.0]))
     m = MS["implicit-euler"]
     with pytest.raises(StepFailure) as info:
-        integrate(m, field, Y0, 1.0, 10, force_generic=force_generic)
+        (generic_run if generic else integrate)(m, field, Y0, 1.0, 10)
     exc = info.value
     assert exc.step == m.k
     assert isinstance(exc.cause, SingularStepError)

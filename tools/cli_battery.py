@@ -11,6 +11,10 @@ output directory and named by relative path, so two runs print the same text
 when the two trees behave the same: `diff old.txt new.txt` is the identity
 check.  The canned figures 2-4 run 10^6 steps per scenario; the battery
 takes about 20 s on a 2-CPU host.
+
+Besides the oscillator it integrates a 2-DOF Hessian file, with each starter,
+so the Hessian loader and the matrix-exponential paths of the exact starter
+and the exact-error channel run too.
 """
 from __future__ import annotations
 
@@ -53,6 +57,8 @@ FILES = {
     "one-leg-sum": HEAD + "beta: 1 1\nkind: one-leg\n",
     "huge": "name: big\nk: 1\nalpha: -1e400 1e400\nbeta: 1 0\n",
     "bits-65": HEAD + f"beta: 0 {2**64}\n",
+    # its time-reversed run at h = 100 overflows (`verify` reads inf)
+    "reversed-overflow": "name: {name}\nk: 2\nalpha: -1/2 1 1\nbeta: 1 1 0\n",
 }
 ALL_COMMANDS = ("good", "gamma", "huge")
 # scenario files: H0 = 0 (the classifier watches |y|^2), and a start off the
@@ -64,6 +70,9 @@ SCENARIOS = {
                 f"q0: {math.cos(1)!r}\np0: {math.sin(1)!r}\nstride: 100\n",
 }
 
+# a 2-DOF Hessian, the oscillator's blockdiag(K, I) with K coupled
+HESSIAN = "2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n"
+
 INTEGRATE = ("integrate", "--steps", "300", "--stride", "7", "--method")
 
 
@@ -72,7 +81,11 @@ def cases() -> list[list[str]]:
     for spec in SPECS:
         out += [["analyze", "--method", spec], ["analyze", "--json", "--method", spec],
                 [*INTEGRATE, spec]]
-    out += [["verify"], ["verify", "--h", "0.3", "--omega", "2"]]
+    out += [[*INTEGRATE, "ab4", "--system", "../in/hessian.txt", "--q0", "1,-0.5",
+             "--p0", "0.2,0.3", "--starter", starter] for starter in ("rk4", "exact")]
+    out.append([*INTEGRATE, "m3-line1,m3b-corrected", "--swap-partition"])
+    out += [["verify"], ["verify", "--h", "0.3", "--omega", "2"],
+            ["verify", "--method", "../in/reversed-overflow.txt", "--h", "100"]]
     out += [["experiment", "--figure", str(figure)] for figure in range(1, 5)]
     out += [["experiment", "--scenario", f"../in/{name}.txt"] for name in SCENARIOS]
     for name in FILES:
@@ -96,6 +109,7 @@ def main(argv: list[str]) -> int:
             (inputs / f"{name}.txt").write_text(text.format(name=name))
         for name, text in SCENARIOS.items():
             (inputs / f"{name}.txt").write_text(text)
+        (inputs / "hessian.txt").write_text(HESSIAN)
         for args in cases():
             shutil.rmtree(outdir, ignore_errors=True)
             outdir.mkdir()
