@@ -91,7 +91,10 @@ def cmd_integrate(args) -> int:
     if args.swap_partition:
         if not isinstance(scheme, me.PartitionedPair):
             raise ValueError("--swap-partition needs a partitioned pair")
-        scheme = dataclasses.replace(scheme, swap=True)
+        # named with the member that advances q first, as the reversed pair
+        # it runs like, so its artifacts do not overwrite the unswapped run's
+        scheme = dataclasses.replace(
+            scheme, name=f"{scheme.second.name},{scheme.first.name}", swap=True)
     field = _resolve_system(args.system, args.omega)
     n = field.n
     q0 = _parse_floats(args.q0, n, "--q0")

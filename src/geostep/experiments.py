@@ -17,10 +17,15 @@ caller formats the first; the bytes written do not depend on the split.
 Summary statistics (max deviation, slope, radius deviation,
 classification) are always computed at full resolution, never from the
 decimated files.  They are formed in blocks of _STAT_BLOCK rows (8192)
-that stay in cache, so no temporary but the `lstsq` design matrix is as
-long as the run, and each has the bits of its formula over whole arrays.
-The exact-error channel is the exception: it is evaluated only at the
-written rows and, for `finalError`, the last row.
+that stay in cache, so no temporaries but the drift fit's design matrix
+and numpy's copy of it inside `lstsq` are as long as the run, and each has
+the bits of its formula over whole arrays.  The exact-error channel is the
+exception: it is evaluated only at the written rows and, for `finalError`,
+the last row.  `run_scenario` takes everything that reads the states
+first (artifacts, the crossing and deviation scan, radius deviation, final
+error) and lets the states go before the fit: at 10^6 steps the fit's peak
+holds the energies (8 MB), the (2, N) design matrix (16 MB) and the
+`lstsq` copy (24 MB), but not the 16 MB of states.
 
 Long runs are classified as bounded, drifting or exploding from the energy
 record, against two fixed thresholds.  Exploding is detected by the energy
@@ -394,15 +399,14 @@ def _squared_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def classify(traj: Trajectory):
-    """(classification, h0, max_deviation, slope, crossing_step).
+def _scan(traj: Trajectory) -> tuple[float, float, int | None]:
+    """(h0, max_deviation, crossing_step): the first half of `classify`,
+    and the only part of it that reads `traj.states` (when H_0 <= 0).
 
-    Statistics come from the pre-crossing prefix when the run explodes, so
-    the reported numbers are finite even after overflow.  The crossing,
-    the largest |H - H_0| and the time row of the `lstsq` design matrix are
-    formed one block of _STAT_BLOCK rows at a time, with the bits the whole
-    arrays would give, so the (2, N) design matrix is the only temporary as
-    long as the run.  `traj.states` is read only when H_0 <= 0.
+    The crossing and the largest |H - H_0| of the pre-crossing prefix are
+    formed one block of _STAT_BLOCK rows at a time, with the bits the
+    whole arrays would give.  The deviation reads 0.0 on a prefix of fewer
+    than two rows.
     """
     H = np.asarray(traj.energies, dtype=float)
     h0 = float(H[0])
@@ -437,8 +441,24 @@ def classify(traj: Trajectory):
         if crossing is not None:
             break
     N = rows if crossing is None else crossing
+    max_dev = float(np.max(peaks)) if N >= 2 else 0.0
+    return h0, max_dev, crossing
+
+
+def _fit(H: np.ndarray, h: float, h0: float, max_dev: float,
+         exploding: bool) -> tuple[str, float]:
+    """(classification, slope): the second half of `classify`, from the
+    energies H of the pre-crossing prefix (the whole run when it does not
+    explode), step size h and `_scan`'s h0 and max_deviation.
+
+    The slope is the least-squares fit of H against t_j = h * j (0.0 below
+    two rows).  The time row of its design matrix is filled one block of
+    _STAT_BLOCK rows at a time, so the (2, N) design matrix and `lstsq`'s
+    own copy are the only temporaries as long as the run.
+    """
+    N = len(H)
+    slope = 0.0
     if N >= 2:
-        max_dev = float(np.max(peaks))
         # the design matrix [t, 1] is the transpose of one (2, N) array, the
         # layout `np.vstack([t, ones]).T` has; t_j = h * j, with j exact as
         # a float
@@ -447,19 +467,30 @@ def classify(traj: Trajectory):
         for lo in range(0, N, _STAT_BLOCK):
             t = design[0, lo : lo + _STAT_BLOCK]
             np.add(ramp[: len(t)], lo, out=t)
-            t *= traj.h
+            t *= h
         design[1] = 1.0
-        slope = float(np.linalg.lstsq(design.T, H[:N], rcond=None)[0][0])
-    else:
-        max_dev, slope = 0.0, 0.0
-    if crossing is not None:
-        return "exploding", h0, max_dev, slope, crossing
-    scale = abs(h0) if h0 != 0 else 1.0
-    budget = BOUNDED_FRACTION * scale
-    t_final = traj.h * (rows - 1)
+        slope = float(np.linalg.lstsq(design.T, H, rcond=None)[0][0])
+    if exploding:
+        return "exploding", slope
+    budget = BOUNDED_FRACTION * (abs(h0) if h0 != 0 else 1.0)
+    t_final = h * (N - 1)
     if max_dev <= budget and abs(slope) * t_final <= budget:
-        return "bounded", h0, max_dev, slope, None
-    return "drifting", h0, max_dev, slope, None
+        return "bounded", slope
+    return "drifting", slope
+
+
+def classify(traj: Trajectory):
+    """(classification, h0, max_deviation, slope, crossing_step).
+
+    Statistics come from the pre-crossing prefix when the run explodes, so
+    the reported numbers are finite even after overflow.  This is `_scan`
+    then `_fit`; `traj.states` is read only when H_0 <= 0, and only by
+    `_scan`.
+    """
+    h0, max_dev, crossing = _scan(traj)
+    H = np.asarray(traj.energies, dtype=float)[:crossing]
+    label, slope = _fit(H, traj.h, h0, max_dev, crossing is not None)
+    return label, h0, max_dev, slope, crossing
 
 
 def _radius_deviation(traj: Trajectory, crossing: int | None) -> float | None:
@@ -495,7 +526,9 @@ def run_and_write(name: str, scheme: Scheme, field, y0, h: float, steps: int,
         traj = integrate(scheme, field, y0, h, steps, starter=starter)
         failure = None
     except StepFailure as exc:
-        traj, failure = exc.partial, exc
+        # the failure is returned, not raised: its traceback would hold this
+        # frame, and so the failure and its partial run, in a cycle
+        traj, failure = exc.partial, exc.with_traceback(None)
     failed_step = None if failure is None else failure.step
     files = write_artifacts(name, traj, outdir, stride, outputs, failed_step)
     return traj, files, failure
@@ -506,6 +539,9 @@ def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
 
     On a stepper failure the partial trajectory is still written (see
     `run_and_write`) and the failing step index lands in the summary.
+    Everything that reads the states (the artifacts, `classify`'s scan,
+    the radius deviation and the final error) runs first; the states are
+    then let go, so they are not held while the drift fit's buffers are.
     """
     outdir = Path(outdir)
     scheme = resolve_scheme(s.method)
@@ -514,21 +550,29 @@ def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
         s.starter, outdir, s.stride, s.outputs,
     )
     warnings = scheme.warnings
+    failed_step = None
     if failure is not None:
+        failed_step = failure.step
         warnings += (f"stepper failed at step {failure.step}: {failure.cause}",)
-
-    label, h0, max_dev, slope, crossing = classify(traj)
+    h0, max_dev, crossing = _scan(traj)
+    radius = _radius_deviation(traj, crossing)
+    final_error = traj.final_error
+    energies = traj.energies
+    # the last references to the states: the trajectory, whose error_at
+    # closure holds them too, and the failure's partial trajectory
+    del traj, failure
+    label, slope = _fit(energies[:crossing], s.h, h0, max_dev, crossing is not None)
     result = ScenarioResult(
         scenario=s,
         files=files,
         h0=h0,
         max_deviation=max_dev,
         slope=slope,
-        final_error=traj.final_error,
-        radius_deviation=_radius_deviation(traj, crossing),
+        final_error=final_error,
+        radius_deviation=radius,
         classification=label,
         crossing_step=crossing,
-        failed_step=None if failure is None else failure.step,
+        failed_step=failed_step,
         warnings=warnings,
     )
     summary = outdir / f"{s.name}-summary.txt"

@@ -13,6 +13,7 @@ import tempfile
 from pathlib import Path
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,10 @@ from hypothesis import strategies as st
 import geostep
 from geostep import cli
 from geostep.cli import main
-from geostep.integrators import STARTERS
-from geostep.methods import _MAX_BITS, _MAX_K, REGISTRY_NAMES
+from geostep.experiments import BOUNDED_FRACTION, parse_scenario
+from geostep.integrators import STARTERS, StepFailure, integrate
+from geostep.methods import _MAX_BITS, _MAX_K, REGISTRY_NAMES, resolve_scheme
+from geostep.systems import sho
 
 
 def run(capsys, *argv):
@@ -421,6 +424,29 @@ def test_swap_partition_requires_pair(capsys):
     assert "partitioned" in err
 
 
+def test_swapped_run_keeps_its_own_artifacts(tmp_path, capsys):
+    # named with the member that advances q first, like the reversed pair
+    # it runs as; it used to take the unswapped pair's name and overwrite
+    # its files
+    pair = ("integrate", "--method", "m3-line1,m3b-corrected", "--steps", "2000",
+            "--stride", "7")
+    code, out, _ = run(capsys, *pair, "--out", str(tmp_path / "both"))
+    assert code == 0 and out.startswith("m3-line1+m3b-corrected: ")
+    code, out, _ = run(capsys, *pair, "--swap-partition", "--out", str(tmp_path / "both"))
+    assert code == 0 and out.startswith("m3b-corrected+m3-line1: ")
+    assert sorted(p.name for p in (tmp_path / "both").iterdir()) == sorted(
+        f"{name}-{kind}.csv" for name in ("m3-line1+m3b-corrected", "m3b-corrected+m3-line1")
+        for kind in ("phase", "energy", "error"))
+    code, reversed_out, _ = run(
+        capsys, "integrate", "--method", "m3b-corrected,m3-line1", "--steps", "2000",
+        "--stride", "7", "--out", str(tmp_path / "reversed"))
+    assert code == 0 and reversed_out == out
+    for kind in ("phase", "energy", "error"):
+        name = f"m3b-corrected+m3-line1-{kind}.csv"
+        assert ((tmp_path / "both" / name).read_bytes()
+                == (tmp_path / "reversed" / name).read_bytes())
+
+
 def test_integrate_custom_system_file(tmp_path, capsys):
     f = tmp_path / "hessian.txt"
     f.write_text("4 0\n0 1\n")
@@ -795,6 +821,9 @@ def command_lines(draw):
             argv += ["--system", system, "--q0", ",".join(["1"] * n),
                      "--p0", ",".join(["0.5"] * n)]
     else:
+        # registry schemes three times in four, so that bounded runs are drawn
+        method = draw(st.sampled_from(
+            [method, "midpoint", "m1-corrected", "m3-line1,m3b-corrected"]))
         q0, p0 = (draw(st.sampled_from(["0", "1", "-0.5", "1e300"])) for _ in "qp")
         files["S"] = (
             f"scenario: s\nmethod: {method}\nh: {h}\nq0: {q0}\np0: {p0}\n"
@@ -803,28 +832,74 @@ def command_lines(draw):
             f"stride: {draw(st.sampled_from(['1', '7']))}\n"
             f"outputs: {draw(st.sampled_from(['phase,energy,error', 'energy']))}\n")
         argv = ["experiment", "--scenario", "S", "--outdir", "out"]
-    return files, argv
+    return files, argv, None
 
 
-@given(command_lines())
+@st.composite
+def singular_steps(draw):
+    """(files, argv, 2): an integrate run whose implicit step is singular.
+    On the saddle H = (p^2 - q^2) / 2, A = [[0, 1], [1, 0]], so I - h b A is
+    singular at h = 1 for a last beta b = 1 (and a last alpha of 1): the run
+    aborts at its first step past the starter window."""
+    files = {"saddle": HESSIANS["saddle"]}
+    k = draw(st.integers(1, 3))
+    beta = draw(st.lists(st.sampled_from(TOKENS), min_size=k, max_size=k))
+    files["P"] = (f"name: P\nk: {k}\nalpha: -1{' 0' * (k - 1)} 1\n"
+                  f"beta: {' '.join(beta)} 1\n")
+    argv = ["integrate", "--method", draw(st.sampled_from(["implicit-euler", "P"])),
+            "--system", "saddle", "--h", "1", "--out", "out",
+            "--steps", draw(st.sampled_from(["3", "40"])),
+            "--stride", draw(st.sampled_from(["1", "3", "7"])),
+            "--starter", draw(st.sampled_from(STARTERS))]
+    return files, argv, 2
+
+
+def _recomputed_energies(scenario_text: str) -> np.ndarray:
+    """H = (omega^2 q^2 + p^2) / 2 of every state of a scenario's run,
+    integrated anew and formed here rather than by the field."""
+    s = parse_scenario(scenario_text)
+    try:
+        states = integrate(resolve_scheme(s.method), sho(s.omega), [s.q0, s.p0],
+                           s.h, s.steps, starter=s.starter).states
+    except StepFailure as exc:
+        states = exc.partial.states
+    q, p = states.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * (s.omega * s.omega * q * q + p * p)
+
+
+@given(st.integers(0, 3).flatmap(
+    lambda i: singular_steps() if i == 0 else command_lines()))
 @settings(max_examples=200, deadline=None)
 def test_property_every_command_line_exits_cleanly(case):
-    # exit 0, 1 or 2 with no exception and no numpy warning, and a usage or
-    # input error (exit 1) writes no artifact
-    files, argv = case
+    # exit 0, 1 or 2 with no exception and no numpy warning, a usage or
+    # input error (exit 1) writes no artifact, a planted singular step
+    # aborts (exit 2), and a run labelled bounded has finite energies
+    # within 1% of |H0| when recomputed
+    files, argv, expected = case
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
             for name, text in files.items():
                 Path(name).write_text(text)
+            stdout = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
-                    redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    redirect_stdout(stdout), redirect_stderr(io.StringIO()):
                 warnings.simplefilter("always")
                 code = main(argv)
             assert code in (0, 1, 2)
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
             if code == 1:
                 assert not Path("out").exists()
+            if expected is not None:
+                assert code == expected
+                for artifact in Path("out").iterdir():
+                    last = artifact.read_text().splitlines()[-1]
+                    assert last.startswith("# aborted at step ")
+            if "s: bounded" in stdout.getvalue().splitlines():
+                H = _recomputed_energies(files["S"])
+                assert np.all(np.isfinite(H))
+                assert np.max(np.abs(H - H[0])) <= BOUNDED_FRACTION * (abs(H[0]) or 1.0)
         finally:
             os.chdir(cwd)

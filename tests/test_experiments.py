@@ -3,6 +3,7 @@ import csv
 import filecmp
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -694,6 +695,42 @@ def test_radius_deviation_memory_peak_on_a_long_record():
     radius, peak = _traced_peak(_radius_deviation, traj, None)
     assert radius == _radius_by_einsum(traj, None)
     assert peak <= 2**20
+
+
+@pytest.mark.parametrize("abort", [False, True], ids=["completed", "aborted"])
+def test_run_scenario_lets_the_states_go_before_the_fit(tmp_path, monkeypatch, abort):
+    # the states are dead once the drift fit starts: every statistic that
+    # reads them is taken first, so they are not held beside its buffers
+    runs, seen = [], []
+
+    def recorded(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        runs.append(weakref.ref(traj.states))
+        if abort:
+            raise integrators.StepFailure(
+                len(traj.states), integrators.SingularStepError("planted"), traj)
+        return traj
+
+    def lstsq(*args, _fn=np.linalg.lstsq, **kwargs):
+        seen.append([run() is None for run in runs])
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", recorded)
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    rep = run_scenario(Scenario("dropped", "m1-corrected", steps=20_000), tmp_path)
+    assert seen == [[True]]
+    assert rep.classification == "bounded"
+    assert rep.failed_step == (20_000 if abort else None)
+
+
+def test_run_scenario_memory_peak_on_a_long_run(tmp_path):
+    # 10^6 steps: the states are 16 MB, the energies 8 MB and the fit's
+    # design matrix 16 MB; states and design matrix are never held together
+    s = {s.name: s for s in builtin_scenarios()}["fig2-m1-corrected"]
+    assert s.steps == 1_000_000
+    rep, peak = _traced_peak(run_scenario, s, tmp_path)
+    assert rep.classification == "bounded"
+    assert peak <= 26 * 2**20
 
 
 def test_blow_up_to_nan_scenario_is_exploding(tmp_path):
