@@ -8,12 +8,17 @@ scheme through `methods.resolve_scheme`.
 A scenario is one integrator run on the harmonic oscillator with fixed
 parameters.  Runs write up to three CSV artifacts (phase, energy, error),
 each decimated by `stride`, plus a flat key-value summary.  The CSVs are
-streamed together in fixed blocks of _CSV_BLOCK rows, with each row's
-`step,t` text formatted once for all of them; the text is byte-identical
-to formatting every value with format(x, ".17g").  From _PARALLEL_ROWS
-written rows on (16384), where the process may use two CPUs and `os.fork`
-exists, a forked child formats the second half of the rows while the
-caller formats the first; the bytes written do not depend on the split.
+streamed together in fixed blocks of _CSV_BLOCK rows.  Each block's text
+comes from one numpy kernel, `_csvtext.csv_rows`: it converts every value
+of the block once, the `step,t` lead included, and picks each file's
+columns from the result.  Its digits come from a double-double fast path,
+with Python's own correctly rounded '%.16e' as the exact fallback, so the
+text is byte-identical to formatting every value with format(x, ".17g").
+From _PARALLEL_ROWS written rows on (32768), where the process may use two
+CPUs and `os.fork` exists, a forked child formats the second half of the
+rows while the caller formats the first; the bytes written do not depend on
+the split.  The kernel's tables are built before the fork, so the child
+builds nothing.
 Summary statistics (max deviation, slope, radius deviation,
 classification) are always computed at full resolution, never from the
 decimated files.  They are formed in blocks of _STAT_BLOCK rows (8192)
@@ -58,6 +63,7 @@ import numpy as np
 # this module, as the benchmark's set-up probe does
 from .methods import _NAME_RE, Scheme, _read_fields, builtin_pairs, resolve_scheme
 from .integrators import STARTERS, StepFailure, Trajectory, integrate
+from ._csvtext import csv_rows, csv_tables
 from .systems import sho
 
 __all__ = [
@@ -226,13 +232,15 @@ def format_scenario(s: Scenario) -> str:
 
 _CSV_BLOCK = 1024  # rows formatted and written per call; keeps memory flat
 # From this many written rows on, a forked child formats the second half.
-# Forking, reaping the child and copying its rows back cost a few ms.  On a
-# 2-CPU host (medians of 31 alternated writes) the split took x0.84 of the
-# serial time at 16 blocks for the cheapest rows (1-DOF, energy alone, about
-# 3 us a row), and x1.2 at 8 blocks; 2-DOF rows with all three files took
-# x0.58 at 16 blocks.  A multiple of _CSV_BLOCK, and at least two blocks, so
-# that both halves are whole blocks and neither is empty.
-_PARALLEL_ROWS = 16 * _CSV_BLOCK
+# Forking, reaping the child and copying its rows back cost several ms.  On
+# a 2-CPU host (medians of 31-61 alternated writes, over several rounds)
+# the split took x0.93-x1.48 of the serial time at 16 blocks for the
+# cheapest rows (1-DOF, energy alone, about 1 us a row), x0.72-x0.79 at 24
+# blocks and x0.66-x0.72 at 32 blocks; 2-DOF rows with all three files
+# (about 3 us a row) took x0.72-x0.81 at 16 blocks and x0.63-x0.70 at 32.
+# A multiple of _CSV_BLOCK, and at least two blocks, so that both halves
+# are whole blocks and neither is empty.
+_PARALLEL_ROWS = 32 * _CSV_BLOCK
 _SPILL_CHUNK = 64 * 1024  # bytes per copy from the child's files; keeps memory flat
 
 
@@ -266,7 +274,7 @@ def write_artifacts(
     n = traj.states.shape[1] // 2
     h0 = traj.energies[0]
     H = traj.energies[::stride]
-    # kind -> (header, block slice -> value columns as lists)
+    # kind -> (header, block slice -> value columns, each an array)
     tables = {}
     if "phase" in outputs:
         coords = (
@@ -274,61 +282,60 @@ def write_artifacts(
             else [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
         )
         Y = traj.states[::stride].T
-        tables["phase"] = (["step", "t"] + coords, lambda b: Y[:, b].tolist())
+        tables["phase"] = (["step", "t"] + coords, lambda b: list(Y[:, b]))
     if "energy" in outputs:
-        tables["energy"] = (
-            ["step", "t", "H", "dH"],
-            lambda b: [H[b].tolist(), (H[b] - h0).tolist()],
-        )
+        tables["energy"] = (["step", "t", "H", "dH"], lambda b: [H[b], H[b] - h0])
     steps = range(0, len(traj.states), stride)
     if "error" in outputs and traj.error_at is not None:
         # evaluated at the written rows only, one block at a time
         def errors(b):
             rows = steps[b]
-            rows = np.arange(rows.start, rows.stop, rows.step)
-            return [traj.error_at(rows).tolist()]
+            return [traj.error_at(np.arange(rows.start, rows.stop, rows.step))]
 
         tables["error"] = (["step", "t", "error"], errors)
     if not tables:
         return {}
     files = {kind: str(outdir / f"{name}-{kind}.csv") for kind in tables}
-    # fixed newline and %.17g (the text of format(x, ".17g")) so reruns are
-    # byte-identical
-    formats = [
-        ("%s" + ",%.17g" * (len(header) - 2) + "\n").__mod__
-        for header, _ in tables.values()
-    ]
+    # each file's columns of a block: the shared step and t, then its own
+    layout, width = [], 2
+    for header, _ in tables.values():
+        layout.append([0, 1, *range(width, width + len(header) - 2)])
+        width += len(header) - 2
 
     def emit(writes, lo: int, hi: int) -> None:
         """Rows lo..hi-1 of `steps`, one block at a time; lo is a multiple
         of _CSV_BLOCK, and hi one too unless it is the last row."""
         for start in range(lo, hi, _CSV_BLOCK):
             block = slice(start, start + _CSV_BLOCK)
-            lead = ["%d,%.17g" % (j, traj.h * j) for j in steps[block]]
-            for write, fmt, (_, columns) in zip(writes, formats, tables.values()):
-                write("".join(map(fmt, zip(lead, *columns(block)))))
+            rows = steps[block]
+            # the step as a float: its %.17g text is its %d text below 10^17
+            j = np.arange(rows.start, rows.stop, rows.step, dtype=float)
+            columns = [j, traj.h * j]
+            for _, values in tables.values():
+                columns += values(block)
+            for write, text in zip(writes, csv_rows(np.column_stack(columns), layout)):
+                write(text)
 
     rows = split = len(steps)
     if rows >= _PARALLEL_ROWS and hasattr(os, "fork") and _usable_cpus() >= 2:
         # whole blocks on each side, the parent's half no smaller
         split = -(-rows // (2 * _CSV_BLOCK)) * _CSV_BLOCK
         # the child only indexes, subtracts and formats: anything lazy, such
-        # as the cached expm flow of a general linear field, is built here
-        for _, columns in tables.values():
-            columns(slice(0, 1))
+        # as the cached expm flow of a general linear field or the text
+        # kernel's tables, is built here
+        for _, values in tables.values():
+            values(slice(0, 1))
+        csv_tables()
     with ExitStack() as stack:
         handles = []
         for kind, (header, _) in tables.items():
-            fh = stack.enter_context(open(files[kind], "w", newline="\n"))
-            fh.write(",".join(header) + "\n")
+            fh = stack.enter_context(open(files[kind], "wb"))
+            fh.write(",".join(header).encode() + b"\n")
             handles.append(fh)
         writes = [fh.write for fh in handles]
         if split < rows:
-            spills = [
-                stack.enter_context(
-                    tempfile.TemporaryFile("w+", newline="\n", dir=outdir))
-                for _ in handles
-            ]
+            spills = [stack.enter_context(tempfile.TemporaryFile(dir=outdir))
+                      for _ in handles]
             pid = os.fork()
             if pid == 0:
                 _child(lambda: emit([s.write for s in spills], split, rows), spills)
@@ -346,14 +353,13 @@ def write_artifacts(
                     f"failed with exit code {os.waitstatus_to_exitcode(status)}"
                 )
             for fh, spill in zip(handles, spills):
-                fh.flush()
                 spill.seek(0)
-                shutil.copyfileobj(spill.buffer, fh.buffer, _SPILL_CHUNK)
+                shutil.copyfileobj(spill, fh, _SPILL_CHUNK)
         else:
             emit(writes, 0, rows)
         if failed_step is not None:
             for write in writes:
-                write(f"# aborted at step {failed_step}\n")
+                write(b"# aborted at step %d\n" % failed_step)
     return files
 
 

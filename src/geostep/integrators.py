@@ -504,6 +504,12 @@ def _generic_loop(scheme, field, y0, window, h, steps):
             states[j] = advance(field, ys, fs, h)
         except (ConvergenceError, SingularStepError) as exc:
             partial = _trajectory(field, y0, h, states[:j].copy())
+            # the chain's tracebacks hold this frame and the solver's, and
+            # with them `states`: the failure keeps only the partial copy
+            cause = exc
+            while cause is not None:
+                cause.__traceback__ = None
+                cause = cause.__cause__ or cause.__context__
             raise StepFailure(j, exc, partial) from exc
         ys = ys[1:] + [states[j]]
         fs = fs[1:] + [None]

@@ -1,5 +1,6 @@
 """Stepping: single steps, implicit solves, pairs, fast path, failures."""
 from fractions import Fraction
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,6 +585,32 @@ def test_divergent_implicit_solve_reports_step_failure():
     assert isinstance(exc.cause, ConvergenceError)
     assert exc.partial.steps == 1
     assert np.allclose(exc.partial.states[0], [1.0, 10.0])
+
+
+def test_step_failure_holds_only_its_partial_run():
+    # implicit Euler's Newton matrix on the saddle H = (p^2 - q^2) / 2 is
+    # singular at h = 1, so step 1 fails (ConvergenceError from LinAlgError);
+    # once the failure's own traceback is cleared it must hold its 1-row
+    # partial run, not the (10^6, 2) array the loop allocated (16 MB)
+    field = GradientField(
+        1,
+        hamiltonian_fn=lambda y: 0.5 * (y[1] ** 2 - y[0] ** 2),
+        gradient_fn=lambda y: np.array([-y[0], y[1]]),
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            integrate(MS["implicit-euler"], field, np.array([1.0, 0.5]), 1.0, 10**6)
+        except StepFailure as exc:
+            failure = exc.with_traceback(None)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert failure.step == 1 and failure.partial.steps == 1
+    assert isinstance(failure.cause, ConvergenceError)
+    assert isinstance(failure.cause.__cause__, np.linalg.LinAlgError)
+    assert held < 2**20
 
 
 @pytest.mark.parametrize("name, h, steps", [

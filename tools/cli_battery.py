@@ -14,7 +14,9 @@ takes about 20 s on a 2-CPU host.
 
 Besides the oscillator it integrates a 2-DOF Hessian file, with each starter,
 so the Hessian loader and the matrix-exponential paths of the exact starter
-and the exact-error channel run too.
+and the exact-error channel run too.  Two runs write every row: one long
+enough for the CSV writer to split its rows with a forked child, and one
+that overflows, so the CSVs hold inf, -inf and nan.
 """
 from __future__ import annotations
 
@@ -84,6 +86,12 @@ def cases() -> list[list[str]]:
     out += [[*INTEGRATE, "ab4", "--system", "../in/hessian.txt", "--q0", "1,-0.5",
              "--p0", "0.2,0.3", "--starter", starter] for starter in ("rk4", "exact")]
     out.append([*INTEGRATE, "m3-line1,m3b-corrected", "--swap-partition"])
+    # every row written: 40000 rows are past the forked split's threshold
+    # (32768), and explicit Euler at h = 7 overflows to inf, -inf and nan
+    out += [["integrate", "--steps", "40000", "--stride", "1", "--method", "leapfrog",
+             "--system", "../in/hessian.txt", "--q0", "1,-0.5", "--p0", "0.2,0.3"],
+            ["integrate", "--steps", "400", "--stride", "1", "--method",
+             "explicit-euler", "--h", "7"]]
     out += [["verify"], ["verify", "--h", "0.3", "--omega", "2"],
             ["verify", "--method", "../in/reversed-overflow.txt", "--h", "100"]]
     out += [["experiment", "--figure", str(figure)] for figure in range(1, 5)]
