@@ -321,8 +321,8 @@ def write_artifacts(
         # whole blocks on each side, the parent's half no smaller
         split = -(-rows // (2 * _CSV_BLOCK)) * _CSV_BLOCK
         # the child only indexes, subtracts and formats: anything lazy, such
-        # as the cached expm flow of a general linear field or the text
-        # kernel's tables, is built here
+        # as the cached exact flow exp(hA) of a general linear field or the
+        # text kernel's tables, is built here
         for _, values in tables.values():
             values(slice(0, 1))
         csv_tables()

@@ -45,8 +45,10 @@ evaluated only at the rows a caller asks for (`Trajectory.error_at`): the
 written CSV rows and the last row, not every step of a 10^6-step run.  On
 the oscillator each asked-for row costs one closed-form `sho_exact` value;
 a general linear field propagates the exact flow once per trajectory, the
-same way as the scheme with M = expm(hA), when a row is first asked for.
-Either way the values are bit-identical to slicing the full channel.
+same way as the scheme with M = exp(hA), when a row is first asked for.
+exp(hA) comes from `systems._expm`, a numpy scaling-and-squaring Pade
+exponential, so no run imports scipy.  Either way the values are
+bit-identical to slicing the full channel.
 """
 from __future__ import annotations
 
@@ -59,7 +61,7 @@ from typing import Callable
 import numpy as np
 
 from .methods import MethodSpec, PCPair, PartitionedPair, Scheme
-from .systems import LinearHamiltonian, sho_exact
+from .systems import LinearHamiltonian, _expm, sho_exact
 
 __all__ = [
     "STARTERS",
@@ -171,17 +173,17 @@ def _sho_omega(field: LinearHamiltonian) -> float | None:
 
 
 def exact_start(field, y0, h: float, count: int) -> list[np.ndarray]:
-    """y0 plus `count` states on the exact flow (linear fields only)."""
+    """y0 plus `count` states on the exact flow (linear fields only): the
+    closed form `sho_exact` on the oscillator, else exp(j h A) y0 with the
+    numpy exponential `systems._expm`, which gives NaN where j h A overflows."""
     if not isinstance(field, LinearHamiltonian):
         raise ValueError("exact starter requires a linear field")
     y0 = np.array(y0, dtype=float)
     w = _sho_omega(field)
     if w is not None:
         return [sho_exact(w, y0, j * h) for j in range(count + 1)]
-    from scipy.linalg import expm  # slow to import; only general fields need it
-
     # each state from its own matrix exponential, no error accumulation
-    return [expm(j * h * field.A) @ y0 for j in range(count + 1)]
+    return [_expm(j * h * field.A) @ y0 for j in range(count + 1)]
 
 
 def _error_at(field: LinearHamiltonian, y0, h: float, states: np.ndarray):
@@ -197,9 +199,7 @@ def _error_at(field: LinearHamiltonian, y0, h: float, states: np.ndarray):
     else:
         @functools.cache
         def flow():
-            from scipy.linalg import expm  # slow to import; only general fields need it
-
-            return _power_rows(expm(h * field.A), y0, len(states), 0)
+            return _power_rows(_expm(h * field.A), y0, len(states), 0)
 
         def exact(rows):
             return flow()[rows]
@@ -574,10 +574,10 @@ def integrate(scheme: Scheme, field, y0, h: float, steps: int,
     """Run a scheme; return its states, energies and exact-error channel.
 
     `steps` counts recorded states including the k starter states; it must
-    be at least k.  `starter` names one of `STARTERS`.  The exact-error
-    channel exists only for linear fields, where the exact flow is known.
-    Linear fields take the blocked window-map path, all others the generic
-    per-step loop.
+    be at least k, and the last state's time h (steps - 1) must be finite.
+    `starter` names one of `STARTERS`.  The exact-error channel exists only
+    for linear fields, where the exact flow is known.  Linear fields take
+    the blocked window-map path, all others the generic per-step loop.
     """
     if starter not in STARTERS:
         raise ValueError(f"starter must be one of {STARTERS}, got {starter!r}")
@@ -586,6 +586,9 @@ def integrate(scheme: Scheme, field, y0, h: float, steps: int,
     k = scheme.k
     if steps < k:
         raise ValueError(f"steps must be >= window k = {k}, got {steps}")
+    if not math.isfinite(h * (steps - 1)):
+        raise ValueError(f"the time grid overflows: h * (steps - 1) = "
+                         f"{h} * {steps - 1} is not finite")
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (field.dim,):
         raise ValueError(f"y0 must have shape ({field.dim},), got {y0.shape}")

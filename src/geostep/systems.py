@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import functools
+import math
 from typing import Callable
 
 import numpy as np
@@ -182,6 +183,60 @@ def sho_exact(omega: float, y0, t):
     q = q0 * c + (p0 / omega) * s
     p = p0 * c - omega * q0 * s
     return np.stack([q, p], axis=-1)
+
+
+# Higham's diagonal Pade approximants r_m(A) = (V - U)^-1 (V + U) of exp,
+# with U and V the odd and even parts of sum_i c_i A^i: for each degree m,
+# the bound theta_m on |A|_1 below which r_m(A) is exp(A) to unit roundoff,
+# and c_i = b_i / b_0 from his integer b_0 .. b_m.  With c_0 = 1, V - U has
+# an exact unit diagonal where A's powers vanish, so a nilpotent A such as
+# [[0, t], [0, 0]] gives exp(A) = I + A exactly.
+_PADE = tuple((theta, tuple(x / b[0] for x in b)) for theta, b in (
+    (1.495585217958292e-2, (120, 60, 12, 1)),
+    (2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
+    (9.504178996162932e-1, (17297280, 8648640, 1995840, 277200, 25200, 1512,
+                            56, 1)),
+    (2.097847961257068e0, (17643225600, 8821612800, 2075673600, 302702400,
+                           30270240, 2162160, 110880, 3960, 90, 1)),
+    (5.371920351148152e0, (64764752532480000, 32382376266240000,
+                           7771770303897600, 1187353796428800,
+                           129060195264000, 10559470521600, 670442572800,
+                           33522128640, 1323241920, 40840800, 960960, 16380,
+                           182, 1)),
+))
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) of a square matrix by scaling and squaring.
+
+    The lowest degree m in 3, 5, 7, 9, 13 whose theta_m bounds |A|_1 is
+    used on A itself; a larger A is scaled by 2^-s into theta_13 and the
+    result squared s times (Higham, SIAM J. Matrix Anal. Appl. 26 (2005)
+    1179-1193).  A matrix with a non-finite entry or 1-norm gives all NaN;
+    overflow while squaring is left in the result, without a warning.
+    """
+    A = np.asarray(A, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        return np.full(A.shape, np.nan)
+    for theta, b in _PADE:
+        if norm <= theta:
+            break
+    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    A = A * 2.0**-s
+    # the even powers I, A^2, .., A^(m-1)
+    A2 = A @ A
+    powers = [np.eye(A.shape[0]), A2]
+    while len(powers) < len(b) // 2:
+        powers.append(powers[-1] @ A2)
+    U = A @ sum(b[2 * i + 1] * P for i, P in enumerate(powers))
+    V = sum(b[2 * i] * P for i, P in enumerate(powers))
+    E = np.linalg.solve(V - U, V + U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            E = E @ E
+    return E
 
 
 def load_linear_system(path: str) -> LinearHamiltonian:

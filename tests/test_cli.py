@@ -373,6 +373,34 @@ def test_integrate_non_finite_input_exits_1(tmp_path, capsys, flag, value):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_integrate_overflowing_time_grid_exits_1(tmp_path, capsys):
+    # h (steps - 1) = 9e308 is past the float range: the t column would
+    # read inf
+    code, _, err = run(
+        capsys, "integrate", "--method", "leapfrog", "--h", "1e308",
+        "--steps", "10", "--out", str(tmp_path),
+    )
+    assert code == 1
+    assert "time grid" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("starter", STARTERS)
+def test_integrate_overflowing_exact_flow_reads_nan(tmp_path, capsys, starter):
+    # h A overflows on this Hessian's entries above 1, so exp(hA) is all NaN
+    f = tmp_path / "hessian.txt"
+    f.write_text("2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n")
+    code, out, err = run(
+        capsys, "integrate", "--method", "leapfrog", "--system", str(f),
+        "--q0", "1,0.5", "--p0", "0,0.2", "--h", "1e308", "--steps", "2",
+        "--starter", starter, "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert out == ("leapfrog: steps=2 H0=1.645 finalDeviation=nan "
+                   "finalError=nan\n")
+    assert err == ""
+
+
 def test_integrate_out_of_memory_exits_1_and_writes_nothing(
     tmp_path, capsys, monkeypatch
 ):
@@ -739,6 +767,18 @@ def test_experiment_overflowing_scenario_prints_no_numpy_warning(tmp_path):
     assert proc.returncode == 0
     assert "nanblow: exploding" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_experiment_overflowing_time_grid_exits_1(tmp_path, capsys):
+    f = tmp_path / "s.txt"
+    f.write_text("scenario: far\nmethod: leapfrog\nh: 1e308\nsteps: 10\n")
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys, "experiment", "--scenario", str(f), "--outdir", str(out),
+    )
+    assert code == 1
+    assert "time grid" in err
+    assert not out.exists()
 
 
 def test_experiment_scenario_name_cannot_escape_outdir(tmp_path, capsys):

@@ -32,18 +32,44 @@ def test_package_imports_resolve():
             assert hasattr(geostep, alias.asname or alias.name)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported only where the matrix exponential is needed
+def _fresh_python(code: str, cwd=None) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this geostep."""
     src = str(Path(geostep.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, geostep.cli; geostep.methods.builtin_methods(); "
-         "print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True, cwd=cwd).stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    out = _fresh_python("import sys, geostep.cli; geostep.methods.builtin_methods(); "
+                        "print('scipy' in sys.modules)")
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("starter", ["rk4", "exact"])
+def test_hessian_run_leaves_scipy_unloaded(tmp_path, starter):
+    # a general linear field forms its exact flow exp(hA) with numpy alone
+    (tmp_path / "H.txt").write_text("2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n")
+    argv = ["integrate", "--method", "ab4", "--system", "H.txt", "--q0", "1,0",
+            "--p0", "0,1", "--steps", "300", "--starter", starter]
+    out = _fresh_python(f"import sys, geostep.cli; code = geostep.cli.main({argv!r}); "
+                        "print(code, 'scipy' in sys.modules)", cwd=tmp_path)
+    assert out.splitlines()[-1] == "0 False"
+    assert (tmp_path / "ab4-error.csv").exists()
+
+
+def test_no_module_imports_scipy():
+    for path in Path(geostep.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), \
+                f"{path.name}:{node.lineno}"
 
 
 def test_schemes_and_resolver_are_defined_once_in_methods():

@@ -29,7 +29,7 @@ from geostep.integrators import (
     step_residual,
     window_matrix,
 )
-from geostep.systems import GradientField, LinearHamiltonian, sho, sho_exact
+from geostep.systems import GradientField, LinearHamiltonian, _expm, sho, sho_exact
 
 F = Fraction
 MS = builtin_methods()
@@ -499,7 +499,7 @@ def _full_error_channel(field, y0, h, states):
     if omega is not None:
         exact = sho_exact(omega, y0, h * np.arange(steps))
     else:
-        exact = integrators._power_rows(expm(h * field.A), y0, steps, 0)
+        exact = integrators._power_rows(_expm(h * field.A), y0, steps, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.linalg.norm(states - exact, axis=1)
 

@@ -1,14 +1,17 @@
 """Field construction, canonical structure, exact oscillator flow."""
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from geostep.systems import (
     _EINSUM_ROWS,
     _ENERGY_BLOCK,
+    _expm,
     GradientField,
     LinearHamiltonian,
     load_linear_system,
@@ -197,3 +200,69 @@ def test_load_linear_system_rejects_asymmetric(tmp_path):
     path.write_text("1 2\n0 1\n")
     with pytest.raises(ValueError):
         load_linear_system(path)
+
+
+# ---------------------------------------------------------------------------
+# the matrix exponential of the exact flow (scipy is the test-only reference)
+
+
+@st.composite
+def hamiltonian_steps(draw):
+    """h A for a random Hamiltonian A = J S (n = 1..3), scaled to a 1-norm
+    drawn log-uniformly from 1e-8 to 100."""
+    n = draw(st.integers(1, 3))
+    d = 2 * n
+    B = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d * d,
+                               max_size=d * d))).reshape(d, d)
+    A = structure_matrix(n) @ (B + B.T)
+    norm = np.abs(A).sum(axis=0).max()
+    assume(norm > 1e-100)
+    return A * (10.0 ** draw(st.floats(-8.0, 2.0)) / norm)
+
+
+@given(hamiltonian_steps())
+@settings(max_examples=300, deadline=None)
+def test_property_expm_matches_scipy(hA):
+    norm = np.abs(hA).sum(axis=0).max()
+    E, ref = _expm(hA), expm(hA)
+    assert np.abs(E - ref).max() <= 1e-12 * max(1.0, norm) * np.abs(ref).max()
+
+
+def test_expm_of_zero_is_identity():
+    for d in (2, 4, 6):
+        assert np.array_equal(_expm(np.zeros((d, d))), np.eye(d))
+
+
+# exact while t / 2, the Pade stage's shear, is a normal float
+@given(st.floats(-1e300, 1e300).filter(lambda t: t == 0 or abs(t) >= 1e-300))
+def test_expm_of_a_shear_is_exact(t):
+    E = _expm(np.array([[0.0, t], [0.0, 0.0]]))
+    assert np.array_equal(E, [[1.0, t], [0.0, 1.0]])
+
+
+@given(st.floats(0.5, 2.0), st.floats(0.0, 6.0))
+def test_expm_of_the_oscillator_is_its_closed_form(omega, wh):
+    h = wh / omega
+    flow = np.column_stack([sho_exact(omega, [1.0, 0.0], h),
+                            sho_exact(omega, [0.0, 1.0], h)])
+    assert np.abs(_expm(h * sho(omega).A) - flow).max() <= 1e-14
+
+
+@pytest.mark.parametrize("hA", [
+    [[0.0, np.inf], [-1.0, 0.0]],
+    [[0.0, 1.0], [np.nan, 0.0]],
+    [[0.0, -np.inf], [np.inf, 0.0]],
+    [[1e308, 0.0], [1e308, 0.0]],
+], ids=["inf", "nan", "both-signs", "norm-overflows"])
+def test_non_finite_expm_is_nan_without_a_warning(hA):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = _expm(np.array(hA))
+    assert E.shape == (2, 2) and np.isnan(E).all()
+
+
+def test_expm_overflowing_while_squaring_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = _expm(1e200 * np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert not np.isfinite(E).any()

@@ -1,16 +1,20 @@
-"""Print the peak resident set size of each canned long-run figure.
+"""Print the peak resident set size and wall time of fixed long runs.
 
     python tools/longrun_memory.py SRC
 
 SRC is the directory that holds the `geostep` package (`src` in a
-checkout).  Each of `geostep experiment --figure 2`, `3` and `4` runs in a
-fresh `python -m geostep.cli` with PYTHONPATH=SRC, writing into a temporary
-directory, and one line per figure gives its exit code and that child's own
-`ru_maxrss` in MB (KiB / 1024, as the benchmark reports `peak_rss_mb`).
-Figures 2-4 run 10^6 steps per scenario, so the peak is set by the longest
-arrays a run holds at once.  Run it on a parent tree and on a change to
-compare their memory outside the benchmark; RSS varies by a few hundred KB
-from run to run.
+checkout).  Each case runs in a fresh `python -m geostep.cli` with
+PYTHONPATH=SRC, inside a temporary directory, and one line per case gives
+its exit code, that child's own `ru_maxrss` in MB (KiB / 1024, as the
+benchmark reports `peak_rss_mb`) and its wall time from start to exit, the
+interpreter's start and imports included.  The cases are `geostep
+experiment --figure 2`, `3` and `4`, 10^6 steps per scenario, whose peak is
+set by the longest arrays a run holds at once; and one `integrate` of
+leapfrog on a 2-DOF Hessian file over 10^5 steps at stride 1, as the
+benchmark's `dense-output` workload runs it, whose exact-error channel
+forms the matrix exponential exp(hA).  Run it on a parent tree and on a
+change to compare their memory and cold start outside the benchmark; RSS
+varies by a few hundred KB from run to run, wall time by more.
 """
 from __future__ import annotations
 
@@ -19,24 +23,37 @@ from pathlib import Path
 import subprocess
 import sys
 import tempfile
+import time
 
-FIGURES = (2, 3, 4)
+# a 2-DOF Hessian blockdiag(K, I), K coupled with eigenvalues in [0.5, 2]
+HESSIAN = "1.2 0.3 0 0\n0.3 0.9 0 0\n0 0 1 0\n0 0 0 1\n"
+
+CASES = {
+    **{f"figure {n}": ["experiment", "--figure", str(n), "--outdir", "."]
+       for n in (2, 3, 4)},
+    "hessian integrate": ["integrate", "--method", "leapfrog", "--system",
+                          "hessian.txt", "--h", "0.1", "--steps", "100000",
+                          "--q0", "1,0.5", "--p0", "0,-0.25", "--stride", "1"],
+}
 
 
-def peak_rss_mb(src: Path, figure: int) -> tuple[int, float]:
-    """(exit code, ru_maxrss in MB) of one figure in a fresh interpreter."""
+def run_child(src: Path, argv: list[str]) -> tuple[int, float, float]:
+    """(exit code, ru_maxrss in MB, wall seconds) of one command line in a
+    fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as out:
+        Path(out, "hessian.txt").write_text(HESSIAN)
+        start = time.perf_counter()
         proc = subprocess.Popen(
-            [sys.executable, "-m", "geostep.cli", "experiment", "--figure",
-             str(figure), "--outdir", out],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            [sys.executable, "-m", "geostep.cli", *argv], cwd=out, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         # wait4 reports this child's own peak; RUSAGE_CHILDREN would give
         # the largest over every child reaped so far
         _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024
+    return proc.returncode, usage.ru_maxrss / 1024, wall
 
 
 def main(argv: list[str]) -> int:
@@ -44,9 +61,9 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/longrun_memory.py SRC", file=sys.stderr)
         return 1
     src = Path(argv[0]).resolve()
-    for figure in FIGURES:
-        code, mb = peak_rss_mb(src, figure)
-        print(f"figure {figure}: exit {code} ru_maxrss_mb {mb:.1f}")
+    for name, args in CASES.items():
+        code, mb, wall = run_child(src, args)
+        print(f"{name}: exit {code} ru_maxrss_mb {mb:.1f} wall_s {wall:.2f}")
     return 0
 
 
