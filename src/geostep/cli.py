@@ -87,14 +87,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    scheme = me.resolve_scheme(args.method)
+    scheme = resolved = me.resolve_scheme(args.method)
     if args.swap_partition:
         if not isinstance(scheme, me.PartitionedPair):
             raise ValueError("--swap-partition needs a partitioned pair")
-        # named with the member that advances q first, as the reversed pair
-        # it runs like, so its artifacts do not overwrite the unswapped run's
-        scheme = dataclasses.replace(
-            scheme, name=f"{scheme.second.name},{scheme.first.name}", swap=True)
+        # the reversed pair, named so as not to overwrite the unswapped run
+        scheme = me.PartitionedPair(f"{scheme.second.name},{scheme.first.name}",
+                                    scheme.second, scheme.first)
     field = _resolve_system(args.system, args.omega)
     n = field.n
     q0 = _parse_floats(args.q0, n, "--q0")
@@ -112,7 +111,7 @@ def cmd_integrate(args) -> int:
         f"{name}: steps={len(traj.states)} H0={H[0]:.17g} "
         f"finalDeviation={H[-1] - H[0]:.17g} finalError={final_err}"
     )
-    for w in scheme.warnings:
+    for w in resolved.warnings:  # in --method's order, swapped or not
         print(f"warning: {w}", file=sys.stderr)
     return 0 if failure is None else 2
 
@@ -159,6 +158,8 @@ def _verify_row(check: str, m: me.MethodSpec, field, h, tol):
     return format(val, ".17g"), format(tol, ".17g"), val <= tol
 
 
+# overflow (or a zero pivot) inside a check reads inf or nan: its row fails
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def cmd_verify(args) -> int:
     tol = _default_tol(args)
     field = _resolve_system(args.system, args.omega)
@@ -171,6 +172,11 @@ def cmd_verify(args) -> int:
             raise me.MethodError(f"verify takes a single method, not {scheme.name!r}")
         targets = [scheme]
     checks = [args.check] if args.check else list(CHECKS)
+    if "reversibility" in checks:
+        last = max(m.k for m in targets) + REVERSIBILITY_STEPS - 1
+        if not np.isfinite(args.h * last):
+            raise ValueError(f"the reversibility run's time grid overflows: "
+                             f"h * {last} is not finite")
     print("method,system,omega,h,check,value,threshold,pass")
     all_pass = True
     for m in targets:

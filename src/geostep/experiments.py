@@ -241,7 +241,6 @@ _CSV_BLOCK = 1024  # rows formatted and written per call; keeps memory flat
 # A multiple of _CSV_BLOCK, and at least two blocks, so that both halves
 # are whole blocks and neither is empty.
 _PARALLEL_ROWS = 32 * _CSV_BLOCK
-_SPILL_CHUNK = 64 * 1024  # bytes per copy from the child's files; keeps memory flat
 
 
 def _usable_cpus() -> int:
@@ -354,7 +353,7 @@ def write_artifacts(
                 )
             for fh, spill in zip(handles, spills):
                 spill.seek(0)
-                shutil.copyfileobj(spill, fh, _SPILL_CHUNK)
+                shutil.copyfileobj(spill, fh)  # buffered: memory stays flat
         else:
             emit(writes, 0, rows)
         if failed_step is not None:

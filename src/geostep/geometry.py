@@ -2,8 +2,9 @@
 step transition operators and time-reversal residuals.
 
 A linear field is passed as a `LinearHamiltonian`.  The window map is the
-scheme's own step (`integrators.window_matrix`) and the reversibility
-residual reads an actual run; the pairing matrix (`methods.lambda_matrix`)
+scheme's own step (`integrators.window_matrix`), and the reversibility
+residual is `integrators.step_residual` on an actual run, reversed, with
+h -> -h; the pairing matrix (`methods.lambda_matrix`)
 and the step transition's polynomial rho - h lam sigma, from alpha and the
 effective beta, are built from the coefficient table.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .methods import MethodSpec, Scheme, lambda_matrix
-from .integrators import _compile, _relation, window_matrix
+from .integrators import step_residual, window_matrix
 from .systems import LinearHamiltonian, structure_matrix
 
 __all__ = [
@@ -155,19 +156,6 @@ def step_transition(m: MethodSpec, field: LinearHamiltonian,
 
 
 def reversibility_residual(m: MethodSpec, field, traj) -> float:
-    """Largest defect of the time-reversed sequence under the scheme.
-
-    The reversed states are pushed through the defining relation with the
-    step sign flipped; for symmetric coefficients this vanishes identically
-    on any sequence the forward scheme produced, up to roundoff.
-    """
-    z = np.asarray(traj.states, dtype=float)[::-1]
-    nwin = len(z) - m.k
-    if nwin < 1:
-        raise ValueError(f"need at least k+1 = {m.k + 1} states")
-    windows = [z[j : j + nwin] for j in range(m.k + 1)]
-    # an exploding run overflows the relation or its norm: inf (or nan) is
-    # then the residual's value, not an error
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _relation(_compile(m), field, windows, -traj.h)
-        return float(np.max(np.linalg.norm(r, axis=1)))
+    """`step_residual` of the reversed states with h -> -h.  For symmetric
+    coefficients it vanishes, up to roundoff, on any run of the scheme."""
+    return step_residual(m, field, traj.states[::-1], -traj.h)

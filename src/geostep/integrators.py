@@ -4,8 +4,9 @@ Every `MethodSpec` kind is one relation over k+1 consecutive states,
 sum_j alpha_j z_j - h sum_j beta_j f(sum_l gamma_jl z_l) = 0, whose kind
 only chooses the default gamma (`MethodSpec.gamma_rows`).  `_relation`
 evaluates f once per distinct gamma row, so one-leg schemes cost one
-evaluation; it gives a step (solved for z_k), the step residual and, with
-h -> -h on reversed states, the reversibility residual.  Every scheme is
+evaluation; it gives a step (solved for z_k) and `step_residual`, the
+largest relation norm over every window of a run at once (with h -> -h on
+reversed states, the reversibility residual).  Every scheme is
 compiled once into advance(field, ys, fs, h) -> y, which also steps a stack
 of windows.  `fs` is the f window: f at the k window states, `None` where
 not yet evaluated.  A leg that is a lone window state reads and fills it,
@@ -408,10 +409,9 @@ def _pc(pair: PCPair):
 
 
 def _partitioned(pair: PartitionedPair):
-    """Compile a partitioned pair from its members: q from the positions
-    member's step, p from the momenta member's, both on the same f window."""
-    roles = dict(pair.members)
-    q, p = _stepper(roles["positions"]), _stepper(roles["momenta"])
+    """Compile a partitioned pair from its members: q from `first`'s step,
+    p from `second`'s, both on the same f window."""
+    q, p = _stepper(pair.first), _stepper(pair.second)
 
     def advance(field, ys, fs, h):
         n = field.dim // 2
@@ -442,19 +442,25 @@ def step(scheme: Scheme, field, window, h: float) -> np.ndarray:
     return _advance(scheme)(field, ys, [None] * scheme.k, h)
 
 
-def step_residual(scheme, field, states, h: float) -> float:
-    """Norm of the defining relation over k+1 consecutive states.
+def step_residual(scheme: Scheme, field, states, h: float) -> float:
+    """Largest norm of the defining relation over the windows of k+1
+    consecutive states of a run, evaluated at once as stacks.
 
     A pair has no single relation (its PECE corrector holds only
     approximately, its partition splits q from p), so for every pair this is
     the one-step reconstruction error |y_k - step(y_0 .. y_{k-1})| instead.
+    A run that overflows reads inf (or nan).
     """
-    ys = [np.asarray(y, dtype=float) for y in states]
-    if isinstance(scheme, MethodSpec):
-        if len(ys) != scheme.k + 1:
-            raise ValueError(f"need k+1 = {scheme.k + 1} states")
-        return float(np.linalg.norm(_relation(_compile(scheme), field, ys, h)))
-    return float(np.linalg.norm(ys[-1] - step(scheme, field, ys[:-1], h)))
+    z, k = np.asarray(states, dtype=float), scheme.k
+    if len(z) <= k:
+        raise ValueError(f"need at least k+1 = {k + 1} states")
+    zs = [z[j : len(z) - k + j] for j in range(k + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(scheme, MethodSpec):
+            r = _relation(_compile(scheme), field, zs, h)
+        else:
+            r = zs[-1] - _advance(scheme)(field, zs[:-1], [None] * k, h)
+        return float(np.max(np.linalg.norm(r, axis=1)))
 
 
 # ---------------------------------------------------------------------------

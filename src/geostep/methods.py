@@ -22,7 +22,7 @@ denominators (`_scaled`); each sum is divided by D once per entry.  Only
 what `numpy.roots` computes).
 
 A scheme is a `MethodSpec` or a pair of them, `PCPair` (predictor-corrector
-in PECE mode) or `PartitionedPair` (one member drives q, the other p).
+in PECE mode) or `PartitionedPair` (`first` drives q, `second` p).
 This module defines them all, holds the built-in registry, one table of
 schemes keyed by name built once at import (`REGISTRY_NAMES` is read off
 it), and turns a method string into a scheme (`resolve_scheme`).
@@ -267,15 +267,14 @@ class PCPair(_Pair):
 class PartitionedPair(_Pair):
     """Two explicit schemes, one driving q and one driving p.
 
-    By default `first` advances the positions and `second` the momenta;
-    `swap` exchanges the assignment.  The shorter window is zero-padded so
-    both schemes share one window length.
+    `first` advances the positions and `second` the momenta: member order is
+    the pair's orientation.  The shorter window is zero-padded so both
+    schemes share one window length.
     """
 
     name: str
     first: MethodSpec
     second: MethodSpec
-    swap: bool = False
 
     _fields = ("first", "second")
     _explicit = dict.fromkeys(_fields, "partitioned member")
@@ -283,10 +282,8 @@ class PartitionedPair(_Pair):
 
     @property
     def members(self) -> tuple[tuple[str, MethodSpec], ...]:
-        """(role, method) for each member, `first` first; the roles are
-        `positions` and `momenta`, exchanged by `swap`."""
-        roles = ("momenta", "positions") if self.swap else ("positions", "momenta")
-        return tuple(zip(roles, (self.first, self.second)))
+        """(role, method) for each member, `first` first."""
+        return ("positions", self.first), ("momenta", self.second)
 
 
 Scheme = MethodSpec | PCPair | PartitionedPair

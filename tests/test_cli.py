@@ -373,6 +373,27 @@ def test_integrate_non_finite_input_exits_1(tmp_path, capsys, flag, value):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--system", "1 x\n0 1\n", "bad matrix row"),
+     ("--system", "1 0 0\n0 1 0\n", "square matrix"),
+     ("--q0", "1,2", "--q0 needs 1")],
+    ids=["hessian-token", "hessian-not-square", "q0-too-long"],
+)
+def test_integrate_malformed_input_exits_1(tmp_path, capsys, flag, value, message):
+    if flag == "--system":
+        path = tmp_path / "hessian.txt"
+        path.write_text(value)
+        value = str(path)
+    out = tmp_path / "out"
+    code, _, err = run(
+        capsys, "integrate", "--method", "leapfrog", flag, value, "--out", str(out),
+    )
+    assert code == 1
+    assert message in err
+    assert not out.exists()
+
+
 def test_integrate_overflowing_time_grid_exits_1(tmp_path, capsys):
     # h (steps - 1) = 9e308 is past the float range: the t column would
     # read inf
@@ -568,6 +589,47 @@ def test_verify_overflowing_reversibility_reads_inf_without_a_warning(
     assert code == 2
     assert "F,sho,1,100,reversibility,inf,1e-10,false" in out.splitlines()
     assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--h", "1e200"],
+    ["--system", "HESSIAN", "--h", "1e200"],
+    ["--system", "HESSIAN", "--h", "1e308", "--check", "area"],
+], ids=["sho-1e200", "hessian-1e200", "hessian-1e308-area"])
+def test_verify_huge_h_prints_no_numpy_warning(tmp_path, capsys, argv):
+    # overflow inside the window map, its determinant, exp(h lam) or the
+    # step transition's matmuls reads inf or nan in the row; numpy's warnings
+    # used to reach stderr.  At 1e200 the step transition then finds two
+    # equally close roots, an input error.
+    f = tmp_path / "hessian.txt"
+    f.write_text("2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n")
+    argv = [str(f) if a == "HESSIAN" else a for a in argv]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", *argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code in (1, 2)
+    assert "RuntimeWarning" not in err
+    if code == 1:
+        assert "ambiguous" in err
+    assert out.startswith("method,system,omega,h,check,value,threshold,pass\n")
+
+
+def test_verify_overflowing_reversibility_grid_exits_1_before_any_row(
+    tmp_path, capsys
+):
+    # the reversibility run's last time h (k + 99) overflows; verify used
+    # to print four rows before the run failed
+    f = tmp_path / "F.txt"
+    f.write_text("name: F\nk: 1\nalpha: 1 1\nbeta: 1 1\n")
+    code, out, err = run(capsys, "verify", "--method", str(f), "--h", "1e308")
+    assert code == 1
+    assert out == ""
+    assert "time grid overflows" in err
+    # without the reversibility run there is no grid to check
+    code, out, _ = run(capsys, "verify", "--method", str(f), "--h", "1e308",
+                       "--check", "order")
+    assert code == 2 and out.count("\n") == 2
 
 
 def test_verify_order_check_flags_inconsistency(capsys):
@@ -797,7 +859,7 @@ def test_experiment_scenario_name_cannot_escape_outdir(tmp_path, capsys):
 # the whole command line over random inputs
 
 TOKENS = ["1", "-1", "1/2", "0", "2", "-2", "-1/2", "1/3", "-3/4", "5/12", "1e-3", "1e3"]
-H_VALUES = ["1e-8", "0.1", "1", "3", "100"]
+H_VALUES = ["1e-8", "0.1", "1", "3", "100", "1e154", "1e200", "1e308"]
 HESSIANS = {"one": "4 0\n0 1\n", "two": "2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n",
             "saddle": "-1 0\n0 1\n"}
 

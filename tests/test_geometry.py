@@ -50,11 +50,11 @@ def test_transfer_matrix_euler_example():
 
 
 # every scheme kind: registry methods (pc-m2 and the m3 pair among them), a
-# padded PC pair, the swapped partition and a method file with gamma rows
+# padded PC pair, the reversed partition and a method file with gamma rows
 WINDOW_SCHEMES = {
     **{name: resolve_scheme(name) for name in REGISTRY_NAMES},
     "m3-line1,m3b-corrected-swap": PartitionedPair(
-        "m3s", MS["m3-line1"], MS["m3b-corrected"], swap=True
+        "m3s", MS["m3b-corrected"], MS["m3-line1"]
     ),
     "explicit-euler,am4-pc": PCPair("ee-am4", MS["explicit-euler"], MS["am4"]),
     "gamma-file": parse_method(

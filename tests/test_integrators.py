@@ -183,6 +183,38 @@ def test_step_residual_within_solver_tolerance():
         assert r <= integrators.NEWTON_TOLERANCE * (1.0 + np.linalg.norm(ynew))
 
 
+@pytest.mark.parametrize(
+    "name", ["pc-m2", "m3-line1,m3b-corrected", "m3-line1,m3-line2-as-printed"])
+def test_step_residual_of_a_pair_run_is_roundoff(name):
+    # a pair's residual is its one-step reconstruction error, over every
+    # window of the run at once
+    pair = resolve_scheme(name)
+    field = pendulum()
+    states = integrate(pair, field, np.array([1.0, 0.0]), 0.1, 200).states
+    assert step_residual(pair, field, states, 0.1) <= 1e-14
+    # a state off the run shows, wherever it sits
+    states[150, 0] += 1e-6
+    assert step_residual(pair, field, states, 0.1) > 1e-7
+
+
+def test_step_residual_of_a_run_is_its_largest_window():
+    field, m, h = pendulum(), MS["am4"], 0.1
+    states = integrate(m, field, np.array([0.9, 0.1]), h, 60).states
+    # a perturbed state makes one window's relation stand out
+    states[30, 1] += 1e-9
+    single = [step_residual(m, field, states[j : j + m.k + 1], h)
+              for j in range(len(states) - m.k)]
+    assert step_residual(m, field, states, h) == max(single) > 1e-10
+
+
+@pytest.mark.parametrize("name", ["leapfrog", "pc-m2", "m3-line1,m3b-corrected"])
+def test_step_residual_needs_k_plus_one_states(name):
+    scheme = resolve_scheme(name)
+    states = integrate(scheme, FIELD, Y0, 0.1, scheme.k).states
+    with pytest.raises(ValueError, match="k\\+1"):
+        step_residual(scheme, FIELD, states, 0.1)
+
+
 def test_oneleg_evaluates_field_once_per_iteration():
     calls = 0
 
@@ -238,8 +270,9 @@ def test_partitioned_euler_pair_equals_full_euler():
 
 
 def test_partitioned_swap_exchanges_roles():
+    # member order is the orientation: the reversed pair swaps the roles
     pair = PartitionedPair("m3", MS["m3-line1"], MS["m3b-corrected"])
-    swapped = PartitionedPair("m3s", MS["m3-line1"], MS["m3b-corrected"], swap=True)
+    swapped = PartitionedPair("m3s", MS["m3b-corrected"], MS["m3-line1"])
     assert dict(pair.members)["positions"].name == "m3-line1"
     assert dict(swapped.members)["positions"].name == "m3b-corrected"
     t1 = integrate(pair, FIELD, Y0, 0.1, 50)
@@ -275,9 +308,9 @@ def test_pair_members_list_roles_in_first_member_order():
     assert [(r, m.name) for r, m in pair.members] == [
         ("positions", "m3-line1"), ("momenta", "m3b-corrected"),
     ]
-    swapped = PartitionedPair("m3", MS["m3-line1"], MS["m3b-corrected"], swap=True)
+    swapped = PartitionedPair("m3", MS["m3b-corrected"], MS["m3-line1"])
     assert [(r, m.name) for r, m in swapped.members] == [
-        ("momenta", "m3-line1"), ("positions", "m3b-corrected"),
+        ("positions", "m3b-corrected"), ("momenta", "m3-line1"),
     ]
 
 
@@ -852,15 +885,15 @@ def test_residual_gives_the_reference_window_matrix(monkeypatch, name):
 
 
 def pendulum_schemes():
-    """Every explicit registry method, pc-m2 (PECE) and both m3 pairs, with
-    and without `swap`."""
+    """Every explicit registry method, pc-m2 (PECE) and both m3 pairs, each
+    also reversed (`,swap`)."""
     schemes = {n: m for n, m in MS.items() if m.explicit}
     schemes["pc-m2"] = resolve_scheme("pc-m2")
     for name in ("m3-line1,m3b-corrected", "m3-line1,m3-line2-as-printed"):
         pair = resolve_scheme(name)
         schemes[name] = pair
         schemes[name + ",swap"] = PartitionedPair(
-            pair.name, pair.first, pair.second, swap=True
+            pair.name, pair.second, pair.first
         )
     return schemes
 

@@ -61,6 +61,8 @@ FILES = {
     "bits-65": HEAD + f"beta: 0 {2**64}\n",
     # its time-reversed run at h = 100 overflows (`verify` reads inf)
     "reversed-overflow": "name: {name}\nk: 2\nalpha: -1/2 1 1\nbeta: 1 1 0\n",
+    # the time grid of its reversibility run overflows at h = 1e308
+    "grid-overflow": "name: {name}\nk: 1\nalpha: 1 1\nbeta: 1 1\n",
 }
 ALL_COMMANDS = ("good", "gamma", "huge")
 # scenario files: H0 = 0 (the classifier watches |y|^2), and a start off the
@@ -85,7 +87,9 @@ def cases() -> list[list[str]]:
                 [*INTEGRATE, spec]]
     out += [[*INTEGRATE, "ab4", "--system", "../in/hessian.txt", "--q0", "1,-0.5",
              "--p0", "0.2,0.3", "--starter", starter] for starter in ("rk4", "exact")]
-    out.append([*INTEGRATE, "m3-line1,m3b-corrected", "--swap-partition"])
+    # the second pair's members both carry warnings, printed in --method order
+    out += [[*INTEGRATE, spec, "--swap-partition"]
+            for spec in ("m3-line1,m3b-corrected", "m1-as-printed,m3-line2-as-printed")]
     # every row written: 40000 rows are past the forked split's threshold
     # (32768), and explicit Euler at h = 7 overflows to inf, -inf and nan
     out += [["integrate", "--steps", "40000", "--stride", "1", "--method", "leapfrog",
@@ -93,7 +97,9 @@ def cases() -> list[list[str]]:
             ["integrate", "--steps", "400", "--stride", "1", "--method",
              "explicit-euler", "--h", "7"]]
     out += [["verify"], ["verify", "--h", "0.3", "--omega", "2"],
-            ["verify", "--method", "../in/reversed-overflow.txt", "--h", "100"]]
+            ["verify", "--method", "../in/reversed-overflow.txt", "--h", "100"],
+            ["verify", "--h", "1e200"],
+            ["verify", "--method", "../in/grid-overflow.txt", "--h", "1e308"]]
     out += [["experiment", "--figure", str(figure)] for figure in range(1, 5)]
     out += [["experiment", "--scenario", f"../in/{name}.txt"] for name in SCENARIOS]
     for name in FILES:
