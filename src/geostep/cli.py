@@ -21,7 +21,7 @@ import numpy as np
 
 from . import methods as me
 from . import geometry as ge
-from .integrators import STARTERS, StepFailure, integrate
+from .integrators import STARTERS, SingularStepError, StepFailure, integrate
 from .systems import LinearHamiltonian, load_linear_system, sho
 from . import experiments as ex
 
@@ -136,25 +136,33 @@ def _default_tol(args) -> float:
 
 
 def _verify_row(check: str, m: me.MethodSpec, field, h, tol):
-    """(value, threshold, passed); threshold '-' when not applicable."""
+    """(value, threshold, passed); threshold '-' when not applicable.
+
+    A check that cannot be formed at this h (a singular implicit step, an
+    ambiguous principal root) reads nan and fails, with a warning on
+    stderr, so the rows after it still print."""
     if check == "order":
         order, _, consistent = me.order_analysis(m)
         return str(order), "1", consistent
     if check == "symmetry":
         sym = me.is_symmetric(m)
         return str(sym).lower(), "-", sym
-    if check == "g-symplectic":
-        val = ge.g_symplecticity_defect(m, field, h).defect
-    elif check == "area":
-        val = ge.area_defect(ge.transfer_matrix(m, field, h))
-    elif check == "reversibility":
-        steps = m.k + REVERSIBILITY_STEPS
-        traj = integrate(m, field, np.array([1.0, 0.0] * field.n), h, steps)
-        val = ge.reversibility_residual(m, field, traj)
-    elif check == "step-transition":
-        val = ge.step_transition(m, field, h).residual
-    else:
+    if check not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
+    try:
+        if check == "g-symplectic":
+            val = ge.g_symplecticity_defect(m, field, h).defect
+        elif check == "area":
+            val = ge.area_defect(ge.transfer_matrix(m, field, h))
+        elif check == "reversibility":
+            steps = m.k + REVERSIBILITY_STEPS
+            traj = integrate(m, field, np.array([1.0, 0.0] * field.n), h, steps)
+            val = ge.reversibility_residual(m, field, traj)
+        else:
+            val = ge.step_transition(m, field, h).residual
+    except (ValueError, SingularStepError, StepFailure) as exc:
+        print(f"warning: {m.name} {check}: {exc}", file=sys.stderr)
+        val = np.nan
     return format(val, ".17g"), format(tol, ".17g"), val <= tol
 
 

@@ -24,10 +24,11 @@ classification) are always computed at full resolution, never from the
 decimated files.  They are formed in blocks of _STAT_BLOCK rows (8192)
 that stay in cache, so no temporaries but the drift fit's design matrix
 and numpy's copy of it inside `lstsq` are as long as the run, and each has
-the bits of its formula over whole arrays.  The exact-error channel is the
-exception: it is evaluated only at the written rows and, for `finalError`,
-the last row.  `run_scenario` takes everything that reads the states
-first (artifacts, the crossing and deviation scan, radius deviation, final
+the bits of its formula over whole arrays.  One walk over those blocks,
+`_scan`, takes the crossing, the energy deviation and the radius deviation
+together.  The exact-error channel is the exception: it is evaluated only
+at the written rows and, for `finalError`, the last row.  `run_scenario`
+takes everything that reads the states first (artifacts, the scan, final
 error) and lets the states go before the fit: at 10^6 steps the fit's peak
 holds the energies (8 MB), the (2, N) design matrix (16 MB) and the
 `lstsq` copy (24 MB), but not the 16 MB of states.
@@ -404,50 +405,58 @@ def _squared_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan(traj: Trajectory) -> tuple[float, float, int | None]:
-    """(h0, max_deviation, crossing_step): the first half of `classify`,
-    and the only part of it that reads `traj.states` (when H_0 <= 0).
+def _scan(traj: Trajectory) -> tuple[float, float, int | None, float | None]:
+    """(h0, max_deviation, crossing_step, radius_deviation): the statistics
+    `_fit` does not form, taken in one walk over the run, the only one that
+    reads its states.
 
-    The crossing and the largest |H - H_0| of the pre-crossing prefix are
-    formed one block of _STAT_BLOCK rows at a time, with the bits the
-    whole arrays would give.  The deviation reads 0.0 on a prefix of fewer
-    than two rows.
+    The crossing, the largest |H - H_0| and the largest | |y|^2 - |y_0|^2 |
+    of the pre-crossing prefix are formed one block of _STAT_BLOCK rows at a
+    time, with the bits the whole arrays would give.  The deviation reads
+    0.0 on a prefix of fewer than two rows; the radius deviation is None
+    beyond two state columns or on an empty prefix.
     """
     H = np.asarray(traj.energies, dtype=float)
     h0 = float(H[0])
     rows = len(H)
+    states = traj.states
+    radial = states.shape[1] == 2
     work = np.empty(min(rows, _STAT_BLOCK))
     below = np.empty(len(work), dtype=bool)
-    if h0 > 0:
-        def size(lo, hi):
-            return H[lo:hi]
-    else:
-        # H cannot measure growth when H_0 <= 0 (an indefinite H can blow
-        # up along H = H_0), so watch the squared state norm instead
-        states = traj.states
-
-        def size(lo, hi):
-            return _squared_norms(states[lo:hi], work[: hi - lo])
-    size0 = size(0, 1)[0]
+    # |y|^2 of a block serves the radius and, when H_0 <= 0, the crossing:
+    # H cannot measure growth then (an indefinite H can blow up along
+    # H = H_0), so the squared state norm is watched instead
+    norms = np.empty(len(work)) if radial or h0 <= 0 else None
+    if norms is not None:
+        r0 = _squared_norms(states[:1], norms[:1])[0]
+    size0 = H[0] if h0 > 0 else r0
     limit = EXPLODE_FACTOR * size0
     crossing = None
-    peaks = []  # max |H - H_0| of each block of the prefix
+    peaks, radii = [], []  # max |H - H_0| and radius peak of each block
     for lo in range(0, rows, _STAT_BLOCK):
         hi = min(lo + _STAT_BLOCK, rows)
+        if norms is not None:
+            r = _squared_norms(states[lo:hi], norms[: hi - lo])
         if size0 > 0:
             # not below the threshold: a NaN (overflow past inf) crosses too
-            mask = np.less(size(lo, hi), limit, out=below[: hi - lo])
+            size = H[lo:hi] if h0 > 0 else r
+            mask = np.less(size, limit, out=below[: hi - lo])
             first = int(mask.argmin())
             if not mask[first]:
                 crossing = hi = lo + first
         if hi > lo:
             dev = np.subtract(H[lo:hi], h0, out=work[: hi - lo])
             peaks.append(np.abs(dev, out=dev).max())
+            if radial:
+                dev = r[: hi - lo]
+                dev -= r0
+                radii.append(np.abs(dev, out=dev).max())
         if crossing is not None:
             break
     N = rows if crossing is None else crossing
     max_dev = float(np.max(peaks)) if N >= 2 else 0.0
-    return h0, max_dev, crossing
+    radius = float(np.max(radii)) if radii else None
+    return h0, max_dev, crossing, radius
 
 
 def _fit(H: np.ndarray, h: float, h0: float, max_dev: float,
@@ -489,31 +498,12 @@ def classify(traj: Trajectory):
 
     Statistics come from the pre-crossing prefix when the run explodes, so
     the reported numbers are finite even after overflow.  This is `_scan`
-    then `_fit`; `traj.states` is read only when H_0 <= 0, and only by
-    `_scan`.
+    then `_fit`, with the scan's radius deviation left out.
     """
-    h0, max_dev, crossing = _scan(traj)
+    h0, max_dev, crossing, _ = _scan(traj)
     H = np.asarray(traj.energies, dtype=float)[:crossing]
     label, slope = _fit(H, traj.h, h0, max_dev, crossing is not None)
     return label, h0, max_dev, slope, crossing
-
-
-def _radius_deviation(traj: Trajectory, crossing: int | None) -> float | None:
-    """max | ||y_j||^2 - ||y_0||^2 | over the (finite prefix of the) run,
-    formed one block of _STAT_BLOCK rows at a time."""
-    states = traj.states if crossing is None else traj.states[:crossing]
-    rows = len(states)
-    if states.shape[1] != 2 or rows == 0:
-        return None
-    work = np.empty(min(rows, _STAT_BLOCK))
-    r0 = _squared_norms(states[:1], work[:1])[0]
-    peaks = []
-    for lo in range(0, rows, _STAT_BLOCK):
-        block = states[lo : lo + _STAT_BLOCK]
-        dev = _squared_norms(block, work[: len(block)])
-        dev -= r0
-        peaks.append(np.abs(dev, out=dev).max())
-    return float(np.max(peaks))
 
 
 def run_and_write(name: str, scheme: Scheme, field, y0, h: float, steps: int,
@@ -544,9 +534,9 @@ def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
 
     On a stepper failure the partial trajectory is still written (see
     `run_and_write`) and the failing step index lands in the summary.
-    Everything that reads the states (the artifacts, `classify`'s scan,
-    the radius deviation and the final error) runs first; the states are
-    then let go, so they are not held while the drift fit's buffers are.
+    Everything that reads the states (the artifacts, `_scan` and the final
+    error) runs first; the states are then let go, so they are not held
+    while the drift fit's buffers are.
     """
     outdir = Path(outdir)
     scheme = resolve_scheme(s.method)
@@ -559,8 +549,7 @@ def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
     if failure is not None:
         failed_step = failure.step
         warnings += (f"stepper failed at step {failure.step}: {failure.cause}",)
-    h0, max_dev, crossing = _scan(traj)
-    radius = _radius_deviation(traj, crossing)
+    h0, max_dev, crossing, radius = _scan(traj)
     final_error = traj.final_error
     energies = traj.energies
     # the last references to the states: the trajectory, whose error_at

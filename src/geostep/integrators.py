@@ -119,8 +119,8 @@ class Trajectory:
     exact-error channel.
 
     The channel is not stored: `error_at(rows)` gives its values at an
-    integer array of non-negative row indices, computed on request, and
-    `errors` is the whole channel (None when there is no `error_at`).
+    integer array of non-negative row indices, computed on request;
+    `error_at` is None on a nonlinear field.
     """
 
     h: float
@@ -131,12 +131,6 @@ class Trajectory:
     @property
     def steps(self) -> int:
         return len(self.states)
-
-    @functools.cached_property
-    def errors(self) -> np.ndarray | None:
-        if self.error_at is None:
-            return None
-        return self.error_at(np.arange(self.steps))
 
     @property
     def final_error(self) -> float | None:

@@ -172,7 +172,7 @@ def test_criterion_06_convergence_rate(name, expected):
     for h in hs:
         steps = round(10.0 / h) + 1
         tr = integrate(scheme, FIELD, Y0, h, steps, starter="exact")
-        errs.append(tr.errors[-1])
+        errs.append(tr.final_error)
     A = np.vstack([np.log(hs), np.ones(len(hs))]).T
     rate = np.linalg.lstsq(A, np.log(errs), rcond=None)[0][0]
     assert abs(rate - expected) <= 0.1

@@ -128,7 +128,8 @@ def test_exact_channel_calls_sho_exact_by_module_attribute(monkeypatch, tmp_path
     traj = integrators.integrate(ab4, sho(1.0), np.array([1.0, 0.0]), 0.1, 20,
                                  starter="exact")
     wrap("channel")
-    assert traj.final_error is not None and len(traj.errors) == 20
+    assert traj.final_error is not None
+    assert len(traj.error_at(np.arange(traj.steps))) == 20
     wrap("scenario")
     run_scenario(Scenario("traced", "leapfrog", steps=50, stride=7), tmp_path)
     # 4 starter states; the last row, then all 20; 8 written rows and the last

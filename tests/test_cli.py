@@ -23,7 +23,9 @@ from geostep import cli
 from geostep.cli import main
 from geostep.experiments import BOUNDED_FRACTION, parse_scenario
 from geostep.integrators import STARTERS, StepFailure, integrate
-from geostep.methods import _MAX_BITS, _MAX_K, REGISTRY_NAMES, resolve_scheme
+from geostep.methods import (
+    _MAX_BITS, _MAX_K, REGISTRY_NAMES, builtin_methods, resolve_scheme,
+)
 from geostep.systems import sho
 
 
@@ -600,7 +602,7 @@ def test_verify_huge_h_prints_no_numpy_warning(tmp_path, capsys, argv):
     # overflow inside the window map, its determinant, exp(h lam) or the
     # step transition's matmuls reads inf or nan in the row; numpy's warnings
     # used to reach stderr.  At 1e200 the step transition then finds two
-    # equally close roots, an input error.
+    # equally close roots, and that row fails too.
     f = tmp_path / "hessian.txt"
     f.write_text("2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n")
     argv = [str(f) if a == "HESSIAN" else a for a in argv]
@@ -608,11 +610,39 @@ def test_verify_huge_h_prints_no_numpy_warning(tmp_path, capsys, argv):
         warnings.simplefilter("always")
         code, out, err = run(capsys, "verify", *argv)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert code in (1, 2)
+    assert code == 2
     assert "RuntimeWarning" not in err
-    if code == 1:
-        assert "ambiguous" in err
     assert out.startswith("method,system,omega,h,check,value,threshold,pass\n")
+
+
+def test_verify_ambiguous_root_fails_its_row_and_the_rest_still_print(capsys):
+    # at 1e200 the step transition of m3b-corrected finds two equally close
+    # principal roots; verify used to exit 1 there, and midpoint got no rows
+    code, out, err = run(capsys, "verify", "--h", "1e200")
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 + 11 * 6
+    assert ("m3b-corrected,sho,1,9.9999999999999997e+199,step-transition,"
+            "nan,1e-10,false") in lines
+    assert len([l for l in lines if l.startswith("midpoint,")]) == 6
+    assert err.startswith("warning: m3b-corrected step-transition: principal root")
+    assert "ambiguous" in err and len(err.splitlines()) == 1
+
+
+def test_verify_singular_implicit_step_fails_its_rows(tmp_path, capsys):
+    # on the saddle H = (p^2 - q^2) / 2 at h = 1, I - h A is singular for
+    # implicit Euler: each check that steps the scheme reads nan and fails
+    # with one warning; a SingularStepError used to escape main
+    f = tmp_path / "saddle.txt"
+    f.write_text(HESSIANS["saddle"])
+    code, out, err = run(capsys, "verify", "--system", str(f), "--h", "1",
+                         "--method", "implicit-euler")
+    assert code == 2
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[4] for r in rows] == list(cli.CHECKS)
+    assert [r[5:] for r in rows[2:]] == [["nan", "1e-10", "false"]] * 4
+    assert [line.split(": ")[:2] for line in err.splitlines()] == [
+        ["warning", f"implicit-euler {check}"] for check in cli.CHECKS[2:]]
 
 
 def test_verify_overflowing_reversibility_grid_exits_1_before_any_row(
@@ -939,16 +969,22 @@ def command_lines(draw):
 
 @st.composite
 def singular_steps(draw):
-    """(files, argv, 2): an integrate run whose implicit step is singular.
-    On the saddle H = (p^2 - q^2) / 2, A = [[0, 1], [1, 0]], so I - h b A is
-    singular at h = 1 for a last beta b = 1 (and a last alpha of 1): the run
-    aborts at its first step past the starter window."""
+    """(files, argv, 2): an integrate run, or a verify, whose implicit step
+    is singular.  On the saddle H = (p^2 - q^2) / 2, A = [[0, 1], [1, 0]],
+    so I - h b A is singular at h = 1 for a last beta b = 1 (and a last
+    alpha of 1): the run aborts at its first step past the starter window,
+    and verify fails the rows of the checks that step the scheme.  Verify
+    without --method covers the built-ins, implicit Euler among them."""
     files = {"saddle": HESSIANS["saddle"]}
     k = draw(st.integers(1, 3))
     beta = draw(st.lists(st.sampled_from(TOKENS), min_size=k, max_size=k))
     files["P"] = (f"name: P\nk: {k}\nalpha: -1{' 0' * (k - 1)} 1\n"
                   f"beta: {' '.join(beta)} 1\n")
-    argv = ["integrate", "--method", draw(st.sampled_from(["implicit-euler", "P"])),
+    method = draw(st.sampled_from(["implicit-euler", "P"]))
+    if draw(st.booleans()):
+        argv = ["verify", "--system", "saddle", "--h", "1"]
+        return files, argv + draw(st.sampled_from([[], ["--method", method]])), 2
+    argv = ["integrate", "--method", method,
             "--system", "saddle", "--h", "1", "--out", "out",
             "--steps", draw(st.sampled_from(["3", "40"])),
             "--stride", draw(st.sampled_from(["1", "3", "7"])),
@@ -976,7 +1012,8 @@ def _recomputed_energies(scenario_text: str) -> np.ndarray:
 def test_property_every_command_line_exits_cleanly(case):
     # exit 0, 1 or 2 with no exception and no numpy warning, a usage or
     # input error (exit 1) writes no artifact, a planted singular step
-    # aborts (exit 2), and a run labelled bounded has finite energies
+    # aborts a run (exit 2) and fails verify rows (exit 2, every scheme's
+    # six rows printed), and a run labelled bounded has finite energies
     # within 1% of |H0| when recomputed
     files, argv, expected = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -985,9 +1022,9 @@ def test_property_every_command_line_exits_cleanly(case):
         try:
             for name, text in files.items():
                 Path(name).write_text(text)
-            stdout = io.StringIO()
+            stdout, stderr = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
-                    redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                    redirect_stdout(stdout), redirect_stderr(stderr):
                 warnings.simplefilter("always")
                 code = main(argv)
             assert code in (0, 1, 2)
@@ -996,6 +1033,15 @@ def test_property_every_command_line_exits_cleanly(case):
                 assert not Path("out").exists()
             if expected is not None:
                 assert code == expected
+            if expected is not None and argv[0] == "verify":
+                assert "Traceback" not in stderr.getvalue()
+                lines = stdout.getvalue().splitlines()
+                assert lines[0] == "method,system,omega,h,check,value,threshold,pass"
+                names = ([argv[-1]] if "--method" in argv
+                         else sorted(builtin_methods()))
+                assert [line.split(",")[0] for line in lines[1:]] == [
+                    name for name in names for _ in cli.CHECKS]
+            elif expected is not None:
                 for artifact in Path("out").iterdir():
                     last = artifact.read_text().splitlines()[-1]
                     assert last.startswith("# aborted at step ")

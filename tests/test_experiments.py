@@ -22,7 +22,7 @@ from geostep.systems import LinearHamiltonian, sho
 from geostep.experiments import (
     _CSV_BLOCK,
     _STAT_BLOCK,
-    _radius_deviation,
+    _scan,
     BOUNDED_FRACTION,
     EXPLODE_FACTOR,
     OUTPUT_KINDS,
@@ -412,8 +412,9 @@ def _reference_csv(traj, stride, outputs):
         text["energy"] = "step,t,H,dH\n" + "".join(
             line(j, [t[j], H[j], H[j] - H[0]]) for j in idx)
     if "error" in outputs:
+        errors = traj.error_at(np.arange(traj.steps))
         text["error"] = "step,t,error\n" + "".join(
-            line(j, [t[j], traj.errors[j]]) for j in idx)
+            line(j, [t[j], errors[j]]) for j in idx)
     return text
 
 
@@ -543,9 +544,9 @@ def _classify_by_vstack(traj: Trajectory):
 
 
 def _radius_by_einsum(traj: Trajectory, crossing):
-    """`_radius_deviation` over whole arrays: einsum's |y|^2 of every row
-    of the prefix, minus the first, as one array.  The reference for its
-    bits."""
+    """`_scan`'s radius deviation over whole arrays: einsum's |y|^2 of
+    every row of the prefix, minus the first, as one array.  The reference
+    for its bits."""
     states = traj.states if crossing is None else traj.states[:crossing]
     if states.shape[1] != 2 or len(states) == 0:
         return None
@@ -658,9 +659,10 @@ def records(draw):
 def test_blocked_statistics_are_bit_identical_to_whole_array_ones(traj):
     got = classify(traj)
     assert _bits(got) == _bits(_classify_by_vstack(traj))
-    crossing = got[4]
-    assert (_bits((_radius_deviation(traj, crossing),))
-            == _bits((_radius_by_einsum(traj, crossing),)))
+    _, h0, max_dev, _, crossing = got
+    # None beyond two columns, as on the H0 <= 0 records of four
+    radius = _radius_by_einsum(traj, crossing)
+    assert _bits(_scan(traj)) == _bits((h0, max_dev, crossing, radius))
 
 
 def _traced_peak(f, *args):
@@ -691,8 +693,9 @@ def test_radius_deviation_memory_peak_on_a_long_record():
     rows = 1_000_000
     rng = np.random.default_rng(6)
     traj = Trajectory(h=0.1, states=rng.standard_normal((rows, 2)),
-                      energies=np.zeros(rows))
-    radius, peak = _traced_peak(_radius_deviation, traj, None)
+                      energies=np.full(rows, 0.5))
+    (_, _, crossing, radius), peak = _traced_peak(_scan, traj)
+    assert crossing is None
     assert radius == _radius_by_einsum(traj, None)
     assert peak <= 2**20
 

@@ -348,6 +348,7 @@ def test_energy_drift_constant_sequence_has_zero_slope():
         h = 0.1
         times = 0.1 * np.arange(50)
         energies = np.full(50, 2.5)
+        states = np.ones((50, 2))
 
     label, _, max_dev, slope, _ = classify(Flat())
     assert label == "bounded"

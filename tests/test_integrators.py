@@ -248,7 +248,7 @@ def test_pc_local_error_scales_at_fifth_order():
 
     def one_step_error(h):
         traj = integrate(pair, FIELD, Y0, h, pair.k + 1, starter="exact")
-        return traj.errors[-1]
+        return traj.final_error
 
     ratio = one_step_error(0.1) / one_step_error(0.05)
     assert ratio == pytest.approx(32.0, rel=0.15)
@@ -350,13 +350,14 @@ def test_trajectory_times_and_channels():
     assert isinstance(traj, Trajectory)
     assert traj.h == 0.1 and traj.steps == 25
     assert traj.energies.shape == (25,)
-    assert traj.errors.shape == (25,)
-    assert traj.errors[0] == 0.0
+    errors = traj.error_at(np.arange(traj.steps))
+    assert errors.shape == (25,)
+    assert errors[0] == 0.0
 
 
 def test_exact_starter_rows_have_zero_error():
     traj = integrate(MS["ab4"], FIELD, Y0, 0.1, 10, starter="exact")
-    assert np.max(traj.errors[: 4]) < 1e-14
+    assert np.max(traj.error_at(np.arange(4))) < 1e-14
 
 
 @pytest.mark.parametrize("name", ["leapfrog", "midpoint", "ab4", "am4", "m3-line1"])
@@ -518,9 +519,10 @@ def test_blocked_overflow_and_crossing_match_per_step_map():
 def test_exact_channel_on_general_field_matches_matrix_exponential():
     h, steps = 0.05, 2 * _BLOCK + 3
     traj = integrate(MS["leapfrog"], FIELD2, Y02, h, steps)
+    errors = traj.error_at(np.arange(traj.steps))
     for j in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, steps - 1):
         exact = expm(j * h * FIELD2.A) @ Y02
-        assert traj.errors[j] == pytest.approx(
+        assert errors[j] == pytest.approx(
             np.linalg.norm(traj.states[j] - exact), abs=1e-12
         )
 
@@ -590,14 +592,14 @@ def test_property_error_rows_equal_the_full_channel(run, data):
     for rows in (np.arange(0, traj.steps, stride), np.array(picked, dtype=int),
                  np.array([last])):
         assert np.array_equal(traj.error_at(rows), full[rows], equal_nan=True)
-    assert np.array_equal(traj.errors, full, equal_nan=True)
+    assert np.array_equal(traj.error_at(np.arange(traj.steps)), full, equal_nan=True)
     assert np.array_equal(traj.final_error, full[-1], equal_nan=True)
 
 
 def test_nonlinear_field_uses_generic_path():
     field = pendulum()
     traj = integrate(MS["leapfrog"], field, np.array([0.5, 0.0]), 0.05, 200)
-    assert traj.errors is None
+    assert traj.error_at is None
     H = traj.energies
     assert np.max(np.abs(H - H[0])) < 1e-3
 

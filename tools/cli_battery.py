@@ -14,9 +14,10 @@ takes about 20 s on a 2-CPU host.
 
 Besides the oscillator it integrates a 2-DOF Hessian file, with each starter,
 so the Hessian loader and the matrix-exponential paths of the exact starter
-and the exact-error channel run too.  Two runs write every row: one long
-enough for the CSV writer to split its rows with a forked child, and one
-that overflows, so the CSVs hold inf, -inf and nan.
+and the exact-error channel run too, and verifies every built-in on a saddle
+Hessian at a step where implicit Euler's step is singular.  Two runs write
+every row: one long enough for the CSV writer to split its rows with a
+forked child, and one that overflows, so the CSVs hold inf, -inf and nan.
 """
 from __future__ import annotations
 
@@ -76,6 +77,8 @@ SCENARIOS = {
 
 # a 2-DOF Hessian, the oscillator's blockdiag(K, I) with K coupled
 HESSIAN = "2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n"
+# the saddle H = (p^2 - q^2) / 2: implicit Euler's step is singular at h = 1
+SADDLE = "-1 0\n0 1\n"
 
 INTEGRATE = ("integrate", "--steps", "300", "--stride", "7", "--method")
 
@@ -99,6 +102,7 @@ def cases() -> list[list[str]]:
     out += [["verify"], ["verify", "--h", "0.3", "--omega", "2"],
             ["verify", "--method", "../in/reversed-overflow.txt", "--h", "100"],
             ["verify", "--h", "1e200"],
+            ["verify", "--system", "../in/saddle.txt", "--h", "1"],
             ["verify", "--method", "../in/grid-overflow.txt", "--h", "1e308"]]
     out += [["experiment", "--figure", str(figure)] for figure in range(1, 5)]
     out += [["experiment", "--scenario", f"../in/{name}.txt"] for name in SCENARIOS]
@@ -124,6 +128,7 @@ def main(argv: list[str]) -> int:
         for name, text in SCENARIOS.items():
             (inputs / f"{name}.txt").write_text(text)
         (inputs / "hessian.txt").write_text(HESSIAN)
+        (inputs / "saddle.txt").write_text(SADDLE)
         for args in cases():
             shutil.rmtree(outdir, ignore_errors=True)
             outdir.mkdir()
