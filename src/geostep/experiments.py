@@ -22,16 +22,20 @@ builds nothing.
 Summary statistics (max deviation, slope, radius deviation,
 classification) are always computed at full resolution, never from the
 decimated files.  They are formed in blocks of _STAT_BLOCK rows (8192)
-that stay in cache, so no temporaries but the drift fit's design matrix
-and numpy's copy of it inside `lstsq` are as long as the run, and each has
-the bits of its formula over whole arrays.  One walk over those blocks,
-`_scan`, takes the crossing, the energy deviation and the radius deviation
-together.  The exact-error channel is the exception: it is evaluated only
-at the written rows and, for `finalError`, the last row.  `run_scenario`
-takes everything that reads the states first (artifacts, the scan, final
-error) and lets the states go before the fit: at 10^6 steps the fit's peak
-holds the energies (8 MB), the (2, N) design matrix (16 MB) and the
-`lstsq` copy (24 MB), but not the 16 MB of states.
+that stay in cache, in one walk over those blocks, `_scan`, which takes
+the crossing, the energy deviation, the radius deviation and the drift
+slope together; no temporary is as long as the run.  The peaks have the
+bits of their formulas over whole arrays.  The slope is the exact
+least-squares slope of the energies against t_j = h j, rounded once: each
+block adds its exact integer sums of H_j and j H_j to two Python ints, an
+integer form of the error-free summation of Rump, Ogita & Oishi (SIAM J.
+Sci. Comput. 31 (2008) 189-224).  The exact-error channel is the
+exception: it is evaluated only at the written rows and, for `finalError`,
+the last row.
+`run_scenario` takes everything that reads the states first (artifacts,
+the scan, final error) and lets the states go before it labels the run, so
+at 10^6 steps its peak is the run itself: 16 MB of states and 8 MB of
+energies.
 
 Long runs are classified as bounded, drifting or exploding from the energy
 record, against two fixed thresholds.  Exploding is detected by the energy
@@ -387,6 +391,15 @@ def _child(work, spills) -> NoReturn:
 # rows per block of the run statistics: a block of states and its float
 # columns stay within a 2 MiB L2 cache
 _STAT_BLOCK = 8192
+# The drift slope's sums are exact.  A band of a block's energies whose
+# binary exponents (np.frexp's) span at most _BAND scales by a power of two
+# to integers below 2^62, each an int64; two _LIMB-bit limbs of those keep a
+# block's sum and ramp-weighted sum below 2^57.  Every band's sums are
+# Python ints in units of 2^-_LOW: a band's exponent is at least
+# -1073 - 62, the smallest subnormal's band.
+_BAND = 9
+_LIMB = 31
+_LOW = 1135
 
 
 def _squared_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -405,16 +418,67 @@ def _squared_norms(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan(traj: Trajectory) -> tuple[float, float, int | None, float | None]:
-    """(h0, max_deviation, crossing_step, radius_deviation): the statistics
-    `_fit` does not form, taken in one walk over the run, the only one that
-    reads its states.
+def _band_sums(H: np.ndarray, top: int, ramp: np.ndarray) -> tuple[int, int]:
+    """(Σ H_i, Σ i H_i) in units of 2^-_LOW, exactly, for finite H below
+    2^top in magnitude whose nonzero entries have frexp exponents of at
+    least top - _BAND; `ramp` is 0, 1, ... as int64."""
+    # H_i is a multiple of 2^(e_i - 53), so K_i = H_i 2^(62 - top) is an
+    # integer of magnitude below 2^62
+    K = np.ldexp(H, 62 - top).astype(np.int64)
+    hi = K >> _LIMB
+    K &= (1 << _LIMB) - 1
+    shift = top - 62 + _LOW
+    return (((int(hi.sum()) << _LIMB) + int(K.sum())) << shift,
+            ((int(hi @ ramp) << _LIMB) + int(K @ ramp)) << shift)
 
-    The crossing, the largest |H - H_0| and the largest | |y|^2 - |y_0|^2 |
-    of the pre-crossing prefix are formed one block of _STAT_BLOCK rows at a
-    time, with the bits the whole arrays would give.  The deviation reads
-    0.0 on a prefix of fewer than two rows; the radius deviation is None
-    beyond two state columns or on an empty prefix.
+
+def _block_sums(H: np.ndarray, ramp: np.ndarray) -> tuple[int, int]:
+    """(Σ H_i, Σ i H_i) of a finite block in units of 2^-_LOW, exactly:
+    one band when its exponents span at most _BAND (zeros count as
+    exponent 0), else one band at a time from the largest exponent down."""
+    e = np.frexp(H)[1]
+    top = int(e.max())
+    if top - int(e.min()) <= _BAND:
+        return _band_sums(H, top, ramp)
+    s0 = s1 = 0
+    rest = H != 0
+    while rest.any():
+        top = int(e[rest].max())
+        band = rest & (e >= top - _BAND)
+        b0, b1 = _band_sums(np.where(band, H, 0.0), top, ramp)
+        s0 += b0
+        s1 += b1
+        rest &= ~band
+    return s0, s1
+
+
+def _slope(s0: int, s1: int, N: int, h: float) -> float:
+    """The least-squares slope of H_j against t_j = h j over N >= 2 rows,
+    from s0 = Σ H_j and s1 = Σ j H_j in units of 2^-_LOW: with
+    c_j = 2j - (N - 1) it is 6 Σ c_j H_j / (h N (N^2 - 1)), one quotient of
+    integers, rounded once.  An over-range slope is +-inf."""
+    n, d = float(h).as_integer_ratio()
+    num = 6 * (2 * s1 - (N - 1) * s0) * d
+    den = (n * N * (N * N - 1)) << _LOW
+    try:
+        return num / den  # int / int is correctly rounded
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _scan(traj: Trajectory) -> tuple[float, float, float, int | None, float | None]:
+    """(h0, max_deviation, slope, crossing_step, radius_deviation): every
+    statistic of a run, taken in one walk over it, the only one that reads
+    its states.
+
+    The crossing, the largest |H - H_0|, the largest | |y|^2 - |y_0|^2 |
+    and the exact sums of the drift slope over the pre-crossing prefix are
+    formed one block of _STAT_BLOCK rows at a time; the peaks have the bits
+    the whole arrays would give, and the slope is the exact least-squares
+    slope against t_j = h j, rounded once (`_slope`).  The deviation and
+    the slope read 0.0 on a prefix of fewer than two rows, and the slope
+    nan when an energy in the prefix is not finite; the radius deviation
+    is None beyond two state columns or on an empty prefix.
     """
     H = np.asarray(traj.energies, dtype=float)
     h0 = float(H[0])
@@ -423,6 +487,7 @@ def _scan(traj: Trajectory) -> tuple[float, float, int | None, float | None]:
     radial = states.shape[1] == 2
     work = np.empty(min(rows, _STAT_BLOCK))
     below = np.empty(len(work), dtype=bool)
+    ramp = np.arange(len(work), dtype=np.int64)
     # |y|^2 of a block serves the radius and, when H_0 <= 0, the crossing:
     # H cannot measure growth then (an indefinite H can blow up along
     # H = H_0), so the squared state norm is watched instead
@@ -433,6 +498,8 @@ def _scan(traj: Trajectory) -> tuple[float, float, int | None, float | None]:
     limit = EXPLODE_FACTOR * size0
     crossing = None
     peaks, radii = [], []  # max |H - H_0| and radius peak of each block
+    s0 = s1 = 0  # Σ H_j and Σ j H_j of the prefix, in units of 2^-_LOW
+    finite = True
     for lo in range(0, rows, _STAT_BLOCK):
         hi = min(lo + _STAT_BLOCK, rows)
         if norms is not None:
@@ -445,8 +512,17 @@ def _scan(traj: Trajectory) -> tuple[float, float, int | None, float | None]:
             if not mask[first]:
                 crossing = hi = lo + first
         if hi > lo:
-            dev = np.subtract(H[lo:hi], h0, out=work[: hi - lo])
+            # a deviation past the float range reads inf: data, not an error
+            with np.errstate(over="ignore"):
+                dev = np.subtract(H[lo:hi], h0, out=work[: hi - lo])
             peaks.append(np.abs(dev, out=dev).max())
+            # a finite peak has finite energies; an infinite one may too
+            finite = finite and (
+                math.isfinite(peaks[-1]) or bool(np.isfinite(H[lo:hi]).all()))
+            if finite:
+                b0, b1 = _block_sums(H[lo:hi], ramp[: hi - lo])
+                s0 += b0
+                s1 += lo * b0 + b1
             if radial:
                 dev = r[: hi - lo]
                 dev -= r0
@@ -455,42 +531,21 @@ def _scan(traj: Trajectory) -> tuple[float, float, int | None, float | None]:
             break
     N = rows if crossing is None else crossing
     max_dev = float(np.max(peaks)) if N >= 2 else 0.0
+    slope = 0.0 if N < 2 else _slope(s0, s1, N, traj.h) if finite else math.nan
     radius = float(np.max(radii)) if radii else None
-    return h0, max_dev, crossing, radius
+    return h0, max_dev, slope, crossing, radius
 
 
-def _fit(H: np.ndarray, h: float, h0: float, max_dev: float,
-         exploding: bool) -> tuple[str, float]:
-    """(classification, slope): the second half of `classify`, from the
-    energies H of the pre-crossing prefix (the whole run when it does not
-    explode), step size h and `_scan`'s h0 and max_deviation.
-
-    The slope is the least-squares fit of H against t_j = h * j (0.0 below
-    two rows).  The time row of its design matrix is filled one block of
-    _STAT_BLOCK rows at a time, so the (2, N) design matrix and `lstsq`'s
-    own copy are the only temporaries as long as the run.
-    """
-    N = len(H)
-    slope = 0.0
-    if N >= 2:
-        # the design matrix [t, 1] is the transpose of one (2, N) array, the
-        # layout `np.vstack([t, ones]).T` has; t_j = h * j, with j exact as
-        # a float
-        design = np.empty((2, N))
-        ramp = np.arange(min(N, _STAT_BLOCK), dtype=float)
-        for lo in range(0, N, _STAT_BLOCK):
-            t = design[0, lo : lo + _STAT_BLOCK]
-            np.add(ramp[: len(t)], lo, out=t)
-            t *= h
-        design[1] = 1.0
-        slope = float(np.linalg.lstsq(design.T, H, rcond=None)[0][0])
+def _fit(h0: float, max_dev: float, slope: float, t_final: float,
+         exploding: bool) -> str:
+    """The classification from `_scan`'s h0, max_deviation and slope and
+    the run's last time t_final = h (N - 1)."""
     if exploding:
-        return "exploding", slope
+        return "exploding"
     budget = BOUNDED_FRACTION * (abs(h0) if h0 != 0 else 1.0)
-    t_final = h * (N - 1)
     if max_dev <= budget and abs(slope) * t_final <= budget:
-        return "bounded", slope
-    return "drifting", slope
+        return "bounded"
+    return "drifting"
 
 
 def classify(traj: Trajectory):
@@ -500,9 +555,9 @@ def classify(traj: Trajectory):
     the reported numbers are finite even after overflow.  This is `_scan`
     then `_fit`, with the scan's radius deviation left out.
     """
-    h0, max_dev, crossing, _ = _scan(traj)
-    H = np.asarray(traj.energies, dtype=float)[:crossing]
-    label, slope = _fit(H, traj.h, h0, max_dev, crossing is not None)
+    h0, max_dev, slope, crossing, _ = _scan(traj)
+    t_final = traj.h * (len(traj.energies) - 1)
+    label = _fit(h0, max_dev, slope, t_final, crossing is not None)
     return label, h0, max_dev, slope, crossing
 
 
@@ -535,8 +590,8 @@ def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
     On a stepper failure the partial trajectory is still written (see
     `run_and_write`) and the failing step index lands in the summary.
     Everything that reads the states (the artifacts, `_scan` and the final
-    error) runs first; the states are then let go, so they are not held
-    while the drift fit's buffers are.
+    error) runs first; the states are then let go before `_fit` labels the
+    run.
     """
     outdir = Path(outdir)
     scheme = resolve_scheme(s.method)
@@ -549,13 +604,13 @@ def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
     if failure is not None:
         failed_step = failure.step
         warnings += (f"stepper failed at step {failure.step}: {failure.cause}",)
-    h0, max_dev, crossing, radius = _scan(traj)
+    h0, max_dev, slope, crossing, radius = _scan(traj)
     final_error = traj.final_error
-    energies = traj.energies
+    t_final = s.h * (len(traj.energies) - 1)
     # the last references to the states: the trajectory, whose error_at
     # closure holds them too, and the failure's partial trajectory
     del traj, failure
-    label, slope = _fit(energies[:crossing], s.h, h0, max_dev, crossing is not None)
+    label = _fit(h0, max_dev, slope, t_final, crossing is not None)
     result = ScenarioResult(
         scenario=s,
         files=files,

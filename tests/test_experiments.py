@@ -1,6 +1,8 @@
 """Scenario plumbing, CSV artifacts, classification, determinism."""
 import csv
 import filecmp
+from fractions import Fraction
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -507,13 +509,37 @@ def test_classify_counts_a_nan_as_the_crossing(diagonal, y0):
     assert (max_dev, slope) == (0.0, 0.0)
 
 
-def _classify_by_vstack(traj: Trajectory):
+def _exact_slope(H, h):
+    """The least-squares slope of H_j against t_j = h j in exact rationals,
+    rounded once by float(): Σ (t_j - t̄) H_j / Σ (t_j - t̄)^2, where
+    t_j - t̄ = h (2j - (N - 1)) / 2.  Each H_j = n / d (d a power of two)
+    enters the sum as an integer over the common denominator 2^1074; the
+    slope is 0.0 below two rows, nan when an H_j is not finite and +-inf
+    past the float range."""
+    N = len(H)
+    if N < 2:
+        return 0.0
+    if not np.isfinite(H).all():
+        return math.nan
+    num = 0
+    for j, x in enumerate(np.asarray(H, dtype=float).tolist()):
+        n, d = x.as_integer_ratio()
+        num += (2 * j - (N - 1)) * (n << (1074 - (d.bit_length() - 1)))
+    den = sum((2 * j - (N - 1)) ** 2 for j in range(N))
+    q = Fraction(num, 2**1074) / (Fraction(h) * Fraction(den, 2))
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def _classify_by_whole_arrays(traj: Trajectory):
     """`classify` with its statistics formed term by term over whole
     arrays: |y|^2 of every row by einsum, the crossing mask over the whole
-    record, the time grid, a vector of ones, their `vstack` as the `lstsq`
-    design matrix and |H - H0| as its own array.  The reference for the
-    bits of `classify`, which forms them block by block; like it, this
-    reads `traj.states` only when H0 <= 0."""
+    record, |H - H0| as its own array and the slope as one exact rational
+    over the prefix (`_exact_slope`).  The reference for the bits of
+    `classify`, which forms them block by block; like it, this reads
+    `traj.states` only when H0 <= 0."""
     H = np.asarray(traj.energies, dtype=float)
     h0 = float(H[0])
     if h0 > 0:
@@ -527,13 +553,8 @@ def _classify_by_vstack(traj: Trajectory):
         if len(over):
             crossing = int(over[0])
     prefix = H if crossing is None else H[:crossing]
-    t = traj.h * np.arange(len(prefix))
-    if len(prefix) >= 2:
-        max_dev = float(np.max(np.abs(prefix - h0)))
-        A = np.vstack([t, np.ones_like(t)]).T
-        slope = float(np.linalg.lstsq(A, prefix, rcond=None)[0][0])
-    else:
-        max_dev, slope = 0.0, 0.0
+    max_dev = float(np.max(np.abs(prefix - h0))) if len(prefix) >= 2 else 0.0
+    slope = _exact_slope(prefix, traj.h)
     if crossing is not None:
         return "exploding", h0, max_dev, slope, crossing
     scale = abs(h0) if h0 != 0 else 1.0
@@ -583,7 +604,7 @@ def test_classify_is_bit_identical_to_the_vstack_formulation(
         traj = Trajectory(h, traj.states[:steps], traj.energies[:steps], steps)
     got = classify(traj)
     assert got[0] == label
-    assert _bits(got) == _bits(_classify_by_vstack(traj))
+    assert _bits(got) == _bits(_classify_by_whole_arrays(traj))
 
 
 SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 5e-324]
@@ -658,11 +679,106 @@ def records(draw):
 @given(traj=records())
 def test_blocked_statistics_are_bit_identical_to_whole_array_ones(traj):
     got = classify(traj)
-    assert _bits(got) == _bits(_classify_by_vstack(traj))
-    _, h0, max_dev, _, crossing = got
+    assert _bits(got) == _bits(_classify_by_whole_arrays(traj))
+    _, h0, max_dev, slope, crossing = got
     # None beyond two columns, as on the H0 <= 0 records of four
     radius = _radius_by_einsum(traj, crossing)
-    assert _bits(_scan(traj)) == _bits((h0, max_dev, crossing, radius))
+    assert _bits(_scan(traj)) == _bits((h0, max_dev, slope, crossing, radius))
+
+
+@st.composite
+def drift_records(draw):
+    """(energies, h) for the slope alone: N from 2 to past three blocks of
+    the statistics, either a large offset with a tiny trend, exponents
+    spread over the float range, zeros, subnormals and extremes, or small
+    values of a dozen binary exponents among mirrored pairs H_j = H_{N-1-j}
+    of larger ones, whose terms cancel exactly so that every bit of the
+    small values reaches the slope.  H_0 is
+    at most 0, so on zero states the scan watches |y|^2 = 0, which never
+    crosses, and the slope covers every row."""
+    N = draw(st.one_of(st.integers(2, 3 * B + 2),
+                       st.sampled_from([B - 1, B, B + 1, 2 * B, 2 * B + 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["trend", "spread", "special", "mirrored"]))
+    if kind == "trend":
+        offset = draw(st.sampled_from([0.5, 1e5, -3e8, 1e300]))
+        trend = draw(st.sampled_from([0.0, 1e-20, 1e-12]))
+        H = offset * (1 + trend * np.arange(N) + 1e-15 * rng.standard_normal(N))
+    elif kind == "spread":
+        H = rng.standard_normal(N) * 10.0 ** rng.uniform(-300, 300, N)
+    elif kind == "special":
+        H = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        1.0, -1e308, 1e308], N)
+    else:
+        H = rng.standard_normal(N) * 2.0 ** -rng.integers(6, 18, N)
+        pairs = rng.integers(0, N // 2, N // 4 + 1)
+        H[pairs] = H[N - 1 - pairs] = -rng.uniform(1, 2, len(pairs))
+    H[0] = -abs(H[0])
+    h = draw(st.one_of(st.sampled_from([0.1, 1e-3, 2.5, 5e-324]),
+                       st.floats(1e-300, 1e300)))
+    return H, h
+
+
+@example(record=(np.full(10, -1e150), 5e-324))  # constant: exactly 0
+@example(record=(np.array([-1.0, 1e308, -1e308, 5e-324, 0.0]), 1e-300))  # -inf
+@settings(max_examples=100, deadline=None)
+@given(record=drift_records())
+def test_scan_slope_is_the_exactly_rounded_least_squares_slope(record):
+    H, h = record
+    traj = Trajectory(h=h, states=np.zeros((len(H), 2)), energies=H)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, slope, crossing, _ = _scan(traj)
+    assert crossing is None
+    assert _bits((slope,)) == _bits((_exact_slope(H, h),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scan_slope_is_nan_on_a_non_finite_energy(bad):
+    # H0 <= 0, so the crossing watches |y|^2 and the energy stays in the
+    # prefix
+    H = np.array([-0.5, -0.4, bad, -0.3, -0.2])
+    traj = Trajectory(h=0.1, states=np.zeros((5, 2)), energies=H)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, slope, crossing, _ = _scan(traj)
+    assert crossing is None and math.isnan(slope)
+
+
+# exact least-squares slopes of the 10^6-step runs from (1, 0), each checked
+# against a Fraction sum over the energies
+EXACT_SLOPES = {
+    "fig2-m1": -1.36989172087054e-12,
+    "fig2-m1-corrected": -1.8018172581341372e-16,
+    "fig3-pc": 1.8645314803000995e-06,
+    "fig4-partitioned": 4.43740380119898,  # over the 629 rows before the crossing
+    "fig4-partitioned-corrected": -1.5504350638921031e-13,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SLOPES))
+def test_long_run_slopes_are_exact(name, tmp_path):
+    s = {s.name: s for s in builtin_scenarios()}[name]
+    assert (s.steps, s.q0, s.p0) == (1_000_000, 1.0, 0.0)
+    rep = run_scenario(s, tmp_path)
+    assert _bits((rep.slope,)) == _bits((EXACT_SLOPES[name],))
+
+
+@pytest.mark.parametrize("text, slope, label", [
+    # H doubles each step from 5e299; the exact slope is about 1.8e450
+    ("method: explicit-euler\nomega: 1e150\nh: 1e-150\nsteps: 5\nq0: 1\n",
+     np.inf, "drifting"),
+    # h so small that q never moves: H is constant, the slope exactly 0
+    ("method: leapfrog\nh: 5e-324\nsteps: 10\nq0: 1e150\n", 0.0, "bounded"),
+], ids=["over-range", "constant"])
+def test_scenario_slope_at_the_ends_of_the_float_range(tmp_path, text, slope, label):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_scenario(parse_scenario("scenario: ends\n" + text), tmp_path)
+    assert _bits((rep.slope,)) == _bits((slope,))
+    assert rep.classification == label
+    summary = Path(rep.files["summary"]).read_text()
+    assert f"slope: {format(slope, '.17g')}\n" in summary
 
 
 def _traced_peak(f, *args):
@@ -677,7 +793,7 @@ def _traced_peak(f, *args):
 
 
 def test_classify_memory_peak_on_a_long_record():
-    # 10^6 rows: the design matrix is 16 MB; every other temporary is a
+    # 10^6 rows: a row-length vector would be 8 MB; every temporary is a
     # block of the statistics
     rows = 1_000_000
     rng = np.random.default_rng(5)
@@ -685,7 +801,7 @@ def test_classify_memory_peak_on_a_long_record():
                       energies=0.5 + 1e-12 * rng.standard_normal(rows))
     result, peak = _traced_peak(classify, traj)
     assert result[0] == "bounded"
-    assert peak <= 17 * 2**20
+    assert peak <= 2**20
 
 
 def test_radius_deviation_memory_peak_on_a_long_record():
@@ -694,7 +810,7 @@ def test_radius_deviation_memory_peak_on_a_long_record():
     rng = np.random.default_rng(6)
     traj = Trajectory(h=0.1, states=rng.standard_normal((rows, 2)),
                       energies=np.full(rows, 0.5))
-    (_, _, crossing, radius), peak = _traced_peak(_scan, traj)
+    (_, _, _, crossing, radius), peak = _traced_peak(_scan, traj)
     assert crossing is None
     assert radius == _radius_by_einsum(traj, None)
     assert peak <= 2**20
@@ -702,8 +818,8 @@ def test_radius_deviation_memory_peak_on_a_long_record():
 
 @pytest.mark.parametrize("abort", [False, True], ids=["completed", "aborted"])
 def test_run_scenario_lets_the_states_go_before_the_fit(tmp_path, monkeypatch, abort):
-    # the states are dead once the drift fit starts: every statistic that
-    # reads them is taken first, so they are not held beside its buffers
+    # the states are dead once the run is labelled: every statistic that
+    # reads them is taken first
     runs, seen = [], []
 
     def recorded(*args, **kwargs):
@@ -714,12 +830,12 @@ def test_run_scenario_lets_the_states_go_before_the_fit(tmp_path, monkeypatch, a
                 len(traj.states), integrators.SingularStepError("planted"), traj)
         return traj
 
-    def lstsq(*args, _fn=np.linalg.lstsq, **kwargs):
+    def fit(*args, _fn=experiments._fit, **kwargs):
         seen.append([run() is None for run in runs])
         return _fn(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "integrate", recorded)
-    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    monkeypatch.setattr(experiments, "_fit", fit)
     rep = run_scenario(Scenario("dropped", "m1-corrected", steps=20_000), tmp_path)
     assert seen == [[True]]
     assert rep.classification == "bounded"
@@ -727,8 +843,8 @@ def test_run_scenario_lets_the_states_go_before_the_fit(tmp_path, monkeypatch, a
 
 
 def test_run_scenario_memory_peak_on_a_long_run(tmp_path):
-    # 10^6 steps: the states are 16 MB, the energies 8 MB and the fit's
-    # design matrix 16 MB; states and design matrix are never held together
+    # 10^6 steps: the states are 16 MB and the energies 8 MB, held
+    # together by the run itself; the statistics add a block at a time
     s = {s.name: s for s in builtin_scenarios()}["fig2-m1-corrected"]
     assert s.steps == 1_000_000
     rep, peak = _traced_peak(run_scenario, s, tmp_path)

@@ -66,13 +66,18 @@ FILES = {
     "grid-overflow": "name: {name}\nk: 1\nalpha: 1 1\nbeta: 1 1\n",
 }
 ALL_COMMANDS = ("good", "gamma", "huge")
-# scenario files: H0 = 0 (the classifier watches |y|^2), and a start off the
-# q axis over enough steps for many blocks of the run statistics
+# scenario files: H0 = 0 (the classifier watches |y|^2), a start off the
+# q axis over enough steps for many blocks of the run statistics, a drift
+# slope past the float range (inf) and a constant energy record (slope 0)
 SCENARIOS = {
     "zero-start": "scenario: zero-start\nmethod: leapfrog\nsteps: 20000\n"
                   "q0: 0\np0: 0\nstride: 100\n",
     "off-axis": f"scenario: off-axis\nmethod: m1-corrected\nsteps: 100000\n"
                 f"q0: {math.cos(1)!r}\np0: {math.sin(1)!r}\nstride: 100\n",
+    "over-range-slope": "scenario: over-range-slope\nmethod: explicit-euler\n"
+                        "omega: 1e150\nh: 1e-150\nsteps: 5\nq0: 1\n",
+    "constant-energy": "scenario: constant-energy\nmethod: leapfrog\n"
+                       "h: 5e-324\nsteps: 10\nq0: 1e150\n",
 }
 
 # a 2-DOF Hessian, the oscillator's blockdiag(K, I) with K coupled
