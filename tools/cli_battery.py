@@ -18,6 +18,11 @@ and the exact-error channel run too, and verifies every built-in on a saddle
 Hessian at a step where implicit Euler's step is singular.  Two runs write
 every row: one long enough for the CSV writer to split its rows with a
 forked child, and one that overflows, so the CSVs hold inf, -inf and nan.
+
+The last case is a rerun: `integrate` over 300 steps, then over 30 steps
+into the same `--out`, after a fresh 30-step run in an empty directory.
+Every file the rerun leaves, each rewritten in place over a longer one,
+must hash as the fresh run's; one line says whether it does.
 """
 from __future__ import annotations
 
@@ -86,6 +91,9 @@ HESSIAN = "2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n"
 SADDLE = "-1 0\n0 1\n"
 
 INTEGRATE = ("integrate", "--steps", "300", "--stride", "7", "--method")
+# the rerun case's two runs, long then short, into one --out
+RERUN = [["integrate", "--steps", steps, "--stride", "1", "--method", "leapfrog",
+          "--out", "run"] for steps in ("300", "30")]
 
 
 def cases() -> list[list[str]]:
@@ -119,6 +127,27 @@ def cases() -> list[list[str]]:
     return out
 
 
+def _empty(outdir: Path) -> None:
+    shutil.rmtree(outdir, ignore_errors=True)
+    outdir.mkdir()
+
+
+def _run(args: list[str], outdir: Path, env: dict) -> dict[str, str]:
+    """Run one command in `outdir` and print it; returns the sha256 of
+    every file there by relative path."""
+    proc = subprocess.run([sys.executable, "-m", "geostep.cli", *args],
+                          cwd=outdir, env=env, capture_output=True, text=True)
+    print(f"$ geostep {' '.join(args)}\nexit: {proc.returncode}")
+    print(f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}--- files")
+    digests = {f.relative_to(outdir).as_posix():
+               hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted(p for p in outdir.rglob("*") if p.is_file())}
+    for path, digest in digests.items():
+        print(f"{digest}  {path}")
+    print()
+    return digests
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/cli_battery.py SRC", file=sys.stderr)
@@ -135,16 +164,14 @@ def main(argv: list[str]) -> int:
         (inputs / "hessian.txt").write_text(HESSIAN)
         (inputs / "saddle.txt").write_text(SADDLE)
         for args in cases():
-            shutil.rmtree(outdir, ignore_errors=True)
-            outdir.mkdir()
-            proc = subprocess.run([sys.executable, "-m", "geostep.cli", *args],
-                                  cwd=outdir, env=env, capture_output=True, text=True)
-            print(f"$ geostep {' '.join(args)}\nexit: {proc.returncode}")
-            print(f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}--- files")
-            for f in sorted(p for p in outdir.rglob("*") if p.is_file()):
-                digest = hashlib.sha256(f.read_bytes()).hexdigest()
-                print(f"{digest}  {f.relative_to(outdir).as_posix()}")
-            print()
+            _empty(outdir)
+            _run(args, outdir, env)
+        _empty(outdir)
+        fresh = _run(RERUN[1], outdir, env)
+        _empty(outdir)
+        _run(RERUN[0], outdir, env)
+        same = _run(RERUN[1], outdir, env) == fresh
+        print(f"rerun: {'same bytes as' if same else 'differs from'} the fresh run\n")
     return 0
 
 

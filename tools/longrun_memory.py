@@ -14,7 +14,9 @@ leapfrog on a 2-DOF Hessian file over 10^5 steps at stride 1, as the
 benchmark's `dense-output` workload runs it, whose exact-error channel
 forms the matrix exponential exp(hA).  Run it on a parent tree and on a
 change to compare their memory and cold start outside the benchmark; RSS
-varies by a few hundred KB from run to run, wall time by more.
+varies by a few hundred KB from run to run, wall time by more.  Each case
+then runs a second time in the same directory, over the first run's
+artifacts, and its line ends with that rerun's exit code and wall time.
 """
 from __future__ import annotations
 
@@ -37,22 +39,20 @@ CASES = {
 }
 
 
-def run_child(src: Path, argv: list[str]) -> tuple[int, float, float]:
+def run_child(src: Path, argv: list[str], out: str) -> tuple[int, float, float]:
     """(exit code, ru_maxrss in MB, wall seconds) of one command line in a
-    fresh interpreter."""
+    fresh interpreter, run in `out`."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    with tempfile.TemporaryDirectory() as out:
-        Path(out, "hessian.txt").write_text(HESSIAN)
-        start = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "geostep.cli", *argv], cwd=out, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        # wait4 reports this child's own peak; RUSAGE_CHILDREN would give
-        # the largest over every child reaped so far
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "geostep.cli", *argv], cwd=out, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    # wait4 reports this child's own peak; RUSAGE_CHILDREN would give
+    # the largest over every child reaped so far
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, usage.ru_maxrss / 1024, wall
 
 
@@ -62,8 +62,12 @@ def main(argv: list[str]) -> int:
         return 1
     src = Path(argv[0]).resolve()
     for name, args in CASES.items():
-        code, mb, wall = run_child(src, args)
-        print(f"{name}: exit {code} ru_maxrss_mb {mb:.1f} wall_s {wall:.2f}")
+        with tempfile.TemporaryDirectory() as out:
+            Path(out, "hessian.txt").write_text(HESSIAN)
+            code, mb, wall = run_child(src, args, out)
+            again, _, rewall = run_child(src, args, out)
+        print(f"{name}: exit {code} ru_maxrss_mb {mb:.1f} wall_s {wall:.2f} "
+              f"rerun: exit {again} wall_s {rewall:.2f}")
     return 0
 
 
