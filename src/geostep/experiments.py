@@ -1,9 +1,10 @@
 """Scenario runner: canned oscillator experiments, CSV artifacts and the
 long-run behavior study.
 
-This is where a run becomes artifacts (`run_and_write`); the command line
-and the scenarios both go through it.  A scenario's method string becomes a
-scheme through `methods.resolve_scheme`.
+This is where a run becomes artifacts: `run_and_write` for the command
+line's `integrate`, and `run_scenario`'s stream for scenarios, through one
+CSV writer.  A scenario's method string becomes a scheme through
+`methods.resolve_scheme`.
 
 A scenario is one integrator run on the harmonic oscillator with fixed
 parameters.  Runs write up to three CSV artifacts (phase, energy, error),
@@ -39,10 +40,14 @@ integer form of the error-free summation of Rump, Ogita & Oishi (SIAM J.
 Sci. Comput. 31 (2008) 189-224).  The exact-error channel is the
 exception: it is evaluated only at the written rows and, for `finalError`,
 the last row.
-`run_scenario` takes everything that reads the states first (artifacts,
-the scan, final error) and lets the states go before it labels the run, so
-at 10^6 steps its peak is the run itself: 16 MB of states and 8 MB of
-energies.
+`run_scenario` streams the run: the blocked window-map loop hands it
+chunks of _CHUNK states (32768) in one reused buffer, and each chunk gives
+its energies, `_scan`'s fold (`_Scan`), its written rows and, from the last
+chunk, the last state for the final error.  No array as long as the run
+exists: a scenario holds the chunk's states and energies (about 0.8 MB)
+and its written rows (24 B each), so 10^6 and 3 10^7 steps peak alike.
+The artifacts and the summary are byte-identical to writing and scanning
+the whole `integrate` run.
 
 Long runs are classified as bounded, drifting or exploding from the energy
 record, against two fixed thresholds.  Exploding is detected by the energy
@@ -74,9 +79,11 @@ import numpy as np
 # builtin_pairs is bound here for callers that read the registry through
 # this module, as the benchmark's set-up probe does
 from .methods import _NAME_RE, Scheme, _read_fields, builtin_pairs, resolve_scheme
-from .integrators import STARTERS, StepFailure, Trajectory, integrate
+from .integrators import (
+    STARTERS, StepFailure, Trajectory, _errors, _stream, integrate,
+)
 from ._csvtext import csv_rows, csv_tables
-from .systems import sho
+from .systems import _EINSUM_ROWS, LinearHamiltonian, _energy_rows, sho
 
 __all__ = [
     "Scenario",
@@ -293,11 +300,27 @@ def write_artifacts(
     that stops part way leaves the header and the rows written.
     """
     _check_written(stride, outputs)
+    steps = range(0, len(traj.states), stride)
+    errors = None
+    if traj.error_at is not None:
+        def errors(b):
+            rows = steps[b]
+            return traj.error_at(np.arange(rows.start, rows.stop, rows.step))
+
+    return _write(name, outdir, traj.h, steps, traj.states[::stride],
+                  traj.energies[::stride], errors, outputs, failed_step)
+
+
+def _write(name, outdir, h: float, steps: range, states: np.ndarray,
+           H: np.ndarray, errors, outputs, failed_step) -> dict[str, str]:
+    """`write_artifacts` from the written rows alone: `steps` are their
+    indices in the run, `states` and `H` their states and energies (the
+    run's first row first), and `errors` maps a slice of them to their
+    exact-error column, or is None where there is no channel."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    n = traj.states.shape[1] // 2
-    h0 = traj.energies[0]
-    H = traj.energies[::stride]
+    n = states.shape[1] // 2
+    h0 = H[0]
     # kind -> (header, block slice -> value columns, each an array)
     tables = {}
     if "phase" in outputs:
@@ -305,18 +328,13 @@ def write_artifacts(
             ["q", "p"] if n == 1
             else [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
         )
-        Y = traj.states[::stride].T
+        Y = states.T
         tables["phase"] = (["step", "t"] + coords, lambda b: list(Y[:, b]))
     if "energy" in outputs:
         tables["energy"] = (["step", "t", "H", "dH"], lambda b: [H[b], H[b] - h0])
-    steps = range(0, len(traj.states), stride)
-    if "error" in outputs and traj.error_at is not None:
+    if "error" in outputs and errors is not None:
         # evaluated at the written rows only, one block at a time
-        def errors(b):
-            rows = steps[b]
-            return [traj.error_at(np.arange(rows.start, rows.stop, rows.step))]
-
-        tables["error"] = (["step", "t", "error"], errors)
+        tables["error"] = (["step", "t", "error"], lambda b: [errors(b)])
     if not tables:
         return {}
     files = {kind: str(outdir / f"{name}-{kind}.csv") for kind in tables}
@@ -334,7 +352,7 @@ def write_artifacts(
             rows = steps[block]
             # the step as a float: its %.17g text is its %d text below 10^17
             j = np.arange(rows.start, rows.stop, rows.step, dtype=float)
-            columns = [j, traj.h * j]
+            columns = [j, h * j]
             for _, values in tables.values():
                 columns += values(block)
             for write, text in zip(writes, csv_rows(np.column_stack(columns), layout)):
@@ -485,10 +503,91 @@ def _slope(s0: int, s1: int, N: int, h: float) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+class _Scan:
+    """`_scan`'s walk as a fold over a run of `rows` rows of `columns`
+    state columns, handed to `add` as consecutive chunks of states and
+    their energies; `result` gives the statistics."""
+
+    def __init__(self, rows: int, columns: int):
+        size = min(rows, _STAT_BLOCK)
+        self.work = np.empty(size)
+        self.below = np.empty(size, dtype=bool)
+        self.ramp = np.arange(size, dtype=np.int64)
+        self.radial = columns == 2
+        self.rows = 0  # rows added so far
+        self.crossing = None
+        # the largest |H - H_0| and | |y|^2 - |y_0|^2 | so far, None before
+        # the first block; np.maximum keeps a NaN, as a whole-array max does
+        self.peak = self.radius = None
+        self.s0 = self.s1 = 0  # Σ H_j and Σ j H_j of the prefix, in units of 2^-_LOW
+        self.finite = True
+
+    def _begin(self, states: np.ndarray, H: np.ndarray) -> None:
+        self.h0 = h0 = float(H[0])
+        # |y|^2 of a block serves the radius and, when H_0 <= 0, the
+        # crossing: H cannot measure growth then (an indefinite H can blow
+        # up along H = H_0), so the squared state norm is watched instead
+        self.norms = np.empty(len(self.work)) if self.radial or h0 <= 0 else None
+        if self.norms is not None:
+            self.r0 = _squared_norms(states[:1], self.norms[:1])[0]
+        self.size0 = H[0] if h0 > 0 else self.r0
+        self.limit = EXPLODE_FACTOR * self.size0
+
+    def add(self, states: np.ndarray, H: np.ndarray) -> None:
+        """Fold in the run's next rows, one block of _STAT_BLOCK at a time;
+        nothing after the crossing."""
+        if not self.rows:
+            self._begin(states, H)
+        start = self.rows
+        self.rows += len(H)
+        for a in range(0, len(H), _STAT_BLOCK):
+            if self.crossing is not None:
+                return
+            lo, n = start + a, min(_STAT_BLOCK, len(H) - a)
+            if self.norms is not None:
+                r = _squared_norms(states[a : a + n], self.norms[:n])
+            if self.size0 > 0:
+                # not below the threshold: a NaN (overflow past inf) crosses too
+                size = H[a : a + n] if self.h0 > 0 else r
+                mask = np.less(size, self.limit, out=self.below[:n])
+                first = int(mask.argmin())
+                if not mask[first]:
+                    self.crossing, n = lo + first, first
+            if n:
+                block = H[a : a + n]
+                # a deviation past the float range reads inf: data, not an error
+                with np.errstate(over="ignore"):
+                    dev = np.subtract(block, self.h0, out=self.work[:n])
+                peak = np.abs(dev, out=dev).max()
+                self.peak = peak if self.peak is None else np.maximum(self.peak, peak)
+                # a finite peak has finite energies; an infinite one may too
+                self.finite = self.finite and (
+                    math.isfinite(peak) or bool(np.isfinite(block).all()))
+                if self.finite:
+                    b0, b1 = _block_sums(block, self.ramp[:n])
+                    self.s0 += b0
+                    self.s1 += lo * b0 + b1
+                if self.radial:
+                    dev = r[:n]
+                    dev -= self.r0
+                    peak = np.abs(dev, out=dev).max()
+                    self.radius = (peak if self.radius is None
+                                   else np.maximum(self.radius, peak))
+
+    def result(self, h: float):
+        """(h0, max_deviation, slope, crossing_step, radius_deviation)."""
+        N = self.rows if self.crossing is None else self.crossing
+        max_dev = float(self.peak) if N >= 2 else 0.0
+        slope = (0.0 if N < 2 else _slope(self.s0, self.s1, N, h) if self.finite
+                 else math.nan)
+        radius = None if self.radius is None else float(self.radius)
+        return self.h0, max_dev, slope, self.crossing, radius
+
+
 def _scan(traj: Trajectory) -> tuple[float, float, float, int | None, float | None]:
     """(h0, max_deviation, slope, crossing_step, radius_deviation): every
-    statistic of a run, taken in one walk over it, the only one that reads
-    its states.
+    statistic of a run, taken in one walk over it (`_Scan` fed the whole
+    run), the only one that reads its states.
 
     The crossing, the largest |H - H_0|, the largest | |y|^2 - |y_0|^2 |
     and the exact sums of the drift slope over the pre-crossing prefix are
@@ -500,59 +599,9 @@ def _scan(traj: Trajectory) -> tuple[float, float, float, int | None, float | No
     is None beyond two state columns or on an empty prefix.
     """
     H = np.asarray(traj.energies, dtype=float)
-    h0 = float(H[0])
-    rows = len(H)
-    states = traj.states
-    radial = states.shape[1] == 2
-    work = np.empty(min(rows, _STAT_BLOCK))
-    below = np.empty(len(work), dtype=bool)
-    ramp = np.arange(len(work), dtype=np.int64)
-    # |y|^2 of a block serves the radius and, when H_0 <= 0, the crossing:
-    # H cannot measure growth then (an indefinite H can blow up along
-    # H = H_0), so the squared state norm is watched instead
-    norms = np.empty(len(work)) if radial or h0 <= 0 else None
-    if norms is not None:
-        r0 = _squared_norms(states[:1], norms[:1])[0]
-    size0 = H[0] if h0 > 0 else r0
-    limit = EXPLODE_FACTOR * size0
-    crossing = None
-    peaks, radii = [], []  # max |H - H_0| and radius peak of each block
-    s0 = s1 = 0  # Σ H_j and Σ j H_j of the prefix, in units of 2^-_LOW
-    finite = True
-    for lo in range(0, rows, _STAT_BLOCK):
-        hi = min(lo + _STAT_BLOCK, rows)
-        if norms is not None:
-            r = _squared_norms(states[lo:hi], norms[: hi - lo])
-        if size0 > 0:
-            # not below the threshold: a NaN (overflow past inf) crosses too
-            size = H[lo:hi] if h0 > 0 else r
-            mask = np.less(size, limit, out=below[: hi - lo])
-            first = int(mask.argmin())
-            if not mask[first]:
-                crossing = hi = lo + first
-        if hi > lo:
-            # a deviation past the float range reads inf: data, not an error
-            with np.errstate(over="ignore"):
-                dev = np.subtract(H[lo:hi], h0, out=work[: hi - lo])
-            peaks.append(np.abs(dev, out=dev).max())
-            # a finite peak has finite energies; an infinite one may too
-            finite = finite and (
-                math.isfinite(peaks[-1]) or bool(np.isfinite(H[lo:hi]).all()))
-            if finite:
-                b0, b1 = _block_sums(H[lo:hi], ramp[: hi - lo])
-                s0 += b0
-                s1 += lo * b0 + b1
-            if radial:
-                dev = r[: hi - lo]
-                dev -= r0
-                radii.append(np.abs(dev, out=dev).max())
-        if crossing is not None:
-            break
-    N = rows if crossing is None else crossing
-    max_dev = float(np.max(peaks)) if N >= 2 else 0.0
-    slope = 0.0 if N < 2 else _slope(s0, s1, N, traj.h) if finite else math.nan
-    radius = float(np.max(radii)) if radii else None
-    return h0, max_dev, slope, crossing, radius
+    fold = _Scan(len(H), traj.states.shape[1])
+    fold.add(traj.states, H)
+    return fold.result(traj.h)
 
 
 def _fit(h0: float, max_dev: float, slope: float, t_final: float,
@@ -603,33 +652,86 @@ def run_and_write(name: str, scheme: Scheme, field, y0, h: float, steps: int,
     return traj, files, failure
 
 
+# states per chunk of a streamed scenario run: whole blocks of the window
+# map (integrators._BLOCK, 256) and of the statistics; its buffers, 16 B of
+# state and 8 B of energy a row, stay within a 2 MiB L2 cache
+_CHUNK = 4 * _STAT_BLOCK
+
+
+def _fold(chunks, rows: int, field: LinearHamiltonian, h: float, stride: int):
+    """Fold a run of `rows` states on a linear field, handed over as
+    consecutive chunks, into (`_Scan`'s statistics, the states and the
+    energies of every `stride`-th row, the last state).
+
+    Each chunk's energies have the bits `field.energies` gives those rows
+    of the whole run: from _EINSUM_ROWS rows on, the column kernel on every
+    chunk, a short last one too.
+    """
+    written = range(0, rows, stride)
+    states = np.empty((len(written), field.dim))
+    H = np.empty(len(written))
+    scan = _Scan(rows, field.dim)
+    buffer = np.empty(0)  # the chunks' energies
+    lo = 0  # the chunk's first row in the run
+    for chunk in chunks:
+        n = len(chunk)
+        # overflow in exploding runs is data, not an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            if rows < _EINSUM_ROWS:
+                energies = field.energies(chunk)
+            else:
+                if len(buffer) < n:
+                    buffer = np.empty(n)
+                energies = _energy_rows(field.S, chunk, buffer[:n])
+        scan.add(chunk, energies)
+        take = slice(-lo % stride, None, stride)  # the chunk's written rows
+        w = -(-lo // stride)  # the first one's index among all written rows
+        part = chunk[take]
+        states[w : w + len(part)] = part
+        H[w : w + len(part)] = energies[take]
+        lo += n
+    return scan.result(h), states, H, chunk[-1:].copy()
+
+
 def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
     """Run one scenario and write its artifacts under `outdir`.
 
-    On a stepper failure the partial trajectory is still written (see
-    `run_and_write`) and the failing step index lands in the summary.
-    Everything that reads the states (the artifacts, `_scan` and the final
-    error) runs first; the states are then let go before `_fit` labels the
-    run.
+    The run is streamed (`integrators._stream`) and folded chunk by chunk
+    (`_fold`): beyond its written rows, no array as long as the run exists.
+    The artifacts and the summary are byte-identical to those of
+    `run_and_write` and `_scan` on the whole `integrate` run.  On a stepper
+    failure the partial run is still written (see `run_and_write`) and the
+    failing step index lands in the summary.
     """
     outdir = Path(outdir)
     scheme = resolve_scheme(s.method)
-    traj, files, failure = run_and_write(
-        s.name, scheme, sho(s.omega), np.array([s.q0, s.p0]), s.h, s.steps,
-        s.starter, outdir, s.stride, s.outputs,
-    )
+    field, y0 = sho(s.omega), np.array([s.q0, s.p0])
     warnings = scheme.warnings
     failed_step = None
-    if failure is not None:
-        failed_step = failure.step
-        warnings += (f"stepper failed at step {failure.step}: {failure.cause}",)
-    h0, max_dev, slope, crossing, radius = _scan(traj)
-    final_error = traj.final_error
-    t_final = s.h * (len(traj.energies) - 1)
-    # the last references to the states: the trajectory, whose error_at
-    # closure holds them too, and the failure's partial trajectory
-    del traj, failure
-    label = _fit(h0, max_dev, slope, t_final, crossing is not None)
+    rows = s.steps
+    try:
+        chunks = _stream(scheme, field, y0, s.h, rows, s.starter, _CHUNK)
+        stats, states, H, last = _fold(chunks, rows, field, s.h, s.stride)
+    except StepFailure as exc:
+        # a linear run fails before its first chunk: the partial run is the
+        # starter's window
+        failed_step = exc.step
+        warnings += (f"stepper failed at step {exc.step}: {exc.cause}",)
+        rows = len(exc.partial.states)
+        stats, states, H, last = _fold(
+            [exc.partial.states], rows, field, s.h, s.stride)
+    h0, max_dev, slope, crossing, radius = stats
+    error_of = _errors(field, y0, s.h, rows)
+    steps = range(0, rows, s.stride)
+
+    def errors(b):
+        r = steps[b]
+        return error_of(states[b], np.arange(r.start, r.stop, r.step))
+
+    files = _write(s.name, outdir, s.h, steps, states, H, errors, s.outputs,
+                   failed_step)
+    final_error = float(error_of(last, np.array([rows - 1]))[0])
+    label = _fit(h0, max_dev, slope, s.h * (rows - 1), crossing is not None)
     result = ScenarioResult(
         scenario=s,
         files=files,

@@ -37,9 +37,13 @@ matrix-vector product (`ndarray.dot`, written in place into the state
 array) emits the next B states from the current window; the window then
 advances to the last k states emitted.  The powers are formed by doubling
 in extended precision and rounded once, so the blocked path keeps the
-accuracy of one product per step.  The field alone picks the path: the
-generic per-step loop runs on nonlinear fields and is the reference the
-tests hold the blocked path to; both agree to roundoff.
+accuracy of one product per step.  That one block loop, `_power_rows`,
+fills a caller's buffer chunk by chunk: `integrate` gives it the whole
+state array as one chunk, and `_stream` a buffer of k + chunk rows that it
+reuses, so a scenario run never holds an array as long as the run.  The
+field alone picks the path: the generic per-step loop runs on nonlinear
+fields and is the reference the tests hold the blocked path to; both agree
+to roundoff.
 
 The exact-error channel |y_j - exact flow at t_j| of a linear field is
 evaluated only at the rows a caller asks for (`Trajectory.error_at`): the
@@ -181,11 +185,16 @@ def exact_start(field, y0, h: float, count: int) -> list[np.ndarray]:
     return [_expm(j * h * field.A) @ y0 for j in range(count + 1)]
 
 
-def _error_at(field: LinearHamiltonian, y0, h: float, states: np.ndarray):
-    """rows -> |states[rows] - exact flow at h * rows|, the exact-error
-    channel from y0 (not states[0], whose zeros the exact starter may have
-    given the other sign).  `sho_exact` is looked up on this module at call
-    time, so a wrapper installed on it sees every evaluation."""
+def _errors(field: LinearHamiltonian, y0, h: float, count: int):
+    """(states, rows) -> |states - exact flow at h * rows| row by row: the
+    exact-error channel at rows below `count`, from y0 (not the run's first
+    state, whose zeros the exact starter may have given the other sign).
+
+    On the oscillator each row is one closed-form `sho_exact` value, looked
+    up on this module at call time, so a wrapper installed on it sees every
+    evaluation; on any other field the flow is propagated once, as the
+    scheme is, with M = exp(hA), when a row is first asked for.
+    """
     y0 = np.array(y0, dtype=float)
     w = _sho_omega(field)
     if w is not None:
@@ -194,16 +203,30 @@ def _error_at(field: LinearHamiltonian, y0, h: float, states: np.ndarray):
     else:
         @functools.cache
         def flow():
-            return _power_rows(_expm(h * field.A), y0, len(states), 0)
+            out = np.empty((count, len(y0)))
+            out[0] = y0
+            for _ in _power_rows(_expm(h * field.A), out, count):
+                pass  # one chunk: the whole flow
+            return out
 
         def exact(rows):
             return flow()[rows]
 
-    def error_at(rows):
-        rows = np.asarray(rows)
+    def errors(states, rows):
         # overflow in exploding runs is data, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.linalg.norm(states[rows] - exact(rows), axis=1)
+            return np.linalg.norm(states - exact(rows), axis=1)
+
+    return errors
+
+
+def _error_at(field: LinearHamiltonian, y0, h: float, states: np.ndarray):
+    """rows -> the exact-error channel (`_errors`) at those rows of states."""
+    errors = _errors(field, y0, h, len(states))
+
+    def error_at(rows):
+        rows = np.asarray(rows)
+        return errors(states[rows], rows)
 
     return error_at
 
@@ -522,63 +545,74 @@ _BLOCK = 256
 _ROW_FLOATS = 1 << 20
 
 
-def _power_rows(M: np.ndarray, Y: np.ndarray, count: int, tail: int) -> np.ndarray:
-    """`count` states of the linear recursion Y -> M Y on a stacked window.
+def _power_rows(M: np.ndarray, out: np.ndarray, count: int):
+    """`count` states of the linear recursion Y -> M Y on a stacked window,
+    handed back chunk by chunk in the caller's buffer `out`.
 
-    Y stacks k states of size d = len(Y) - tail (the newest last).  The
-    result holds those k states followed by the rows `tail:` of
-    M Y, M^2 Y, ..., i.e. one new state per application of M.  Rows
-    `tail:` of M^1 .. M^B are stacked once into a (B d, k d) block, so one
-    product emits B states; the next window is the last k states emitted,
-    which is M^B Y because M shifts the window.
+    M acts on the window of k states of size d = out.shape[1], the newest
+    last, and its rows `tail = len(M) - d:` give the next state.  `out`
+    (C-contiguous) holds that window in its first k rows.  The first chunk
+    is out[:k + n], states 0 .. k + n - 1; each later one is out[k : k + n],
+    the next n states, after the previous chunk's last k states have been
+    moved to out[:k].  A chunk stays valid until the next is asked for.  n
+    is len(out) - k, which must hold a block, rounded down to whole blocks
+    when the run needs more than one chunk; so one chunk as long as the run
+    fills `out` in place.
 
-    The result is filled in place: it is C-contiguous, so the window of
-    states j-k .. j-1 is its flat slice [(j-k) d, j d), and each full
-    block's product is written by `ndarray.dot(..., out=)` straight into
-    the next B d floats, with no product array or reshape per block.  That
-    is the BLAS matrix-vector call `np.matmul` makes, with less dispatch
-    around it.  Only a last, partial block multiplies a slice of the
-    stacked rows.
+    Rows `tail:` of M^1 .. M^B are stacked once into a (B d, k d) block, so
+    one product emits B states; the next window is the last k states
+    emitted, which is M^B Y because M shifts the window.  The blocks start
+    at states k + m B whatever the chunks, and B comes from `count`.  Since
+    the buffer is C-contiguous, the window of states j-k .. j-1 is its flat
+    slice [(j-k) d, j d), and each full block's product is written by
+    `ndarray.dot(..., out=)` straight into the next B d floats, with no
+    product array or reshape per block.  That is the BLAS matrix-vector
+    call `np.matmul` makes, with less dispatch around it.  Only a last,
+    partial block multiplies a slice of the stacked rows.
     """
-    kd = len(Y)
-    d = kd - tail
-    k = kd // d
-    out = np.empty((count, d))
-    out[:k] = Y.reshape(k, d)
+    kd, d = len(M), out.shape[1]
+    k, tail = kd // d, kd - d
     block = min(_BLOCK, count - k, max(1, _ROW_FLOATS // (d * kd)))
     if block <= 0:
-        return out
-    # Every block reuses these rows, so their rounding error adds up
-    # coherently over a run: form them in extended precision (where the
-    # platform has it) and round once.  Doubling: the rows of M^1 .. M^m
-    # times M^m are the rows of M^(m+1) .. M^2m.
-    power = M.astype(np.longdouble)
-    rows = power[tail:]
-    while len(rows) < block * d:
-        rows = np.concatenate([rows, rows[: block * d - len(rows)] @ power])
-        power = power @ power
-    rows = rows.astype(float)
+        yield out[:count]
+        return
+    # overflow in exploding runs is data, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Every block reuses these rows, so their rounding error adds up
+        # coherently over a run: form them in extended precision (where the
+        # platform has it) and round once.  Doubling: the rows of M^1 ..
+        # M^m times M^m are the rows of M^(m+1) .. M^2m.
+        power = M.astype(np.longdouble)
+        rows = power[tail:]
+        while len(rows) < block * d:
+            rows = np.concatenate([rows, rows[: block * d - len(rows)] @ power])
+            power = power @ power
+        rows = rows.astype(float)
+    room = len(out) - k
+    if room < count - k:
+        room -= room % block
     flat = out.reshape(-1)  # a view: out is C-contiguous
-    full = count - (count - k) % block  # end of the last full block
-    for j in range(k, full, block):
-        window = flat[(j - k) * d : j * d]
-        rows.dot(window, out=flat[j * d : (j + block) * d])
-    if full < count:
-        window = flat[(full - k) * d : full * d]
-        flat[full * d :] = rows[: (count - full) * d] @ window
-    return out
+    done = n = 0  # states of the run past the window, and of the last chunk
+    while done < count - k:
+        if done:
+            out[:k] = out[n : n + k]  # the window: the last chunk's last k states
+        n = min(room, count - k - done)
+        end = k + n
+        full = end - n % block  # end of the chunk's last full block
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(k, full, block):
+                window = flat[(j - k) * d : j * d]
+                rows.dot(window, out=flat[j * d : (j + block) * d])
+            if full < end:
+                window = flat[(full - k) * d : full * d]
+                flat[full * d : end * d] = rows[: (end - full) * d] @ window
+        yield out[k:end] if done else out[:end]
+        done += n
 
 
-def integrate(scheme: Scheme, field, y0, h: float, steps: int,
-              starter: str = "rk4") -> Trajectory:
-    """Run a scheme; return its states, energies and exact-error channel.
-
-    `steps` counts recorded states including the k starter states; it must
-    be at least k, and the last state's time h (steps - 1) must be finite.
-    `starter` names one of `STARTERS`.  The exact-error channel exists only
-    for linear fields, where the exact flow is known.  Linear fields take
-    the blocked window-map path, all others the generic per-step loop.
-    """
+def _start(scheme: Scheme, field, y0, h: float, steps: int, starter: str):
+    """`integrate`'s checks of its arguments, then (y0 as floats, the
+    starter's window of k states, y0 included)."""
     if starter not in STARTERS:
         raise ValueError(f"starter must be one of {STARTERS}, got {starter!r}")
     if not 0 < h < np.inf:
@@ -601,16 +635,54 @@ def integrate(scheme: Scheme, field, y0, h: float, steps: int,
     start = exact_start if starter == "exact" else rk4_start
     # overflow in exploding runs is data, not an error; the starter's too
     with np.errstate(over="ignore", invalid="ignore"):
-        window = start(field, y0, h, k - 1)
-        if not isinstance(field, LinearHamiltonian):
+        return y0, start(field, y0, h, k - 1)
+
+
+def _window_map(scheme: Scheme, field: LinearHamiltonian, y0, h: float, window):
+    """`window_matrix` for a run from `window`; a singular step is the run's
+    StepFailure at step k, whose partial run is the window."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return window_matrix(scheme, field, h)
+    except SingularStepError as exc:
+        # the compiled map failed before any step was taken
+        partial = _trajectory(field, y0, h, np.array(window))
+        raise StepFailure(scheme.k, exc, partial) from exc
+
+
+def integrate(scheme: Scheme, field, y0, h: float, steps: int,
+              starter: str = "rk4") -> Trajectory:
+    """Run a scheme; return its states, energies and exact-error channel.
+
+    `steps` counts recorded states including the k starter states; it must
+    be at least k, and the last state's time h (steps - 1) must be finite.
+    `starter` names one of `STARTERS`.  The exact-error channel exists only
+    for linear fields, where the exact flow is known.  Linear fields take
+    the blocked window-map path, all others the generic per-step loop.
+    """
+    y0, window = _start(scheme, field, y0, h, steps, starter)
+    if not isinstance(field, LinearHamiltonian):
+        with np.errstate(over="ignore", invalid="ignore"):
             states = _generic_loop(scheme, field, y0, window, h, steps)
-        else:
-            try:
-                M = window_matrix(scheme, field, h)
-            except SingularStepError as exc:
-                # the compiled map failed before any step was taken
-                partial = _trajectory(field, y0, h, np.array(window))
-                raise StepFailure(k, exc, partial) from exc
-            tail = M.shape[0] - field.dim
-            states = _power_rows(M, np.concatenate(window), steps, tail)
+    else:
+        M = _window_map(scheme, field, y0, h, window)
+        states = np.empty((steps, field.dim))
+        states[: scheme.k] = window
+        for _ in _power_rows(M, states, steps):
+            pass  # one chunk: the whole run, in place
     return _trajectory(field, y0, h, states)
+
+
+def _stream(scheme: Scheme, field: LinearHamiltonian, y0, h: float, steps: int,
+            starter: str, chunk: int):
+    """`integrate`'s states of a run on a linear field, bit for bit, as
+    consecutive chunks (`_power_rows`) of one buffer of k + `chunk` rows:
+    no array as long as the run exists.  `chunk`, at least `_BLOCK`, is
+    best a multiple of it.  The first chunk starts with the starter's
+    window; the ValueErrors and the StepFailure of `integrate` come before
+    it."""
+    y0, window = _start(scheme, field, y0, h, steps, starter)
+    M = _window_map(scheme, field, y0, h, window)
+    out = np.empty((min(steps, scheme.k + chunk), field.dim))
+    out[: scheme.k] = window
+    yield from _power_rows(M, out, steps)

@@ -88,13 +88,8 @@ class LinearHamiltonian:
 
         Below `_EINSUM_ROWS` rows this is `0.5 * np.einsum("ij,jk,ik->i",
         y, S, y)` itself, which on one or two rows of a 2 x 2 S sums in
-        another order.  On longer inputs each row's sum starts at 0.0 and
-        adds (y_j * S_jk) * y_k for (j, k) in row-major order, then is
-        scaled by 0.5: einsum's order there, so every finite, infinite and
-        signed-zero result has the same bits (NaN stays NaN, its sign may
-        differ).  The rows are walked in blocks of `_ENERGY_BLOCK`, each
-        copied once into column-major scratch, so each of the (2n)^2 terms
-        is three contiguous in-cache vector operations on the block.
+        another order; longer inputs go through the column kernel
+        `_energy_rows`.
         """
         y = np.asarray(states, dtype=float)
         S = self.S
@@ -103,21 +98,37 @@ class LinearHamiltonian:
             raise ValueError(f"states must have shape (m, {d}), got {y.shape}")
         if len(y) < _EINSUM_ROWS:
             return 0.5 * np.einsum("ij,jk,ik->i", y, S, y)
-        out = np.empty(len(y))
-        cols = np.empty((d, min(_ENERGY_BLOCK, len(y))))
-        term = np.empty(cols.shape[1])
-        for a in range(0, len(y), _ENERGY_BLOCK):
-            e = out[a : a + _ENERGY_BLOCK]
-            c, t = cols[:, : len(e)], term[: len(e)]
-            np.copyto(c, y[a : a + _ENERGY_BLOCK].T)
-            e.fill(0.0)
-            for j in range(d):
-                for k in range(d):
-                    np.multiply(c[j], S[j, k], out=t)
-                    t *= c[k]
-                    e += t
-            e *= 0.5
-        return out
+        return _energy_rows(S, y, np.empty(len(y)))
+
+
+def _energy_rows(S: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """y_i^T S y_i / 2 of each row of y into `out`, row by row, so that any
+    run of rows has the bits the whole array has.
+
+    Each row's sum starts at 0.0 and adds (y_j * S_jk) * y_k for (j, k) in
+    row-major order, then is scaled by 0.5: einsum's order on inputs of
+    `_EINSUM_ROWS` rows or more, so every finite, infinite and signed-zero
+    result has the bits of `LinearHamiltonian.energies` there (NaN stays
+    NaN, its sign may differ).  The rows are walked in blocks of
+    `_ENERGY_BLOCK`, each copied once into column-major scratch, so each of
+    the (2n)^2 terms is three contiguous in-cache vector operations on the
+    block.
+    """
+    d = S.shape[0]
+    cols = np.empty((d, min(_ENERGY_BLOCK, len(y))))
+    term = np.empty(cols.shape[1])
+    for a in range(0, len(y), _ENERGY_BLOCK):
+        e = out[a : a + _ENERGY_BLOCK]
+        c, t = cols[:, : len(e)], term[: len(e)]
+        np.copyto(c, y[a : a + _ENERGY_BLOCK].T)
+        e.fill(0.0)
+        for j in range(d):
+            for k in range(d):
+                np.multiply(c[j], S[j, k], out=t)
+                t *= c[k]
+                e += t
+        e *= 0.5
+    return out
 
 
 @functools.cache

@@ -1,11 +1,11 @@
 """Scenario plumbing, CSV artifacts, classification, determinism."""
 import csv
+import dataclasses
 import filecmp
 from fractions import Fraction
 import math
 import tracemalloc
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -816,40 +816,114 @@ def test_radius_deviation_memory_peak_on_a_long_record():
     assert peak <= 2**20
 
 
-@pytest.mark.parametrize("abort", [False, True], ids=["completed", "aborted"])
-def test_run_scenario_lets_the_states_go_before_the_fit(tmp_path, monkeypatch, abort):
-    # the states are dead once the run is labelled: every statistic that
-    # reads them is taken first
-    runs, seen = [], []
+def _run_scenario_whole(s: Scenario, outdir):
+    """`run_scenario` over the whole run: `integrate`, `write_artifacts`
+    (through `run_and_write`) and `_scan`, then the label and summary."""
+    scheme = resolve_scheme(s.method)
+    traj, files, failure = run_and_write(
+        s.name, scheme, sho(s.omega), np.array([s.q0, s.p0]), s.h, s.steps,
+        s.starter, outdir, s.stride, s.outputs,
+    )
+    warnings, failed_step = scheme.warnings, None
+    if failure is not None:
+        failed_step = failure.step
+        warnings += (f"stepper failed at step {failure.step}: {failure.cause}",)
+    h0, max_dev, slope, crossing, radius = _scan(traj)
+    label = experiments._fit(h0, max_dev, slope, s.h * (traj.steps - 1),
+                             crossing is not None)
+    result = experiments.ScenarioResult(
+        s, files, h0, max_dev, slope, traj.final_error, radius, label, crossing,
+        failed_step, warnings)
+    summary = Path(outdir) / f"{s.name}-summary.txt"
+    summary.write_text(experiments._format_summary(result))
+    files["summary"] = str(summary)
+    return result
 
-    def recorded(*args, **kwargs):
-        traj = integrate(*args, **kwargs)
-        runs.append(weakref.ref(traj.states))
-        if abort:
-            raise integrators.StepFailure(
-                len(traj.states), integrators.SingularStepError("planted"), traj)
-        return traj
 
-    def fit(*args, _fn=experiments._fit, **kwargs):
-        seen.append([run() is None for run in runs])
-        return _fn(*args, **kwargs)
+C = experiments._CHUNK
+# explicit Euler from (1, 0) multiplies H by 1 + h^2 a step: at these h it
+# first reaches 1000 H0 on the first chunk's last row (k + C - 1 = C) and on
+# the second chunk's first row
+EDGE_H = {C: 0.014520103317672397, C + 1: 0.014519881736815624}
+STREAMED = {
+    "leapfrog-k+2C+1": dict(method="leapfrog", steps=2 + 2 * C + 1, stride=7),
+    "leapfrog-k+2C-1": dict(method="leapfrog", steps=2 + 2 * C - 1, stride=7),
+    "leapfrog-k+C": dict(method="leapfrog", steps=2 + C, stride=1000),
+    "pc-m2-k+C+1": dict(method="pc-m2", steps=4 + C + 1, stride=3),
+    "partitioned-k+3C-1": dict(method="m3-line1,m3b-corrected", steps=2 + 3 * C - 1,
+                               stride=1000, q0=0.6, p0=-0.8),
+    "crossing-in-a-chunk": dict(method="m3-line1,m3-line2-as-printed", steps=2 * C,
+                                stride=100),
+    "crossing-at-last-row": dict(method="explicit-euler", h=EDGE_H[C],
+                                 steps=C + 500, stride=11),
+    "crossing-at-chunk-start": dict(method="explicit-euler", h=EDGE_H[C + 1],
+                                    steps=2 * C + 5, stride=11),
+    "H0-zero": dict(method="ab4", steps=C + 9, q0=0.0, p0=0.0, stride=5),
+    "exact-starter": dict(method="ab4", starter="exact", steps=4 + C + 1,
+                          stride=7, q0=0.3, p0=0.4, omega=1.7),
+    "shorter-than-256": dict(method="m1-corrected", steps=200, stride=3),
+    "one-row": dict(method="explicit-euler", steps=1),
+    "outputs-subset": dict(method="pc-m2", steps=C + 100, stride=7,
+                           outputs=("energy",)),
+}
 
-    monkeypatch.setattr(experiments, "integrate", recorded)
-    monkeypatch.setattr(experiments, "_fit", fit)
-    rep = run_scenario(Scenario("dropped", "m1-corrected", steps=20_000), tmp_path)
-    assert seen == [[True]]
-    assert rep.classification == "bounded"
-    assert rep.failed_step == (20_000 if abort else None)
+
+@pytest.mark.parametrize("case", sorted(STREAMED))
+def test_streamed_run_scenario_is_bit_identical_to_the_whole_run(case, tmp_path):
+    s = Scenario("streamed", **STREAMED[case])
+    got = run_scenario(s, tmp_path / "streamed")
+    want = _run_scenario_whole(s, tmp_path / "whole")
+    assert list(got.files) == list(want.files)
+    for kind in got.files:
+        assert Path(got.files[kind]).read_bytes() == \
+            Path(want.files[kind]).read_bytes(), kind
+    fields = ("h0", "max_deviation", "slope", "final_error", "radius_deviation",
+              "classification", "crossing_step", "failed_step", "warnings")
+    assert _bits([getattr(got, f) for f in fields]) == \
+        _bits([getattr(want, f) for f in fields])
+    if case.startswith("crossing-at"):
+        assert got.crossing_step == (C if case.endswith("last-row") else C + 1)
+
+
+def test_streamed_run_scenario_is_bit_identical_on_a_failure(tmp_path, monkeypatch):
+    # no scheme's step is singular on the oscillator: plant the failure of
+    # the window map, which comes before the first chunk
+    def singular(*args):
+        raise integrators.SingularStepError("planted")
+
+    monkeypatch.setattr(integrators, "window_matrix", singular)
+    s = Scenario("failed", "ab4", steps=C + 7, stride=2)
+    got = run_scenario(s, tmp_path / "streamed")
+    want = _run_scenario_whole(s, tmp_path / "whole")
+    assert got.failed_step == want.failed_step == 4
+    for kind in got.files:
+        assert Path(got.files[kind]).read_bytes() == \
+            Path(want.files[kind]).read_bytes(), kind
+
+
+def test_run_scenario_memory_does_not_grow_with_the_run(tmp_path):
+    # the run streams through fixed buffers: from 10^5 to 10^6 steps the
+    # peak grows by the 900 more written rows (16 B of state and 8 B of
+    # energy each) and no more
+    s = {s.name: s for s in builtin_scenarios()}["fig3-pc"]
+    assert s.stride == 1000
+    peaks = []
+    for steps in (10**5, 10**6):
+        rep, peak = _traced_peak(
+            run_scenario, dataclasses.replace(s, steps=steps), tmp_path)
+        assert rep.classification == "drifting"
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= 24 * 900 + 4096
 
 
 def test_run_scenario_memory_peak_on_a_long_run(tmp_path):
-    # 10^6 steps: the states are 16 MB and the energies 8 MB, held
-    # together by the run itself; the statistics add a block at a time
+    # 10^6 steps: the states would be 16 MB and the energies 8 MB; the
+    # stream holds a chunk of each and the 1000 written rows
     s = {s.name: s for s in builtin_scenarios()}["fig2-m1-corrected"]
     assert s.steps == 1_000_000
     rep, peak = _traced_peak(run_scenario, s, tmp_path)
     assert rep.classification == "bounded"
-    assert peak <= 26 * 2**20
+    assert peak <= 2 * 2**20
 
 
 def test_blow_up_to_nan_scenario_is_exploding(tmp_path):

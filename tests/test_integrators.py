@@ -411,6 +411,19 @@ def test_blocked_path_with_short_blocks_on_large_systems(monkeypatch):
     assert np.max(np.abs(fast.states - slow.states)) < 1e-12
 
 
+def _chunked_rows(M, Y, count, tail, chunk=None):
+    """The states `integrators._power_rows` hands back from the stacked
+    window Y, all chunks concatenated: chunks of `chunk` rows in a buffer of
+    k + chunk rows, or one chunk filling the whole run in place."""
+    d = len(Y) - tail
+    k = len(Y) // d
+    out = np.empty((count if chunk is None else min(count, k + chunk), d))
+    out[:k] = Y.reshape(k, d)
+    chunks = [c.copy() for c in integrators._power_rows(M, out, count)]
+    assert chunk is not None or len(chunks) == 1
+    return np.concatenate(chunks)
+
+
 def _power_rows_per_block(M, Y, count, tail):
     """`_power_rows` with a reshaped window and a fresh product array for
     every block: the reference for the states' bits."""
@@ -452,7 +465,7 @@ def test_power_rows_equal_the_per_block_products(name, field, h, extra):
     if name == "explicit-euler":
         count += 2000
     with np.errstate(over="ignore", invalid="ignore"):
-        got = integrators._power_rows(M, Y, count, tail)
+        got = _chunked_rows(M, Y, count, tail)
         expected = _power_rows_per_block(M, Y, count, tail)
     assert np.array_equal(got, expected, equal_nan=True)
     if name == "explicit-euler":
@@ -471,8 +484,76 @@ def test_power_rows_with_short_blocks_equal_the_per_block_products(
     M = window_matrix(scheme, FIELD2, 0.1)
     Y = np.concatenate(rk4_start(FIELD2, Y02, 0.1, scheme.k - 1))
     count, tail = scheme.k + extra, M.shape[0] - d
-    assert np.array_equal(integrators._power_rows(M, Y, count, tail),
+    assert np.array_equal(_chunked_rows(M, Y, count, tail),
                           _power_rows_per_block(M, Y, count, tail))
+
+
+@pytest.mark.parametrize("name, field, h, rows, chunk", [
+    ("ab4", FIELD2, 0.1, 0, _BLOCK),  # k = 4: the starter's window alone
+    ("ab4", FIELD2, 0.1, 3 * _BLOCK + 5, 4 * _BLOCK),  # one chunk, shorter than the buffer
+    ("ab4", FIELD2, 0.1, 3 * _BLOCK, _BLOCK),  # chunks that end with the run
+    ("leapfrog", FIELD2, 0.1, 3 * _BLOCK + 1, _BLOCK),  # a last chunk of one row
+    ("leapfrog", FIELD2, 0.1, 5 * _BLOCK - 1, 2 * _BLOCK),  # a partial last block
+    ("pc-m2", FIELD2, 0.1, 4 * _BLOCK + 17, 3 * _BLOCK - 5),  # cut to whole blocks
+    ("m3-line1,m3b-corrected", FIELD, 0.1, _BLOCK - 3, _BLOCK),  # B = count - k
+    ("explicit-euler", FIELD, 6.0, 2000, _BLOCK),  # overflows to inf, then nan
+])
+def test_power_rows_in_chunks_equal_one_chunk(name, field, h, rows, chunk):
+    # the blocks start at k + m B whatever the chunks, so chunked rows have
+    # the bits of the run filled in place; each chunk is handed back in a
+    # buffer of k + chunk rows
+    scheme = resolve_scheme(name)
+    M = window_matrix(scheme, field, h)
+    d = field.dim
+    Y = np.concatenate(rk4_start(field, np.linspace(1.0, 0.5, d), h, scheme.k - 1))
+    count, tail = scheme.k + rows, M.shape[0] - d
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = _chunked_rows(M, Y, count, tail)
+        chunked = _chunked_rows(M, Y, count, tail, chunk)
+    assert np.array_equal(whole, chunked, equal_nan=True)
+
+
+@pytest.mark.parametrize("name, starter, steps", [
+    ("ab4", "rk4", 4 + 3 * _BLOCK + 1),
+    ("leapfrog", "exact", 2 + 2 * _BLOCK - 1),
+    ("pc-m2", "rk4", 4),
+    ("m3-line1,m3b-corrected", "rk4", 100),
+])
+def test_stream_chunks_are_the_integrated_states(name, starter, steps):
+    scheme = resolve_scheme(name)
+    field, y0 = (FIELD, Y0) if isinstance(scheme, PartitionedPair) else (FIELD2, Y02)
+    chunks = [c.copy() for c in integrators._stream(
+        scheme, field, y0, 0.1, steps, starter, _BLOCK)]
+    traj = integrate(scheme, field, y0, 0.1, steps, starter=starter)
+    assert len(chunks[0]) == min(steps, scheme.k + _BLOCK)
+    assert all(len(c) <= _BLOCK for c in chunks[1:])
+    assert np.array_equal(np.concatenate(chunks), traj.states)
+
+
+@pytest.mark.parametrize("args", [
+    (0.1, 3, "rk4"), (0.0, 10, "rk4"), (np.inf, 10, "rk4"), (0.1, 10, "euler"),
+    (1e308, 10, "rk4"),
+], ids=["steps-below-k", "zero-h", "infinite-h", "starter", "time-grid"])
+def test_stream_raises_what_integrate_raises(args):
+    h, steps, starter = args
+    scheme = MS["ab4"]
+    with pytest.raises(ValueError) as whole:
+        integrate(scheme, FIELD, Y0, h, steps, starter=starter)
+    with pytest.raises(ValueError) as streamed:
+        next(integrators._stream(scheme, FIELD, Y0, h, steps, starter, _BLOCK))
+    assert str(streamed.value) == str(whole.value)
+
+
+def test_stream_reports_a_singular_step_as_integrate_does():
+    field = LinearHamiltonian.from_hessian(np.diag([-1.0, 1.0]))
+    m = MS["implicit-euler"]
+    with pytest.raises(StepFailure) as whole:
+        integrate(m, field, Y0, 1.0, 10)
+    with pytest.raises(StepFailure) as streamed:
+        next(integrators._stream(m, field, Y0, 1.0, 10, "rk4", _BLOCK))
+    assert streamed.value.step == whole.value.step == m.k
+    assert str(streamed.value.cause) == str(whole.value.cause)
+    assert np.array_equal(streamed.value.partial.states, whole.value.partial.states)
 
 
 def test_blocked_pc_m2_matches_generic_over_long_run():
@@ -534,7 +615,7 @@ def _full_error_channel(field, y0, h, states):
     if omega is not None:
         exact = sho_exact(omega, y0, h * np.arange(steps))
     else:
-        exact = integrators._power_rows(_expm(h * field.A), y0, steps, 0)
+        exact = _chunked_rows(_expm(h * field.A), y0, steps, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         return np.linalg.norm(states - exact, axis=1)
 

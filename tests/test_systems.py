@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from geostep.systems import (
     _EINSUM_ROWS,
+    _energy_rows,
     _ENERGY_BLOCK,
     _expm,
     GradientField,
@@ -144,6 +145,23 @@ def test_property_energies_equal_einsum(case):
     # array_equal takes -0.0 for 0.0: the signs of the zeros agree as well
     zero = expected == 0.0
     assert np.array_equal(np.signbit(got[zero]), np.signbit(expected[zero]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_energy_rows_of_any_chunk_have_the_bits_of_the_whole_run(n):
+    # a streamed run takes its energies chunk by chunk, its last chunk maybe
+    # a row or two long, where einsum itself would sum in another order
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((2 * n, 2 * n))
+    field = LinearHamiltonian.from_hessian(B + B.T)
+    Y = rng.standard_normal((_EINSUM_ROWS + 45, 2 * n)) * 10.0 ** rng.integers(
+        -3, 4, (_EINSUM_ROWS + 45, 1))
+    whole = field.energies(Y)
+    chunks = [(a, a + 1) for a in range(len(Y))] + [
+        (7, 9), (0, _EINSUM_ROWS - 1), (_EINSUM_ROWS, len(Y)), (0, len(Y))]
+    for a, b in chunks:
+        got = _energy_rows(field.S, Y[a:b], np.empty(b - a))
+        assert got.tobytes() == whole[a:b].tobytes(), (a, b)
 
 
 @pytest.mark.parametrize("shape", [(5,), (5, 1), (5, 3), (5, 2, 1)])

@@ -73,7 +73,9 @@ FILES = {
 ALL_COMMANDS = ("good", "gamma", "huge")
 # scenario files: H0 = 0 (the classifier watches |y|^2), a start off the
 # q axis over enough steps for many blocks of the run statistics, a drift
-# slope past the float range (inf) and a constant energy record (slope 0)
+# slope past the float range (inf), a constant energy record (slope 0) and
+# a run over four chunks of the streamed scenario run (32768 states each
+# after the window), at a stride that divides neither the chunks nor the run
 SCENARIOS = {
     "zero-start": "scenario: zero-start\nmethod: leapfrog\nsteps: 20000\n"
                   "q0: 0\np0: 0\nstride: 100\n",
@@ -83,6 +85,8 @@ SCENARIOS = {
                         "omega: 1e150\nh: 1e-150\nsteps: 5\nq0: 1\n",
     "constant-energy": "scenario: constant-energy\nmethod: leapfrog\n"
                        "h: 5e-324\nsteps: 10\nq0: 1e150\n",
+    "chunk-edges": "scenario: chunk-edges\nmethod: pc-m2\nsteps: 100003\n"
+                   "q0: 0.6\np0: 0.8\nstride: 7\n",
 }
 
 # a 2-DOF Hessian, the oscillator's blockdiag(K, I) with K coupled
