@@ -100,20 +100,19 @@ def cmd_integrate(args) -> int:
     p0 = _parse_floats(args.p0, n, "--p0")
     y0 = np.concatenate([q0, p0])
     name = scheme.name.replace(",", "+")
-    traj, _, failure = ex.run_and_write(name, scheme, field, y0, args.h, args.steps,
-                                        args.starter, args.out, args.stride)
-    if failure is not None:
-        print(f"aborted at step {failure.step}", file=sys.stderr)
-    H = traj.energies
-    err = traj.final_error
-    final_err = "-" if err is None else format(err, ".17g")
+    run, _ = ex.run_and_write(name, scheme, field, y0, args.h, args.steps,
+                              args.starter, args.out, args.stride)
+    if run.failure is not None:
+        print(f"aborted at step {run.failure.step}", file=sys.stderr)
+    h0 = run.stats[0]
+    final_err = "-" if run.final_error is None else format(run.final_error, ".17g")
     print(
-        f"{name}: steps={len(traj.states)} H0={H[0]:.17g} "
-        f"finalDeviation={H[-1] - H[0]:.17g} finalError={final_err}"
+        f"{name}: steps={run.steps} H0={h0:.17g} "
+        f"finalDeviation={run.final_energy - h0:.17g} finalError={final_err}"
     )
     for w in resolved.warnings:  # in --method's order, swapped or not
         print(f"warning: {w}", file=sys.stderr)
-    return 0 if failure is None else 2
+    return 0 if run.failure is None else 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Scenario runner: canned oscillator experiments, CSV artifacts and the
 long-run behavior study.
 
-This is where a run becomes artifacts: `run_and_write` for the command
-line's `integrate`, and `run_scenario`'s stream for scenarios, through one
-CSV writer.  A scenario's method string becomes a scheme through
-`methods.resolve_scheme`.
+This is where a run becomes artifacts, through `run_and_write` for the
+command line's `integrate` and for scenarios alike.  A scenario's method
+string becomes a scheme through `methods.resolve_scheme`.
 
 A scenario is one integrator run on the harmonic oscillator with fixed
 parameters.  Runs write up to three CSV artifacts (phase, energy, error),
@@ -37,17 +36,15 @@ bits of their formulas over whole arrays.  The slope is the exact
 least-squares slope of the energies against t_j = h j, rounded once: each
 block adds its exact integer sums of H_j and j H_j to two Python ints, an
 integer form of the error-free summation of Rump, Ogita & Oishi (SIAM J.
-Sci. Comput. 31 (2008) 189-224).  The exact-error channel is the
-exception: it is evaluated only at the written rows and, for `finalError`,
-the last row.
-`run_scenario` streams the run: the blocked window-map loop hands it
-chunks of _CHUNK states (32768) in one reused buffer, and each chunk gives
-its energies, `_scan`'s fold (`_Scan`), its written rows and, from the last
-chunk, the last state for the final error.  No array as long as the run
-exists: a scenario holds the chunk's states and energies (about 0.8 MB)
-and its written rows (24 B each), so 10^6 and 3 10^7 steps peak alike.
-The artifacts and the summary are byte-identical to writing and scanning
-the whole `integrate` run.
+Sci. Comput. 31 (2008) 189-224).
+`run_and_write` streams the run: `integrators._stream` hands it chunks of
+_CHUNK states (32768) in one reused buffer, and `_fold` takes from each
+its energies, `_scan`'s fold (`_Scan`), its written rows and the last
+state.  The exact-error channel is evaluated only at the written rows and,
+for `finalError`, the last row.  Beyond its written rows a run holds no
+array as long as the run, so 10^6 and 3 10^7 steps peak alike, and its
+artifacts and statistics are byte-identical to writing and scanning the
+whole `integrate` run.
 
 Long runs are classified as bounded, drifting or exploding from the energy
 record, against two fixed thresholds.  Exploding is detected by the energy
@@ -79,11 +76,9 @@ import numpy as np
 # builtin_pairs is bound here for callers that read the registry through
 # this module, as the benchmark's set-up probe does
 from .methods import _NAME_RE, Scheme, _read_fields, builtin_pairs, resolve_scheme
-from .integrators import (
-    STARTERS, StepFailure, Trajectory, _errors, _stream, integrate,
-)
+from .integrators import STARTERS, StepFailure, Trajectory, _errors, _stream
 from ._csvtext import csv_rows, csv_tables
-from .systems import _EINSUM_ROWS, LinearHamiltonian, _energy_rows, sho
+from .systems import LinearHamiltonian, _energy_rows, sho
 
 __all__ = [
     "Scenario",
@@ -94,6 +89,7 @@ __all__ = [
     "format_scenario",
     "run_scenario",
     "run_and_write",
+    "RunRecord",
     "classify",
     "write_artifacts",
 ]
@@ -287,18 +283,9 @@ def write_artifacts(
     outputs: tuple[str, ...] = OUTPUT_KINDS,
     failed_step: int | None = None,
 ) -> dict[str, str]:
-    """Write the requested CSV artifacts for a trajectory; returns paths.
-
-    Every `stride`-th state is written.  When `failed_step` is given, each
-    file ends with a `# aborted at step N` comment.  From _PARALLEL_ROWS
-    written rows on, where the process may use two CPUs and `os.fork`
-    exists, one forked child formats the second half of the rows into
-    unnamed temporary files that are then appended; the bytes are the same
-    either way.  Raises ChildProcessError if that child fails.  With no
-    table to write it only creates `outdir` and returns {}.  A file already
-    there keeps its inode and is rewritten in place (`_rewrite`); a write
-    that stops part way leaves the header and the rows written.
-    """
+    """Write the requested CSV artifacts of every `stride`-th state of a
+    trajectory (`_write`); returns paths.  When `failed_step` is given,
+    each file ends with a `# aborted at step N` comment."""
     _check_written(stride, outputs)
     steps = range(0, len(traj.states), stride)
     errors = None
@@ -313,10 +300,15 @@ def write_artifacts(
 
 def _write(name, outdir, h: float, steps: range, states: np.ndarray,
            H: np.ndarray, errors, outputs, failed_step) -> dict[str, str]:
-    """`write_artifacts` from the written rows alone: `steps` are their
-    indices in the run, `states` and `H` their states and energies (the
-    run's first row first), and `errors` maps a slice of them to their
-    exact-error column, or is None where there is no channel."""
+    """The CSV artifacts of a run's written rows: `steps` are their indices
+    in the run, `states` and `H` their states and energies (the run's first
+    row first), and `errors` maps a slice of them to their exact-error
+    column, or is None where there is no channel.  Files are rewritten in
+    place (`_rewrite`).  From _PARALLEL_ROWS rows on a forked child may
+    format the second half (see the module docstring); raises
+    ChildProcessError if it fails.  With no table to write it only creates
+    `outdir` and returns {}.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     n = states.shape[1] // 2
@@ -363,8 +355,8 @@ def _write(name, outdir, h: float, steps: range, states: np.ndarray,
         # whole blocks on each side, the parent's half no smaller
         split = -(-rows // (2 * _CSV_BLOCK)) * _CSV_BLOCK
         # the child only indexes, subtracts and formats: anything lazy, such
-        # as the cached exact flow exp(hA) of a general linear field or the
-        # text kernel's tables, is built here
+        # as a Trajectory's exact flow exp(hA) on a general linear field or
+        # the text kernel's tables, is built here
         for _, values in tables.values():
             values(slice(0, 1))
         csv_tables()
@@ -405,7 +397,7 @@ def _write(name, outdir, h: float, steps: range, states: np.ndarray,
 
 
 def _child(work, spills) -> NoReturn:
-    """Body of write_artifacts' forked child: run `work`, flush the spills
+    """Body of `_write`'s forked child: run `work`, flush the spills
     and leave through os._exit, 0 on success and 1 on any exception, so
     that the caller's code never runs here."""
     # a collection here could run finalizers of the parent's objects twice
@@ -527,7 +519,7 @@ class _Scan:
         # |y|^2 of a block serves the radius and, when H_0 <= 0, the
         # crossing: H cannot measure growth then (an indefinite H can blow
         # up along H = H_0), so the squared state norm is watched instead
-        self.norms = np.empty(len(self.work)) if self.radial or h0 <= 0 else None
+        self.norms = np.empty(len(self.work)) if self.radial or not h0 > 0 else None
         if self.norms is not None:
             self.r0 = _squared_norms(states[:1], self.norms[:1])[0]
         self.size0 = H[0] if h0 > 0 else self.r0
@@ -629,116 +621,117 @@ def classify(traj: Trajectory):
     return label, h0, max_dev, slope, crossing
 
 
+@dataclass(frozen=True)
+class RunRecord:
+    """What `run_and_write` keeps of a run: its `steps` states' `_scan`
+    statistics, the energy and exact error (None without a channel) of the
+    last, and the StepFailure that stopped it early, or None."""
+
+    steps: int
+    stats: tuple[float, float, float, int | None, float | None]
+    final_energy: float
+    final_error: float | None
+    failure: StepFailure | None
+
+
+# states per chunk of a streamed run: whole blocks of the window map
+# (integrators._BLOCK, 256) and of the statistics; its buffers, 16 B of
+# state and 8 B of energy a row, stay within a 2 MiB L2 cache
+_CHUNK = 4 * _STAT_BLOCK
+
+
+def _fold(chunks, rows: int, field, y0, h: float, stride: int):
+    """Fold a run of at most `rows` states from y0, handed over as
+    consecutive chunks, into its RunRecord and the states, energies and
+    exact errors (`integrators._errors`, None on a nonlinear field) of every
+    `stride`-th row.  A StepFailure from the chunks ends the run and is
+    kept in the record.  Each chunk's energies have the bits the whole
+    run's `field.energies` gives them: after the first chunk a linear
+    field's take the column kernel, as a run past one chunk's do."""
+    written = range(0, rows, stride)
+    scan = _Scan(rows, field.dim)
+    lo, failure = 0, None  # lo: the chunk's first row in the run
+    try:
+        for chunk in chunks:
+            if not lo:  # the stream has checked its arguments: room for the rows
+                states, H = np.empty((len(written), field.dim)), np.empty(len(written))
+            n = len(chunk)
+            # overflow in exploding runs is data, not an error
+            with np.errstate(over="ignore", invalid="ignore"):
+                if lo and isinstance(field, LinearHamiltonian):
+                    # the last chunk's energies, all spent, make room for these
+                    energies = _energy_rows(field.S, chunk, energies[:n])
+                else:
+                    energies = field.energies(chunk)
+            scan.add(chunk, energies)
+            take = slice(-lo % stride, None, stride)  # the chunk's written rows
+            w = -(-lo // stride)  # the first one's index among all written rows
+            part = chunk[take]
+            states[w : w + len(part)] = part
+            H[w : w + len(part)] = energies[take]
+            lo += n
+            last, final_energy = chunk[-1:].copy(), float(energies[-1])
+    except StepFailure as exc:
+        # kept, not raised: its traceback holds the stream's frame and buffer
+        failure = exc.with_traceback(None)
+    w = -(-lo // stride)  # the rows written
+    E = final_error = chunk = energies = None  # the run's buffers go first
+    if isinstance(field, LinearHamiltonian):
+        # a CSV block at a time, from the exact flow as a second stream, read
+        # forward in chunks of a statistics block, so that it peaks below the run
+        errors, E = _errors(field, y0, h, lo, _STAT_BLOCK), np.empty(w)
+        for a in range(0, w, _CSV_BLOCK):
+            r = stride * np.arange(a, min(a + _CSV_BLOCK, w))
+            E[a : a + len(r)] = errors(states[a : a + len(r)], r)
+        final_error = float(errors(last, np.array([lo - 1]))[0])
+    run = RunRecord(lo, scan.result(h), final_energy, final_error, failure)
+    return run, states[:w], H[:w], E
+
+
 def run_and_write(name: str, scheme: Scheme, field, y0, h: float, steps: int,
                   starter: str, outdir: str | Path, stride: int = 1,
                   outputs: tuple[str, ...] = OUTPUT_KINDS):
     """Integrate a scheme and write its CSV artifacts under `outdir`.
 
-    On a stepper failure the partial trajectory is still written, each file
-    ending with a `# aborted at step N` comment.  Returns the trajectory,
-    the artifact paths and the StepFailure (None when the run completed).
-    A bad `stride` or output kind raises ValueError before integrating.
+    The run is streamed (`integrators._stream`) and folded chunk by chunk
+    (`_fold`), with the bytes of `write_artifacts` on the whole `integrate`
+    run.  On a stepper failure the states produced are still written, each
+    file ending with a `# aborted at step N` comment.  Returns the run's
+    RunRecord and the artifact paths.  A bad `stride` or output kind raises
+    ValueError before integrating.
     """
     _check_written(stride, outputs)
-    try:
-        traj = integrate(scheme, field, y0, h, steps, starter=starter)
-        failure = None
-    except StepFailure as exc:
-        # the failure is returned, not raised: its traceback would hold this
-        # frame, and so the failure and its partial run, in a cycle
-        traj, failure = exc.partial, exc.with_traceback(None)
-    failed_step = None if failure is None else failure.step
-    files = write_artifacts(name, traj, outdir, stride, outputs, failed_step)
-    return traj, files, failure
-
-
-# states per chunk of a streamed scenario run: whole blocks of the window
-# map (integrators._BLOCK, 256) and of the statistics; its buffers, 16 B of
-# state and 8 B of energy a row, stay within a 2 MiB L2 cache
-_CHUNK = 4 * _STAT_BLOCK
-
-
-def _fold(chunks, rows: int, field: LinearHamiltonian, h: float, stride: int):
-    """Fold a run of `rows` states on a linear field, handed over as
-    consecutive chunks, into (`_Scan`'s statistics, the states and the
-    energies of every `stride`-th row, the last state).
-
-    Each chunk's energies have the bits `field.energies` gives those rows
-    of the whole run: from _EINSUM_ROWS rows on, the column kernel on every
-    chunk, a short last one too.
-    """
-    written = range(0, rows, stride)
-    states = np.empty((len(written), field.dim))
-    H = np.empty(len(written))
-    scan = _Scan(rows, field.dim)
-    buffer = np.empty(0)  # the chunks' energies
-    lo = 0  # the chunk's first row in the run
-    for chunk in chunks:
-        n = len(chunk)
-        # overflow in exploding runs is data, not an error
-        with np.errstate(over="ignore", invalid="ignore"):
-            if rows < _EINSUM_ROWS:
-                energies = field.energies(chunk)
-            else:
-                if len(buffer) < n:
-                    buffer = np.empty(n)
-                energies = _energy_rows(field.S, chunk, buffer[:n])
-        scan.add(chunk, energies)
-        take = slice(-lo % stride, None, stride)  # the chunk's written rows
-        w = -(-lo // stride)  # the first one's index among all written rows
-        part = chunk[take]
-        states[w : w + len(part)] = part
-        H[w : w + len(part)] = energies[take]
-        lo += n
-    return scan.result(h), states, H, chunk[-1:].copy()
+    run, states, H, E = _fold(_stream(scheme, field, y0, h, steps, starter, _CHUNK),
+                              steps, field, y0, h, stride)
+    failed_step = None if run.failure is None else run.failure.step
+    files = _write(name, outdir, h, range(0, run.steps, stride), states, H,
+                   None if E is None else E.__getitem__, outputs, failed_step)
+    return run, files
 
 
 def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
-    """Run one scenario and write its artifacts under `outdir`.
-
-    The run is streamed (`integrators._stream`) and folded chunk by chunk
-    (`_fold`): beyond its written rows, no array as long as the run exists.
-    The artifacts and the summary are byte-identical to those of
-    `run_and_write` and `_scan` on the whole `integrate` run.  On a stepper
-    failure the partial run is still written (see `run_and_write`) and the
-    failing step index lands in the summary.
+    """Run one scenario and write its artifacts under `outdir`: its
+    `run_and_write` run, labelled by `_fit`, and a summary.  On a stepper
+    failure the partial run is still written and the failing step index
+    lands in the summary.
     """
     outdir = Path(outdir)
     scheme = resolve_scheme(s.method)
-    field, y0 = sho(s.omega), np.array([s.q0, s.p0])
-    warnings = scheme.warnings
-    failed_step = None
-    rows = s.steps
-    try:
-        chunks = _stream(scheme, field, y0, s.h, rows, s.starter, _CHUNK)
-        stats, states, H, last = _fold(chunks, rows, field, s.h, s.stride)
-    except StepFailure as exc:
-        # a linear run fails before its first chunk: the partial run is the
-        # starter's window
-        failed_step = exc.step
-        warnings += (f"stepper failed at step {exc.step}: {exc.cause}",)
-        rows = len(exc.partial.states)
-        stats, states, H, last = _fold(
-            [exc.partial.states], rows, field, s.h, s.stride)
-    h0, max_dev, slope, crossing, radius = stats
-    error_of = _errors(field, y0, s.h, rows)
-    steps = range(0, rows, s.stride)
-
-    def errors(b):
-        r = steps[b]
-        return error_of(states[b], np.arange(r.start, r.stop, r.step))
-
-    files = _write(s.name, outdir, s.h, steps, states, H, errors, s.outputs,
-                   failed_step)
-    final_error = float(error_of(last, np.array([rows - 1]))[0])
-    label = _fit(h0, max_dev, slope, s.h * (rows - 1), crossing is not None)
+    run, files = run_and_write(s.name, scheme, sho(s.omega), np.array([s.q0, s.p0]),
+                               s.h, s.steps, s.starter, outdir, s.stride, s.outputs)
+    h0, max_dev, slope, crossing, radius = run.stats
+    warnings, failed_step = scheme.warnings, None
+    if run.failure is not None:
+        failed_step = run.failure.step
+        warnings += (f"stepper failed at step {failed_step}: {run.failure.cause}",)
+    label = _fit(h0, max_dev, slope, s.h * (run.steps - 1), crossing is not None)
     result = ScenarioResult(
         scenario=s,
         files=files,
         h0=h0,
         max_deviation=max_dev,
         slope=slope,
-        final_error=final_error,
+        final_error=run.final_error,
         radius_deviation=radius,
         classification=label,
         crossing_step=crossing,

@@ -37,23 +37,23 @@ matrix-vector product (`ndarray.dot`, written in place into the state
 array) emits the next B states from the current window; the window then
 advances to the last k states emitted.  The powers are formed by doubling
 in extended precision and rounded once, so the blocked path keeps the
-accuracy of one product per step.  That one block loop, `_power_rows`,
-fills a caller's buffer chunk by chunk: `integrate` gives it the whole
-state array as one chunk, and `_stream` a buffer of k + chunk rows that it
-reuses, so a scenario run never holds an array as long as the run.  The
-field alone picks the path: the generic per-step loop runs on nonlinear
-fields and is the reference the tests hold the blocked path to; both agree
-to roundoff.
+accuracy of one product per step.  Every run is one stream, `_stream`,
+whose producer the field alone picks: that block loop, `_power_rows`, on a
+linear field, and on any other the per-step loop, `_step_rows`, which the
+tests hold the blocked path to (both agree to roundoff).  Both fill a
+caller's buffer chunk by chunk: `integrate` gives the stream one chunk as
+long as the run, the state array itself, and `experiments.run_and_write`
+a buffer of k + chunk rows that it reuses.
 
 The exact-error channel |y_j - exact flow at t_j| of a linear field is
-evaluated only at the rows a caller asks for (`Trajectory.error_at`): the
-written CSV rows and the last row, not every step of a 10^6-step run.  On
-the oscillator each asked-for row costs one closed-form `sho_exact` value;
-a general linear field propagates the exact flow once per trajectory, the
-same way as the scheme with M = exp(hA), when a row is first asked for.
-exp(hA) comes from `systems._expm`, a numpy scaling-and-squaring Pade
-exponential, so no run imports scipy.  Either way the values are
-bit-identical to slicing the full channel.
+evaluated only at the rows a caller asks for (`_errors`): the written CSV
+rows and the last row, not every step of a 10^6-step run.  On the
+oscillator each row costs one closed-form `sho_exact` value; a general
+linear field propagates the exact flow as the scheme, by `_power_rows`
+with M = exp(hA) from `systems._expm` (numpy scaling and squaring, so no
+run imports scipy): once per trajectory, or as a second stream, read
+forward, beside a streamed run.  Either way the values are bit-identical
+to slicing the full channel.
 """
 from __future__ import annotations
 
@@ -95,12 +95,17 @@ class StepFailure(RuntimeError):
     """A step failed mid-run; carries the failing index and the partial run.
 
     `step` is the index of the state that could not be produced; `partial`
-    is a Trajectory holding every state that was produced, `cause` the
-    underlying error.
+    is a Trajectory holding every state that was produced (None from
+    `_stream`, whose consumer has had them), `cause` the underlying error,
+    whose chain's tracebacks are cleared: they hold the run's states.
     """
 
     def __init__(self, step: int, cause: Exception, partial: "Trajectory"):
         super().__init__(f"step {step} failed: {cause}")
+        chained = cause
+        while chained is not None:
+            chained.__traceback__ = None
+            chained = chained.__cause__ or chained.__context__
         self.step = step
         self.cause = cause
         self.partial = partial
@@ -185,32 +190,42 @@ def exact_start(field, y0, h: float, count: int) -> list[np.ndarray]:
     return [_expm(j * h * field.A) @ y0 for j in range(count + 1)]
 
 
-def _errors(field: LinearHamiltonian, y0, h: float, count: int):
+def _errors(field: LinearHamiltonian, y0, h: float, count: int, room: int):
     """(states, rows) -> |states - exact flow at h * rows| row by row: the
     exact-error channel at rows below `count`, from y0 (not the run's first
     state, whose zeros the exact starter may have given the other sign).
 
     On the oscillator each row is one closed-form `sho_exact` value, looked
     up on this module at call time, so a wrapper installed on it sees every
-    evaluation; on any other field the flow is propagated once, as the
-    scheme is, with M = exp(hA), when a row is first asked for.
-    """
+    evaluation.  On any other field the flow is propagated from the first
+    call on by `_power_rows`, with M = exp(hA), in chunks of `room` rows read
+    forward: rows must ascend past the last chunk read, unless one chunk
+    holds the whole flow (`room` >= count - 1)."""
     y0 = np.array(y0, dtype=float)
     w = _sho_omega(field)
     if w is not None:
         def exact(rows):
             return sho_exact(w, y0, h * rows)
     else:
-        @functools.cache
         def flow():
-            out = np.empty((count, len(y0)))
+            out = np.empty((min(count, 1 + room), len(y0)))
             out[0] = y0
-            for _ in _power_rows(_expm(h * field.A), out, count):
-                pass  # one chunk: the whole flow
-            return out
+            yield from _power_rows(_expm(h * field.A), out, count)
+
+        chunks, lo = flow(), 0
+        chunk = np.empty((0, len(y0)))  # flow rows lo, lo + 1, ..
 
         def exact(rows):
-            return flow()[rows]
+            nonlocal chunk, lo
+            got, i = np.empty((len(rows), len(y0))), 0
+            while True:
+                # the rows from i on that this chunk holds come first
+                n = np.count_nonzero(rows[i:] < lo + len(chunk))
+                got[i : i + n] = chunk[rows[i : i + n] - lo]
+                i += n
+                if i == len(rows):
+                    return got
+                lo, chunk = lo + len(chunk), next(chunks)
 
     def errors(states, rows):
         # overflow in exploding runs is data, not an error
@@ -218,17 +233,6 @@ def _errors(field: LinearHamiltonian, y0, h: float, count: int):
             return np.linalg.norm(states - exact(rows), axis=1)
 
     return errors
-
-
-def _error_at(field: LinearHamiltonian, y0, h: float, states: np.ndarray):
-    """rows -> the exact-error channel (`_errors`) at those rows of states."""
-    errors = _errors(field, y0, h, len(states))
-
-    def error_at(rows):
-        rows = np.asarray(rows)
-        return errors(states[rows], rows)
-
-    return error_at
 
 
 # ---------------------------------------------------------------------------
@@ -506,37 +510,50 @@ def window_matrix(scheme: Scheme, field: LinearHamiltonian, h: float) -> np.ndar
 
 def _trajectory(field, y0, h, states) -> Trajectory:
     """The run's recorded states with their energies and, on linear fields,
-    the exact-error channel."""
+    the exact-error channel at any rows (`_errors` over one chunk)."""
     # overflow in exploding runs is data, not an error
     with np.errstate(over="ignore", invalid="ignore"):
         energies = field.energies(states)
     error_at = None
     if isinstance(field, LinearHamiltonian):
-        error_at = _error_at(field, y0, h, states)
+        errors = _errors(field, y0, h, len(states), len(states))
+
+        def error_at(rows):
+            rows = np.asarray(rows)
+            return errors(states[rows], rows)
+
     return Trajectory(h, states, energies, error_at)
 
 
-def _generic_loop(scheme, field, y0, window, h, steps):
+def _step_rows(scheme: Scheme, field, h: float, out: np.ndarray, count: int):
+    """`count` states of the per-step loop, handed back chunk by chunk in
+    the caller's buffer `out` as `_power_rows` hands them.  When state j
+    cannot be produced, the states since the last chunk come as one more
+    chunk (if there are any), then the StepFailure at j."""
     k = scheme.k
-    states = np.empty((steps, len(y0)))
-    states[:k] = window
-    ys, fs = list(window), [None] * k
     advance = _advance(scheme)
-    for j in range(k, steps):
+    ys, fs = list(out[:k]), [None] * k
+    first = base = 0  # the chunk's first row in `out`; the run index of out[0]
+    while True:
+        end, failure = min(len(out), count - base), None
         try:
-            states[j] = advance(field, ys, fs, h)
+            # overflow in exploding runs is data, not an error
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(k, end):
+                    out[j] = advance(field, ys, fs, h)
+                    ys = ys[1:] + [out[j]]
+                    fs = fs[1:] + [None]
         except (ConvergenceError, SingularStepError) as exc:
-            partial = _trajectory(field, y0, h, states[:j].copy())
-            # the chain's tracebacks hold this frame and the solver's, and
-            # with them `states`: the failure keeps only the partial copy
-            cause = exc
-            while cause is not None:
-                cause.__traceback__ = None
-                cause = cause.__cause__ or cause.__context__
-            raise StepFailure(j, exc, partial) from exc
-        ys = ys[1:] + [states[j]]
-        fs = fs[1:] + [None]
-    return states
+            failure, end = StepFailure(base + j, exc, None), j
+        if end > first:
+            yield out[first:end]
+        if failure is not None:
+            raise failure from failure.cause
+        if base + end == count:
+            return
+        base += end - k
+        out[:k] = out[end - k : end]  # the window: the chunk's last k states
+        ys, first = list(out[:k]), k
 
 
 # states emitted per matrix product; the stacked rows hold B * d * kd floats,
@@ -610,9 +627,35 @@ def _power_rows(M: np.ndarray, out: np.ndarray, count: int):
         done += n
 
 
-def _start(scheme: Scheme, field, y0, h: float, steps: int, starter: str):
-    """`integrate`'s checks of its arguments, then (y0 as floats, the
-    starter's window of k states, y0 included)."""
+def integrate(scheme: Scheme, field, y0, h: float, steps: int,
+              starter: str = "rk4") -> Trajectory:
+    """Run a scheme; return its states, energies and exact-error channel.
+
+    `steps` counts recorded states including the k starter states; it must
+    be at least k, and the last state's time h (steps - 1) must be finite.
+    `starter` names one of `STARTERS`.  The exact-error channel exists only
+    for linear fields, where the exact flow is known.  The run is `_stream`
+    with one chunk as long as the run, filled in place.
+    """
+    try:
+        for states in _stream(scheme, field, y0, h, steps, starter, steps):
+            pass  # one chunk: the whole run
+    except StepFailure as exc:
+        # the stream's one chunk: every state produced
+        exc.partial = _trajectory(field, y0, h, states.copy())
+        raise
+    return _trajectory(field, y0, h, states)
+
+
+def _stream(scheme: Scheme, field, y0, h: float, steps: int, starter: str,
+            chunk: int):
+    """A run's states as consecutive chunks of one buffer of k + `chunk`
+    rows: `_power_rows` on a linear field, `_step_rows` on any other.
+    `chunk`, at least `_BLOCK`, is best a multiple of it.  `integrate`'s
+    checks of its arguments raise ValueError before the first chunk, which
+    starts with the starter's window.  A failed step ends the stream with a
+    StepFailure whose `partial` is None (on a linear field only a singular
+    `window_matrix`, at step k, after the window)."""
     if starter not in STARTERS:
         raise ValueError(f"starter must be one of {STARTERS}, got {starter!r}")
     if not 0 < h < np.inf:
@@ -635,54 +678,17 @@ def _start(scheme: Scheme, field, y0, h: float, steps: int, starter: str):
     start = exact_start if starter == "exact" else rk4_start
     # overflow in exploding runs is data, not an error; the starter's too
     with np.errstate(over="ignore", invalid="ignore"):
-        return y0, start(field, y0, h, k - 1)
-
-
-def _window_map(scheme: Scheme, field: LinearHamiltonian, y0, h: float, window):
-    """`window_matrix` for a run from `window`; a singular step is the run's
-    StepFailure at step k, whose partial run is the window."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return window_matrix(scheme, field, h)
-    except SingularStepError as exc:
-        # the compiled map failed before any step was taken
-        partial = _trajectory(field, y0, h, np.array(window))
-        raise StepFailure(scheme.k, exc, partial) from exc
-
-
-def integrate(scheme: Scheme, field, y0, h: float, steps: int,
-              starter: str = "rk4") -> Trajectory:
-    """Run a scheme; return its states, energies and exact-error channel.
-
-    `steps` counts recorded states including the k starter states; it must
-    be at least k, and the last state's time h (steps - 1) must be finite.
-    `starter` names one of `STARTERS`.  The exact-error channel exists only
-    for linear fields, where the exact flow is known.  Linear fields take
-    the blocked window-map path, all others the generic per-step loop.
-    """
-    y0, window = _start(scheme, field, y0, h, steps, starter)
-    if not isinstance(field, LinearHamiltonian):
-        with np.errstate(over="ignore", invalid="ignore"):
-            states = _generic_loop(scheme, field, y0, window, h, steps)
+        window = np.array(start(field, y0, h, k - 1))
+    if isinstance(field, LinearHamiltonian):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                M = window_matrix(scheme, field, h)
+        except SingularStepError as exc:
+            yield window  # the run fails at step k, before any step is taken
+            raise StepFailure(k, exc, None) from exc
+    out = np.empty((min(steps, k + chunk), field.dim))  # after every check
+    out[:k] = window
+    if isinstance(field, LinearHamiltonian):
+        yield from _power_rows(M, out, steps)
     else:
-        M = _window_map(scheme, field, y0, h, window)
-        states = np.empty((steps, field.dim))
-        states[: scheme.k] = window
-        for _ in _power_rows(M, states, steps):
-            pass  # one chunk: the whole run, in place
-    return _trajectory(field, y0, h, states)
-
-
-def _stream(scheme: Scheme, field: LinearHamiltonian, y0, h: float, steps: int,
-            starter: str, chunk: int):
-    """`integrate`'s states of a run on a linear field, bit for bit, as
-    consecutive chunks (`_power_rows`) of one buffer of k + `chunk` rows:
-    no array as long as the run exists.  `chunk`, at least `_BLOCK`, is
-    best a multiple of it.  The first chunk starts with the starter's
-    window; the ValueErrors and the StepFailure of `integrate` come before
-    it."""
-    y0, window = _start(scheme, field, y0, h, steps, starter)
-    M = _window_map(scheme, field, y0, h, window)
-    out = np.empty((min(steps, scheme.k + chunk), field.dim))
-    out[: scheme.k] = window
-    yield from _power_rows(M, out, steps)
+        yield from _step_rows(scheme, field, h, out, steps)

@@ -434,7 +434,7 @@ def test_integrate_out_of_memory_exits_1_and_writes_nothing(
 
     # an absurd step count fails its first allocation; stand in for it
     # instead of allocating
-    monkeypatch.setattr(geostep.experiments, "integrate", no_memory)
+    monkeypatch.setattr(geostep.experiments, "_stream", no_memory)
     out = tmp_path / "out"
     code, stdout, err = run(
         capsys, "integrate", "--method", "leapfrog", "--steps", "1000000000000",

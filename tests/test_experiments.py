@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from geostep import experiments, integrators
 from geostep.methods import MethodError, MethodSpec
 from geostep.integrators import (
-    PartitionedPair, PCPair, Trajectory, integrate, rk4_start,
+    STARTERS, PartitionedPair, PCPair, StepFailure, Trajectory, integrate, rk4_start,
 )
 from geostep.methods import REGISTRY_NAMES, builtin_methods
 from geostep.cli import main
-from geostep.systems import LinearHamiltonian, sho
+from geostep.systems import LinearHamiltonian, load_linear_system, sho
+from test_integrators import cut_pendulum, pendulum
 from geostep.experiments import (
     _CSV_BLOCK,
     _STAT_BLOCK,
@@ -363,8 +364,8 @@ def test_outputs_subset_respected(tmp_path):
 def test_bad_stride_or_output_kind_is_rejected_before_integrating(
         tmp_path, monkeypatch, stride, outputs, match):
     runs = []
-    monkeypatch.setattr(experiments, "integrate",
-                        lambda *a, **k: runs.append(a) or integrate(*a, **k))
+    stream = experiments._stream
+    monkeypatch.setattr(experiments, "_stream", lambda *a: runs.append(a) or stream(*a))
     with pytest.raises(ValueError, match=match):
         run_and_write("bad", builtin_methods()["leapfrog"], sho(), [1.0, 0.0],
                       0.1, 20, "rk4", tmp_path, stride, outputs)
@@ -372,6 +373,14 @@ def test_bad_stride_or_output_kind_is_rejected_before_integrating(
     with pytest.raises(ValueError, match=match):
         write_artifacts("bad", traj, tmp_path, stride, outputs)
     assert runs == [] and list(tmp_path.iterdir()) == []
+
+
+def test_run_and_write_checks_the_run_before_it_makes_room_for_the_rows(tmp_path):
+    # the rows of 10^15 states fit in no memory: the check of y0 comes first
+    with pytest.raises(ValueError, match="energy at y0 must be finite"):
+        run_and_write("big", builtin_methods()["leapfrog"], sho(), [1e200, 0.0],
+                      0.1, 10**15, "rk4", tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 def test_rerun_is_byte_identical(tmp_path):
     s = Scenario("det", "m1-as-printed", steps=3000, stride=7)
@@ -816,11 +825,26 @@ def test_radius_deviation_memory_peak_on_a_long_record():
     assert peak <= 2**20
 
 
+def _run_and_write_whole(name, scheme, field, y0, h, steps, starter, outdir,
+                         stride=1, outputs=OUTPUT_KINDS):
+    """`run_and_write` over the whole run: `integrate`, then `write_artifacts`
+    of its Trajectory, or of `StepFailure.partial` with the failing step.
+    Returns (trajectory, files, failure)."""
+    try:
+        traj, failure = integrate(scheme, field, y0, h, steps, starter=starter), None
+    except StepFailure as exc:
+        traj, failure = exc.partial, exc
+    files = write_artifacts(name, traj, outdir, stride, outputs,
+                            None if failure is None else failure.step)
+    return traj, files, failure
+
+
 def _run_scenario_whole(s: Scenario, outdir):
     """`run_scenario` over the whole run: `integrate`, `write_artifacts`
-    (through `run_and_write`) and `_scan`, then the label and summary."""
+    (through `_run_and_write_whole`) and `_scan`, then the label and
+    summary."""
     scheme = resolve_scheme(s.method)
-    traj, files, failure = run_and_write(
+    traj, files, failure = _run_and_write_whole(
         s.name, scheme, sho(s.omega), np.array([s.q0, s.p0]), s.h, s.steps,
         s.starter, outdir, s.stride, s.outputs,
     )
@@ -924,6 +948,111 @@ def test_run_scenario_memory_peak_on_a_long_run(tmp_path):
     rep, peak = _traced_peak(run_scenario, s, tmp_path)
     assert rep.classification == "bounded"
     assert peak <= 2 * 2**20
+
+
+def test_scan_forms_the_radius_reference_when_h0_is_nan():
+    # neither H0 > 0 nor H0 <= 0 holds for a NaN: the crossing watches
+    # |y|^2, on any number of state columns as on two
+    H = [np.nan, 1.0, 2.0, 3.0, 4.0]
+    wide = _scan(Trajectory(0.1, np.ones((5, 4)), H))
+    narrow = _scan(Trajectory(0.1, np.ones((5, 2)), H))
+    assert _bits(wide[:4]) == _bits(narrow[:4])
+    assert wide[4] is None and narrow[4] == 0.0
+    states = np.ones((5, 4))
+    states[3] *= 40.0  # |y|^2 = 6400, past 1000 |y_0|^2
+    assert _scan(Trajectory(0.1, states, H))[3] == 3
+
+
+HESSIAN = "2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n"
+Y0_2DOF = np.array([1.0, -0.5, 0.2, 0.3])
+
+
+def _hessian_field(tmp_path) -> LinearHamiltonian:
+    path = tmp_path / "hessian.txt"
+    path.write_text(HESSIAN)
+    return load_linear_system(str(path))
+
+
+def _assert_same_run(tmp_path, name, scheme, field, y0, h, steps, starter, stride):
+    """`run_and_write` and `_run_and_write_whole` on one run: the same
+    artifacts byte for byte, and the record is the whole run's."""
+    args = (name, scheme, field, y0, h, steps, starter)
+    run, files = run_and_write(*args, tmp_path / "streamed", stride)
+    traj, want, failure = _run_and_write_whole(*args, tmp_path / "whole", stride)
+    assert list(files) == list(want)
+    for kind in files:
+        assert Path(files[kind]).read_bytes() == Path(want[kind]).read_bytes(), kind
+    assert run.steps == traj.steps
+    assert _bits(run.stats) == _bits(_scan(traj))
+    assert _bits((run.final_energy, run.final_error)) == \
+        _bits((float(traj.energies[-1]), traj.final_error))
+    assert (run.failure is None) == (failure is None)
+    if failure is not None:
+        assert run.failure.step == failure.step
+        assert str(run.failure.cause) == str(failure.cause)
+    return run
+
+
+@pytest.mark.parametrize("offset", [C - 1, C + 1, 2 * C + 1],
+                         ids=["k+C-1", "k+C+1", "k+2C+1"])
+@pytest.mark.parametrize("starter", STARTERS)
+@pytest.mark.parametrize("name", ["ab4", "leapfrog"])
+def test_run_and_write_on_a_hessian_file_is_byte_identical_to_the_whole_run(
+        tmp_path, name, starter, offset):
+    # the run and its exact flow exp(hA) are two streams
+    scheme, stride = resolve_scheme(name), 17
+    steps = scheme.k + offset
+    assert C % stride and steps % stride
+    _assert_same_run(tmp_path, "hessian", scheme, _hessian_field(tmp_path), Y0_2DOF,
+                     0.1, steps, starter, stride)
+
+
+def test_run_and_write_of_a_singular_window_map_writes_the_window(tmp_path):
+    # on the saddle diag(-1, 1) implicit Euler's step is singular at h = 1:
+    # the run stops at step k, and the window is its one chunk
+    field = LinearHamiltonian.from_hessian(np.diag([-1.0, 1.0]))
+    run = _assert_same_run(tmp_path, "saddle", resolve_scheme("implicit-euler"), field,
+                           np.array([0.3, 0.4]), 1.0, 5000, "rk4", 1)
+    assert run.failure.step == run.steps == 1
+
+
+@pytest.mark.parametrize("name", ["midpoint", "implicit-euler"])
+def test_run_and_write_of_a_newton_failure_writes_the_partial_run(
+        tmp_path, monkeypatch, name):
+    # chunks of 256 states: from (0, 1.9) at h = 0.002 the implicit solve of
+    # about step 446 must go past the cut, in the second chunk
+    monkeypatch.setattr(experiments, "_CHUNK", 256)
+    run = _assert_same_run(tmp_path, "cut", resolve_scheme(name), cut_pendulum(),
+                           np.array([0.0, 1.9]), 0.002, 10_000, "rk4", 7)
+    assert 256 < run.failure.step < 512 and run.final_error is None
+
+
+@pytest.mark.parametrize("system, steps", [("sho", 10**5), ("hessian", 10**5),
+                                           ("pendulum", 10**4)])
+def test_run_and_write_memory_does_not_grow_with_the_run(
+        tmp_path, monkeypatch, system, steps):
+    # the run streams through fixed buffers, and so does a general linear
+    # field's exact flow: from `steps` to ten times as many, the peak grows
+    # by the more written rows (the state, the energy and, on a linear
+    # field, the exact error of each) and no more
+    field, y0 = {
+        "sho": (sho(), np.array([1.0, 0.0])),
+        "hessian": (_hessian_field(tmp_path), Y0_2DOF),
+        "pendulum": (pendulum(), np.array([0.5, 0.0])),
+    }[system]
+    if steps < C:
+        # chunks of 4096 states: both runs fill more than two, and the
+        # stream's buffers, not a CSV block's text, set the peak
+        monkeypatch.setattr(experiments, "_CHUNK", 4096)
+    scheme, stride = resolve_scheme("leapfrog"), 1000
+    peaks = []
+    for n in (steps, 10 * steps):
+        (run, _), peak = _traced_peak(run_and_write, "mem", scheme, field, y0, 0.1, n,
+                                      "rk4", tmp_path / "out", stride)
+        assert run.failure is None and run.steps == n
+        peaks.append(peak)
+    row = 8 * field.dim + 8 + 8 * isinstance(field, LinearHamiltonian)
+    assert peaks[1] - peaks[0] <= row * 9 * steps // stride + 4096
 
 
 def test_blow_up_to_nan_scenario_is_exploding(tmp_path):

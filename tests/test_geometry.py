@@ -15,7 +15,7 @@ from geostep.integrators import (
     PCPair,
     PartitionedPair,
     Trajectory,
-    _generic_loop,
+    _step_rows,
     integrate,
     numerical_jacobian,
     rk4_start,
@@ -286,8 +286,10 @@ def test_reversibility_needs_enough_states():
 
 def test_reversibility_oneleg_branch_runs():
     m = MS["midpoint"]
-    window = rk4_start(FIELD, Y0, 0.1, m.k - 1)
-    states = _generic_loop(m, FIELD, Y0, window, 0.1, 40)
+    states = np.empty((40, 2))
+    states[: m.k] = rk4_start(FIELD, Y0, 0.1, m.k - 1)
+    for _ in _step_rows(m, FIELD, 0.1, states, 40):
+        pass  # one chunk: the whole run, in place
     traj = Trajectory(0.1, states, FIELD.energies(states))
     assert reversibility_residual(m, FIELD, traj) <= 1e-11
 

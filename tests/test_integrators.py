@@ -46,12 +46,19 @@ def pendulum() -> GradientField:
 
 
 def generic_run(scheme, field, y0, h, steps):
-    """A run through `integrate`'s generic per-step loop, which nonlinear
-    fields take: the reference for the blocked path of linear fields."""
+    """A run through the per-step loop, which nonlinear fields take, in one
+    chunk as `integrate` runs it: the reference for the blocked path of
+    linear fields."""
     y0 = np.asarray(y0, dtype=float)
+    states = np.empty((steps, len(y0)))
     with np.errstate(over="ignore", invalid="ignore"):
-        window = rk4_start(field, y0, h, scheme.k - 1)
-        states = integrators._generic_loop(scheme, field, y0, window, h, steps)
+        states[: scheme.k] = rk4_start(field, y0, h, scheme.k - 1)
+    try:
+        for _ in integrators._step_rows(scheme, field, h, states, steps):
+            pass  # one chunk: the whole run, in place
+    except StepFailure as exc:
+        exc.partial = integrators._trajectory(field, y0, h, states[: exc.step].copy())
+        raise
     return integrators._trajectory(field, y0, h, states)
 
 
@@ -544,16 +551,94 @@ def test_stream_raises_what_integrate_raises(args):
     assert str(streamed.value) == str(whole.value)
 
 
+def _drain(chunks):
+    """(every chunk's rows concatenated, the StepFailure that ended them or
+    None)."""
+    got, failure = [], None
+    try:
+        for chunk in chunks:
+            got.append(chunk.copy())
+    except StepFailure as exc:
+        failure = exc
+    return np.concatenate(got), failure
+
+
+def test_a_singular_step_fails_before_room_is_made_for_the_run():
+    # 10^15 states fit in no memory: the singular window map is reported
+    # first, with the window as the partial run
+    field = LinearHamiltonian.from_hessian(np.diag([-1.0, 1.0]))
+    with pytest.raises(StepFailure) as failure:
+        integrate(MS["implicit-euler"], field, Y0, 1.0, 10**15)
+    assert failure.value.step == 1 and failure.value.partial.steps == 1
+
+
 def test_stream_reports_a_singular_step_as_integrate_does():
+    # the window comes as the stream's one chunk, then the failure
     field = LinearHamiltonian.from_hessian(np.diag([-1.0, 1.0]))
     m = MS["implicit-euler"]
     with pytest.raises(StepFailure) as whole:
         integrate(m, field, Y0, 1.0, 10)
-    with pytest.raises(StepFailure) as streamed:
-        next(integrators._stream(m, field, Y0, 1.0, 10, "rk4", _BLOCK))
-    assert streamed.value.step == whole.value.step == m.k
-    assert str(streamed.value.cause) == str(whole.value.cause)
-    assert np.array_equal(streamed.value.partial.states, whole.value.partial.states)
+    states, streamed = _drain(integrators._stream(m, field, Y0, 1.0, 10, "rk4", _BLOCK))
+    assert streamed.step == whole.value.step == m.k
+    assert str(streamed.cause) == str(whole.value.cause)
+    assert streamed.partial is None
+    assert np.array_equal(states, whole.value.partial.states)
+
+
+def cut_pendulum() -> GradientField:
+    """The pendulum with a NaN gradient past |q| = 1.5: a Newton solve that
+    must go there fails."""
+    def grad(y):
+        if abs(y[0]) > 1.5:
+            return np.full(2, np.nan)
+        return np.array([np.sin(y[0]), y[1]])
+
+    return GradientField(1, hamiltonian_fn=lambda y: 0.5 * y[1] ** 2 - np.cos(y[0]),
+                         gradient_fn=grad)
+
+
+@pytest.mark.parametrize("name, field, steps, chunk", [
+    ("leapfrog", pendulum(), 3 * 50 + 2, 50),
+    ("ab4", pendulum(), 4 + 2 * 7 - 1, 7),
+    ("m3-line1,m3b-corrected", pendulum(), 2 + 3, 1),
+    ("pc-m2", pendulum(), 4, 5),
+    ("midpoint", cut_pendulum(), 400, 32),  # fails past the first chunks
+    ("implicit-euler", cut_pendulum(), 400, 32),
+], ids=["explicit", "k4", "chunk-of-one", "window-only", "midpoint-fails",
+        "implicit-euler-fails"])
+def test_per_step_stream_is_integrate_in_chunks(name, field, steps, chunk):
+    # the per-step producer fills the caller's buffer as the blocked one
+    # does; a failure hands over the states produced, then the StepFailure
+    scheme, y0, h = resolve_scheme(name), np.array([0.0, 1.9]), 0.01
+    states, streamed = _drain(integrators._stream(
+        scheme, field, y0, h, steps, "rk4", chunk))
+    try:
+        whole, failure = integrate(scheme, field, y0, h, steps), None
+    except StepFailure as exc:
+        whole, failure = exc.partial, exc
+    assert np.array_equal(states, whole.states)
+    if name.endswith("-euler") or name == "midpoint":
+        assert failure is not None and failure.step > 2 * chunk
+        assert streamed.step == failure.step and streamed.partial is None
+        assert str(streamed.cause) == str(failure.cause)
+    else:
+        assert failure is None and streamed is None
+
+
+@pytest.mark.parametrize("room", [_BLOCK, 3 * _BLOCK])
+def test_exact_flow_read_forward_in_chunks_is_the_whole_flow(room):
+    # the exact-error channel of a general linear field reads its flow in
+    # chunks of `room` rows, forward: ascending blocks of rows, then
+    # the last row, have the bits of the flow held whole
+    h, count = 0.05, 7 * _BLOCK + 5
+    states = integrate(MS["leapfrog"], FIELD2, Y02, h, count).states
+    whole = integrators._errors(FIELD2, Y02, h, count, count)
+    chunked = integrators._errors(FIELD2, Y02, h, count, room)
+    for lo in range(0, count, 1000):
+        rows = np.arange(lo + 3, min(count, lo + 1000), 11)
+        assert np.array_equal(chunked(states[rows], rows), whole(states[rows], rows))
+    last = np.array([count - 1])
+    assert np.array_equal(chunked(states[last], last), whole(states[last], last))
 
 
 def test_blocked_pc_m2_matches_generic_over_long_run():

@@ -15,7 +15,10 @@ takes about 20 s on a 2-CPU host.
 Besides the oscillator it integrates a 2-DOF Hessian file, with each starter,
 so the Hessian loader and the matrix-exponential paths of the exact starter
 and the exact-error channel run too, and verifies every built-in on a saddle
-Hessian at a step where implicit Euler's step is singular.  Two runs write
+Hessian at a step where implicit Euler's step is singular.  The Hessian runs
+of ab4 also come at k + C - 1, k + C + 1 and k + 2C + 1 steps, at stride 17,
+where C = 32768 states is a chunk of the streamed run: the run and its
+exact flow cross chunk edges, and the stride divides neither.  Two runs write
 every row: one long enough for the CSV writer to split its rows with a
 forked child, and one that overflows, so the CSVs hold inf, -inf and nan.
 
@@ -95,6 +98,8 @@ HESSIAN = "2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n"
 SADDLE = "-1 0\n0 1\n"
 
 INTEGRATE = ("integrate", "--steps", "300", "--stride", "7", "--method")
+# steps past ab4's window (k = 4) that put the run's end next to a chunk edge
+CHUNK_EDGES = (32768 - 1, 32768 + 1, 2 * 32768 + 1)
 # the rerun case's two runs, long then short, into one --out
 RERUN = [["integrate", "--steps", steps, "--stride", "1", "--method", "leapfrog",
           "--out", "run"] for steps in ("300", "30")]
@@ -107,6 +112,10 @@ def cases() -> list[list[str]]:
                 [*INTEGRATE, spec]]
     out += [[*INTEGRATE, "ab4", "--system", "../in/hessian.txt", "--q0", "1,-0.5",
              "--p0", "0.2,0.3", "--starter", starter] for starter in ("rk4", "exact")]
+    out += [["integrate", "--steps", str(4 + edge), "--stride", "17", "--method", "ab4",
+             "--system", "../in/hessian.txt", "--q0", "1,-0.5", "--p0", "0.2,0.3",
+             "--starter", starter]
+            for edge in CHUNK_EDGES for starter in ("rk4", "exact")]
     # the second pair's members both carry warnings, printed in --method order
     out += [[*INTEGRATE, spec, "--swap-partition"]
             for spec in ("m3-line1,m3b-corrected", "m1-as-printed,m3-line2-as-printed")]

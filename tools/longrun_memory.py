@@ -12,13 +12,16 @@ experiment --figure 2`, `3` and `4`, 10^6 steps per scenario; `experiment
 --figure 3 --steps 30000000`, where `fig3-pc` explodes, whose line also
 gives its `crossingStep` beside the step predicted from the window map's
 spectral radius, log(1000) / (2 log rho(M)), and the 10^6-step figures'
-peaks beside its own; and one `integrate` of leapfrog on a 2-DOF Hessian
+peaks beside its own; one `integrate` of leapfrog on a 2-DOF Hessian
 file over 10^5 steps at stride 1, as the benchmark's `dense-output`
 workload runs it, whose exact-error channel forms the matrix exponential
-exp(hA).  A scenario run streams through fixed buffers, so its peak should
-not grow with the step count.  Run it on a parent tree and on a
-change to compare their memory and cold start outside the benchmark; RSS
-varies by a few hundred KB from run to run, wall time by more.  Each case
+exp(hA); the same over 2 10^6 steps at stride 1000, whose exact flow is a
+second stream beside the run; and `integrate` of leapfrog on the
+oscillator over 10^7 steps at stride 1000, whose line also gives figure
+3's peak at 3 10^7 steps.  Every run streams through fixed buffers, so
+its peak should not grow with the step count.  Run it on a parent tree and
+on a change to compare their memory and cold start outside the benchmark;
+RSS varies by a few hundred KB from run to run, wall time by more.  Each case
 then runs a second time in the same directory, over the first run's
 artifacts, and its line ends with that rerun's exit code and wall time.
 """
@@ -46,7 +49,13 @@ CASES = {
     "hessian integrate": ["integrate", "--method", "leapfrog", "--system",
                           "hessian.txt", "--h", "0.1", "--steps", "100000",
                           "--q0", "1,0.5", "--p0", "0,-0.25", "--stride", "1"],
+    "hessian integrate, 2e6 steps": [
+        "integrate", "--method", "leapfrog", "--system", "hessian.txt", "--h", "0.1",
+        "--steps", "2000000", "--q0", "1,0.5", "--p0", "0,-0.25", "--stride", "1000"],
 }
+LONG_INTEGRATE = "integrate, 1e7 steps"
+CASES[LONG_INTEGRATE] = ["integrate", "--method", "leapfrog", "--h", "0.1",
+                         "--steps", "10000000", "--stride", "1000"]
 
 
 def run_child(src: Path, argv: list[str], out: str) -> tuple[int, float, float]:
@@ -85,6 +94,8 @@ def main(argv: list[str]) -> int:
                 line += (f" crossingStep {crossing} (predicted "
                          f"{PREDICTED_CROSSING}) ru_maxrss_mb at 10^6 steps "
                          f"(figures 2, 3, 4): {figures}")
+            if name == LONG_INTEGRATE:
+                line += f" ru_maxrss_mb of {LONG}: {peaks[LONG]:.1f}"
             again, _, rewall = run_child(src, args, out)
         print(f"{line} rerun: exit {again} wall_s {rewall:.2f}")
     return 0
