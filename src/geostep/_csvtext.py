@@ -26,7 +26,8 @@ file has its `,` replaced by `\n`.  The forms are fixed notation for
 E = -4..16, exponent notation with 2 or 3 exponent digits of either sign,
 nan and inf, as `%g` chooses them.
 
-The tables are built on the first call (a few ms), not at import.
+The tables are built on the first call (about a millisecond), not at
+import.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ _AT = {c: _EXP + i for i, c in enumerate(_CONST.decode())}
 _S_MIN, _S_MAX = -270, 300  # 10^s in the table; the fast path needs -265..297
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _FIXED = 21  # forms 0..20: fixed notation, E = -4..16
-_NAN, _INF = 25, 26  # forms 21..24: exponent notation (see _layout)
+_NAN, _INF = 25, 26  # forms 21..24: exponent notation (see _patterns)
 _KEYS = 27 * 17 * 2
 _SPLIT = 134217729.0  # 2^27 + 1
 # values converted at a time: 512 rows of 9 columns, so that a 1024-row
@@ -57,61 +58,83 @@ _VALUES = 4608
 _GATHER = 1024  # values laid out at a time: the gather's index array is 200 KB
 
 
-def _layout(form: int, kept: int, neg: int) -> list[int]:
-    """Source offsets of one text and its separator, `,`."""
-    digits, at = _DIGITS, _AT
-    out = [at["-"]] if neg and form != _NAN else []
-    if form < _FIXED:
-        e = form - 4
-        if e >= 0:
-            out += digits[: e + 1]
-            if kept > e + 1:
-                out += [at["."]] + digits[e + 1 : kept]
-        else:
-            out += [at["0"], at["."]] + [at["0"]] * (-e - 1) + digits[:kept]
-    elif form < _NAN:
-        wide, minus = divmod(form - _FIXED, 2)
-        out += digits[:1]
-        if kept > 1:
-            out += [at["."]] + digits[1:kept]
-        out += [at["e"], at["-" if minus else "+"]]
-        out += list(range(_EXP - 2 - wide, _EXP))
-    elif form == _NAN:
-        out += [at["n"], at["a"], at["n"]]
-    else:
-        out += [at["i"], at["n"], at["f"]]
-    return out + [at[","]]
+def _patterns() -> tuple[np.ndarray, np.ndarray]:
+    """(pattern, length) of every key: the source offsets of its text and
+    its `,`, then zeros, and the text's length.
+
+    A text is a sign, then m characters of a base row, then the form's
+    suffix (the exponent, or nan or inf) and `,`.  The base row is the
+    digits with `.` after the first `point` of them (E + 1 in fixed
+    notation from E = 0, else 1); fixed notation below E = 0 has -E zeros
+    ahead of the digits.  With K digits kept, zeros included, the text
+    shows m = max(point, K + (K > point)) characters of it, and none for
+    nan and inf.  A negative key's pattern is its positive one behind a
+    `-`, except nan's, which has no sign."""
+    at, form = _AT, np.arange(_NAN + 2)[:, None]
+    e = form - 4
+    fixed = form < _FIXED
+    lead = np.where(fixed, np.maximum(-e, 0), 0)
+    point = np.where(fixed & (e >= 0), e + 1, 1)
+    width = 4 + 17 + 1  # the longest base row: "0.000", then 17 digits
+    q = np.arange(width)
+    digit = np.where(q < lead, at["0"], _DIGITS[0] + q - lead)  # the row without "."
+    base = np.where(q < point, digit, at["."])
+    base[:, 1:] = np.where(q[1:] > point, digit[:, :-1], base[:, 1:])
+    suffixes = [[]] * _FIXED + [
+        [at["e"], at["-" if minus else "+"], *range(_EXP - 2 - wide, _EXP)]
+        for wide in (0, 1) for minus in (0, 1)
+    ] + [[at["n"], at["a"], at["n"]], [at["i"], at["n"], at["f"]]]
+    # each form's base row, suffix and `,`, then a zero at `width + 6`
+    source = np.zeros((len(form), width + 7), dtype=np.uint8)
+    source[:, :width] = base
+    for f, suffix in enumerate(suffixes):
+        source[f, width : width + len(suffix) + 1] = suffix + [at[","]]
+    ends = np.array([len(suffix) + 1 for suffix in suffixes])[:, None, None]
+    kept = lead + np.arange(1, 18)
+    m = np.where(form < _NAN, np.maximum(point, kept + (kept > point)), 0)[..., None]
+    q = np.arange(_SLOT)
+    at_q = np.where(q < m, q, np.where(q - m < ends, width + q - m, width + 6))
+    positive = np.take_along_axis(source[:, None], at_q, axis=2)
+    negative = np.empty_like(positive)
+    negative[..., 0] = at["-"]
+    negative[..., 1:] = positive[..., :-1]  # a positive text ends short of the slot
+    negative[_NAN] = positive[_NAN]  # nan has no sign
+    length = m[..., 0] + ends[..., 0] - 1
+    pattern = np.stack([positive, negative], axis=2).reshape(_KEYS, _SLOT)
+    return pattern, np.stack([length, length + (form != _NAN)], axis=2).reshape(_KEYS)
 
 
 @functools.cache
 def csv_tables():
     """(10^s as hi, hi's Dekker halves and lo; 4-digit ASCII groups as
     uint32; trailing zeros of each group; the constants as uint32; for
-    every key, its pattern of source offsets, slot mask and text length)."""
-    hi, lo = [], []
-    for s in range(_S_MIN, _S_MAX + 1):
-        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
-        h = num / den  # correctly rounded
-        a, b = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * b - a * den) / (den * b))  # 10^s - h, rounded
-    hi = np.array(hi)
+    every key, its pattern of source offsets, slot mask and text length).
+
+    hi and lo come from exact integer arithmetic, elementwise on object
+    arrays: hi = num / den correctly rounded, hi = a / 2^j exactly, and lo
+    = (num 2^j - a den) / (den 2^j) rounded, with num / den = 10^s."""
+    tens = np.multiply.accumulate(np.full(_S_MAX, 10, dtype=object))  # 10^1 ..
+    num = np.concatenate([np.ones(1 - _S_MIN, dtype=object), tens])
+    den = np.concatenate([tens[-_S_MIN - 1 :: -1], np.ones(1 + _S_MAX, dtype=object)])
+    hi = (num / den).astype(float)
+    mantissa, exponent = np.frexp(hi)
+    j = 53 - exponent  # hi = a 2^-j, a an integer
+    a = (mantissa * 2.0**53).astype(np.int64).astype(object) << np.maximum(-j, 0)
+    j = np.maximum(j, 0)
+    lo = (((num << j) - a * den) / (den << j)).astype(float)
     c = hi * _SPLIT
     hi_hi = c - (c - hi)
-    pow10 = np.stack([hi, hi_hi, hi - hi_hi, np.array(lo)])
-    i = np.arange(10_000)
-    chars = np.stack([i // 10**k % 10 for k in (3, 2, 1, 0)], axis=1) + ord("0")
-    groups = chars.astype(np.uint8).view(np.uint32).reshape(-1)
-    zeros = sum(i % 10**k == 0 for k in (1, 2, 3, 4)).astype(np.uint8)
+    pow10 = np.stack([hi, hi_hi, hi - hi_hi, lo])
+    chars = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # group i's digits, i = 0..9999
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for k in range(4):
+        chars[..., k] = digits.reshape((10,) + (1,) * (3 - k))
+    groups = chars.view(np.uint32).reshape(-1)
+    zeros = np.zeros(10_000, dtype=np.uint8)
+    for k in (1, 2, 3, 4):
+        zeros[:: 10**k] += 1
     const = np.frombuffer(_CONST, dtype=np.uint32)
-    pattern = np.zeros((_KEYS, _SLOT), dtype=np.uint8)
-    length = np.zeros(_KEYS, dtype=np.intp)
-    for key in range(_KEYS):
-        rest, neg = divmod(key, 2)
-        form, kept = divmod(rest, 17)
-        offsets = _layout(form, kept + 1, neg)
-        pattern[key, : len(offsets)] = offsets
-        length[key] = len(offsets) - 1
+    pattern, length = _patterns()
     mask = np.arange(_SLOT) <= length[:, None]
     return pow10, groups, zeros, const, pattern, mask, length
 

@@ -640,21 +640,23 @@ class RunRecord:
 _CHUNK = 4 * _STAT_BLOCK
 
 
-def _fold(chunks, rows: int, field, y0, h: float, stride: int):
+def _fold(chunks, rows: int, window: int, field, y0, h: float, stride: int):
     """Fold a run of at most `rows` states from y0, handed over as
     consecutive chunks, into its RunRecord and the states, energies and
     exact errors (`integrators._errors`, None on a nonlinear field) of every
     `stride`-th row.  A StepFailure from the chunks ends the run and is
-    kept in the record.  Each chunk's energies have the bits the whole
-    run's `field.energies` gives them: after the first chunk a linear
-    field's take the column kernel, as a run past one chunk's do."""
+    kept in the record.  Room for the written rows of the whole run is made
+    only once the chunks go past the starter's first `window` states, so a
+    run that fails right after them makes none that scales with `rows`.
+    Each chunk's energies have the bits the whole run's `field.energies`
+    gives them: after the first chunk a linear field's take the column
+    kernel, as a run past one chunk's do."""
     written = range(0, rows, stride)
     scan = _Scan(rows, field.dim)
+    states, H = np.empty((0, field.dim)), np.empty(0)
     lo, failure = 0, None  # lo: the chunk's first row in the run
     try:
         for chunk in chunks:
-            if not lo:  # the stream has checked its arguments: room for the rows
-                states, H = np.empty((len(written), field.dim)), np.empty(len(written))
             n = len(chunk)
             # overflow in exploding runs is data, not an error
             with np.errstate(over="ignore", invalid="ignore"):
@@ -667,6 +669,11 @@ def _fold(chunks, rows: int, field, y0, h: float, stride: int):
             take = slice(-lo % stride, None, stride)  # the chunk's written rows
             w = -(-lo // stride)  # the first one's index among all written rows
             part = chunk[take]
+            if w + len(part) > len(H):  # the stream has checked its arguments
+                size = len(written) if lo + n > window else len(part)
+                grown = np.empty((size, field.dim)), np.empty(size)
+                grown[0][:w], grown[1][:w] = states[:w], H[:w]
+                states, H = grown
             states[w : w + len(part)] = part
             H[w : w + len(part)] = energies[take]
             lo += n
@@ -702,7 +709,7 @@ def run_and_write(name: str, scheme: Scheme, field, y0, h: float, steps: int,
     """
     _check_written(stride, outputs)
     run, states, H, E = _fold(_stream(scheme, field, y0, h, steps, starter, _CHUNK),
-                              steps, field, y0, h, stride)
+                              steps, scheme.k, field, y0, h, stride)
     failed_step = None if run.failure is None else run.failure.step
     files = _write(name, outdir, h, range(0, run.steps, stride), states, H,
                    None if E is None else E.__getitem__, outputs, failed_step)

@@ -28,6 +28,10 @@ step: the Jacobian comes from central differences of G, is inverted once and
 kept across the steps of a run, and is refreshed only when the iteration
 stalls.  The stopping test reads |z| only once a running upper bound on it
 lets the test pass, so it stops exactly where reading |z| each time would.
+An iteration is numpy calls on a state of 2n floats, so their dispatch is
+most of its cost: on a nonlinear field G calls `field.evaluate` directly,
+and Newton forms its update and norms with `ndarray.dot`, the BLAS calls
+of `@` (the same bits) with less dispatch around them.
 
 Linear fields get a blocked propagation path.  The window transfer matrix M
 is built once per run: a block that shifts the window, over the scheme's
@@ -359,7 +363,7 @@ def _stepper(m: MethodSpec):
     def newton(G, z):
         nonlocal inverse
         previous = math.inf
-        bound = math.sqrt(z @ z)  # >= |z|, as long as it is not NaN
+        bound = math.sqrt(z.dot(z))  # >= |z|, as long as it is not NaN
         for _ in range(NEWTON_MAX_ITERATIONS):
             g = G(z)
             if inverse is None:
@@ -369,8 +373,10 @@ def _stepper(m: MethodSpec):
                     inverse = np.linalg.inv(numerical_jacobian(G, z))
                 except ValueError as exc:  # non-finite, or singular (LinAlgError)
                     raise ConvergenceError(f"no usable Newton matrix: {exc}") from exc
-            dz = inverse @ g
-            size = math.sqrt(dz @ dz)  # np.linalg.norm, without its overhead
+            # ndarray.dot makes the BLAS call of `@` (the same bits) with less
+            # dispatch around it
+            dz = inverse.dot(g)
+            size = math.sqrt(dz.dot(dz))  # np.linalg.norm, without its overhead
             if not math.isfinite(size):
                 raise ConvergenceError("Newton iteration diverged (non-finite)")
             z = z - dz
@@ -378,7 +384,7 @@ def _stepper(m: MethodSpec):
             # half the budget so the relation residual stays within tolerance;
             # the factor on the bound covers the rounding of both norms
             if (size <= _HALF_TOL * (1.0 + bound) * (1.0 + 1e-9)
-                    and size <= _HALF_TOL * (1.0 + math.sqrt(z @ z))):
+                    and size <= _HALF_TOL * (1.0 + math.sqrt(z.dot(z)))):
                 return z
             if size > 0.25 * previous:
                 inverse = None  # stalled: refresh at the current iterate
@@ -391,17 +397,22 @@ def _stepper(m: MethodSpec):
         r = _relation(known, field, ys, h, fs)
         if not reaching:
             return r / -a_k
-        consts = [(h * w, _comb(terms[:-1], ys) if len(terms) > 1 else None,
-                   terms[-1][1]) for w, terms in reaching]
+        # h w_i and g_i as 0-d arrays: a vector times one has the bits of
+        # its product with the Python float, with less dispatch
+        consts = [(np.array(h * w), _comb(terms[:-1], ys) if len(terms) > 1 else None,
+                   np.array(terms[-1][1])) for w, terms in reaching]
+        linear = isinstance(field, LinearHamiltonian)
+        # only a linear G sees stacks of windows (`window_matrix`)
+        f = functools.partial(_f, field) if linear else field.evaluate
 
         def G(z):
-            g = r + a_k * z
+            g = r + (z if a_k == 1.0 else a_k * z)
             for hw, c, g_i in consts:
                 u = g_i * z if c is None else c + g_i * z
-                g = g - hw * _f(field, u)
+                g = g - hw * f(u)
             return g
 
-        if isinstance(field, LinearHamiltonian):
+        if linear:
             # the relation is affine in z_k: its value at z_k = 0 is the rhs
             rhs = -G(np.zeros_like(ys[-1]))
             return _linear_lead_solve(a_k, lead_beta, field.A, h, rhs)
@@ -540,8 +551,8 @@ def _step_rows(scheme: Scheme, field, h: float, out: np.ndarray, count: int):
             # overflow in exploding runs is data, not an error
             with np.errstate(over="ignore", invalid="ignore"):
                 for j in range(k, end):
-                    out[j] = advance(field, ys, fs, h)
-                    ys = ys[1:] + [out[j]]
+                    out[j] = y = advance(field, ys, fs, h)
+                    ys = ys[1:] + [y]
                     fs = fs[1:] + [None]
         except (ConvergenceError, SingularStepError) as exc:
             failure, end = StepFailure(base + j, exc, None), j

@@ -97,3 +97,66 @@ def test_cli_import_builds_no_table():
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.strip() == "0"
+
+
+def _reference_layout(form, kept, neg):
+    """Source offsets of one text and its `,`, form by form."""
+    digits, at = _csvtext._DIGITS, _csvtext._AT
+    out = [at["-"]] if neg and form != _csvtext._NAN else []
+    if form < _csvtext._FIXED:
+        e = form - 4
+        if e >= 0:
+            out += digits[: e + 1]
+            if kept > e + 1:
+                out += [at["."]] + digits[e + 1 : kept]
+        else:
+            out += [at["0"], at["."]] + [at["0"]] * (-e - 1) + digits[:kept]
+    elif form < _csvtext._NAN:
+        wide, minus = divmod(form - _csvtext._FIXED, 2)
+        out += digits[:1]
+        if kept > 1:
+            out += [at["."]] + digits[1:kept]
+        out += [at["e"], at["-" if minus else "+"]]
+        out += list(range(_csvtext._EXP - 2 - wide, _csvtext._EXP))
+    elif form == _csvtext._NAN:
+        out += [at["n"], at["a"], at["n"]]
+    else:
+        out += [at["i"], at["n"], at["f"]]
+    return out + [at[","]]
+
+
+def _reference_tables():
+    """`csv_tables` built one power of ten, one group and one key at a time."""
+    hi, lo = [], []
+    for s in range(_csvtext._S_MIN, _csvtext._S_MAX + 1):
+        num, den = (10**s, 1) if s >= 0 else (1, 10**-s)
+        h = num / den  # correctly rounded
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * b - a * den) / (den * b))  # 10^s - h, rounded
+    hi = np.array(hi)
+    c = hi * _csvtext._SPLIT
+    hi_hi = c - (c - hi)
+    pow10 = np.stack([hi, hi_hi, hi - hi_hi, np.array(lo)])
+    groups = np.array([np.frombuffer(b"%04d" % i, dtype=np.uint32)[0]
+                       for i in range(10_000)], dtype=np.uint32)
+    zeros = np.array([len(b"%04d" % i) - len((b"%04d" % i).rstrip(b"0"))
+                      for i in range(10_000)], dtype=np.uint8)
+    const = np.frombuffer(_csvtext._CONST, dtype=np.uint32)
+    slot, keys = _csvtext._SLOT, _csvtext._KEYS
+    pattern = np.zeros((keys, slot), dtype=np.uint8)
+    length = np.zeros(keys, dtype=np.intp)
+    for key in range(keys):
+        rest, neg = divmod(key, 2)
+        form, kept = divmod(rest, 17)
+        offsets = _reference_layout(form, kept + 1, neg)
+        pattern[key, : len(offsets)] = offsets
+        length[key] = len(offsets) - 1
+    mask = np.arange(slot) <= length[:, None]
+    return pow10, groups, zeros, const, pattern, mask, length
+
+
+def test_tables_equal_the_per_key_reference():
+    for got, want in zip(_csvtext.csv_tables(), _reference_tables(), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))

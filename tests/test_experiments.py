@@ -1016,6 +1016,22 @@ def test_run_and_write_of_a_singular_window_map_writes_the_window(tmp_path):
     assert run.failure.step == run.steps == 1
 
 
+def test_a_run_that_fails_after_its_window_makes_no_room_for_the_whole_run(tmp_path):
+    # the rows of 10^15 states fit in no memory; the saddle's singular step
+    # stops the run right after the starter's window, so it is written as a
+    # short run's is
+    field = LinearHamiltonian.from_hessian(np.diag([-1.0, 1.0]))
+    args = ("saddle", resolve_scheme("implicit-euler"), field, np.array([0.3, 0.4]), 1.0)
+    _, want = run_and_write(*args, 20, "rk4", tmp_path / "short")
+    run, files = run_and_write(*args, 10**15, "rk4", tmp_path / "long")
+    assert run.failure.step == run.steps == 1
+    assert list(files) == list(want)
+    for kind in files:
+        data = Path(files[kind]).read_bytes()
+        assert data == Path(want[kind]).read_bytes(), kind
+        assert data.endswith(b"# aborted at step 1\n"), kind
+
+
 @pytest.mark.parametrize("name", ["midpoint", "implicit-euler"])
 def test_run_and_write_of_a_newton_failure_writes_the_partial_run(
         tmp_path, monkeypatch, name):

@@ -1,5 +1,6 @@
 """Stepping: single steps, implicit solves, pairs, fast path, failures."""
 from fractions import Fraction
+import math
 import tracemalloc
 
 import numpy as np
@@ -962,6 +963,27 @@ def reference_stepper(m):
                       ys[-1])
 
     return advance
+
+
+@st.composite
+def dot_operands(draw):
+    """(M, v): a (d, d) matrix and a d-vector of float64, d = 2..8, with
+    entries x 2^e, |x| <= 1 and |e| <= 500."""
+    d = draw(st.integers(2, 8))
+    entries = st.lists(st.builds(math.ldexp, st.floats(-1, 1), st.integers(-500, 500)),
+                       min_size=d * d + d, max_size=d * d + d)
+    x = np.array(draw(entries))
+    return x[: d * d].reshape(d, d), x[d * d :]
+
+
+@given(dot_operands())
+@settings(max_examples=300, deadline=None)
+def test_property_dot_has_the_bits_of_matmul(operands):
+    # Newton forms inverse g and its squared norms with ndarray.dot, for
+    # the bits of `@` (the reference stepper's) with less dispatch
+    M, v = operands
+    assert M.dot(v).tobytes() == (M @ v).tobytes()
+    assert np.float64(v.dot(v)).tobytes() == np.float64(v @ v).tobytes()
 
 
 def gamma_scheme(name, *rows):
