@@ -31,20 +31,26 @@ classification) are always computed at full resolution, never from the
 decimated files.  They are formed in blocks of _STAT_BLOCK rows (8192)
 that stay in cache, in one walk over those blocks, `_scan`, which takes
 the crossing, the energy deviation, the radius deviation and the drift
-slope together; no temporary is as long as the run.  The peaks have the
-bits of their formulas over whole arrays.  The slope is the exact
-least-squares slope of the energies against t_j = h j, rounded once: each
-block adds its exact integer sums of H_j and j H_j to two Python ints, an
-integer form of the error-free summation of Rump, Ogita & Oishi (SIAM J.
-Sci. Comput. 31 (2008) 189-224).
+slope together; no temporary is as long as the run.  Every statistic is a
+max, a min, a first index or an exact sum, so a block is reduced to the
+largest and smallest of its energies, and of its |y|^2 where those are
+formed, and these give the rest with the bits of the whole-array
+formulas: the peaks (`_spread`), whether the block can hold the crossing
+(only one that can is searched row by row), whether it is finite, and
+the drift sums' exponent band where it has one sign.  The slope is the
+exact least-squares slope of the energies against t_j = h j, rounded
+once: each block adds its exact integer sums of H_j and j H_j to two
+Python ints, an integer form of the error-free summation of Rump, Ogita &
+Oishi (SIAM J. Sci. Comput. 31 (2008) 189-224).
 `run_and_write` streams the run: `integrators._stream` hands it chunks of
 _CHUNK states (32768) in one reused buffer, and `_fold` takes from each
 its energies, `_scan`'s fold (`_Scan`), its written rows and the last
-state.  The exact-error channel is evaluated only at the written rows and,
-for `finalError`, the last row.  Beyond its written rows a run holds no
-array as long as the run, so 10^6 and 3 10^7 steps peak alike, and its
-artifacts and statistics are byte-identical to writing and scanning the
-whole `integrate` run.
+state; past the crossing, where the scan is done, only the written rows'
+and the last row's energies.  The exact-error channel is evaluated only
+at the written rows and, for `finalError`, the last row.  Beyond its
+written rows a run holds no array as long as the run, so 10^6 and 3 10^7
+steps peak alike, and its artifacts and statistics are byte-identical to
+writing and scanning the whole `integrate` run.
 
 Long runs are classified as bounded, drifting or exploding from the energy
 record, against two fixed thresholds.  Exploding is detected by the energy
@@ -461,10 +467,20 @@ def _band_sums(H: np.ndarray, top: int, ramp: np.ndarray) -> tuple[int, int]:
             ((int(hi @ ramp) << _LIMB) + int(K @ ramp)) << shift)
 
 
-def _block_sums(H: np.ndarray, ramp: np.ndarray) -> tuple[int, int]:
-    """(Σ H_i, Σ i H_i) of a finite block in units of 2^-_LOW, exactly:
-    one band when its exponents span at most _BAND (zeros count as
-    exponent 0), else one band at a time from the largest exponent down."""
+def _block_sums(H: np.ndarray, ramp: np.ndarray, hi: float, lo: float
+                ) -> tuple[int, int]:
+    """(Σ H_i, Σ i H_i) of a finite block in units of 2^-_LOW, exactly,
+    given its largest and smallest entries hi and lo: one band when its
+    exponents span at most _BAND (zeros count as exponent 0), else one band
+    at a time from the largest exponent down.  On a block of one sign
+    (lo > 0 or hi < 0) |H| has its largest and smallest entries at hi and
+    lo, in some order, and frexp's exponent grows with |x|, so their two
+    exponents are np.frexp's largest and smallest over the block; a block
+    holding a zero or both signs takes np.frexp's over every entry."""
+    if lo > 0 or hi < 0:
+        ends = math.frexp(hi)[1], math.frexp(lo)[1]
+        if max(ends) - min(ends) <= _BAND:
+            return _band_sums(H, max(ends), ramp)
     e = np.frexp(H)[1]
     top = int(e.max())
     if top - int(e.min()) <= _BAND:
@@ -495,21 +511,46 @@ def _slope(s0: int, s1: int, N: int, h: float) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+def _spread(hi: float, lo: float, ref: float) -> float:
+    """max |x_i - ref| over entries whose largest is hi and smallest lo,
+    with the bits of the elementwise formula: rounded subtraction is
+    monotone, so x_i - ref ranges from lo - ref to hi - ref, and symmetric,
+    so -(lo - ref) is ref - lo.  NaN when either end is, as np.max of the
+    elementwise array is; abs makes a zero +0.0 and a NaN positive, as
+    np.abs does to each entry."""
+    up, down = hi - ref, ref - lo
+    return abs(up if up >= down or up != up else down)
+
+
+def _larger(a: float | None, b: float) -> float:
+    """The larger of a running peak `a` (None before the first) and `b`,
+    NaN once either is, as np.maximum keeps it."""
+    return b if a is None or b > a or b != b else a
+
+
 class _Scan:
     """`_scan`'s walk as a fold over a run of `rows` rows of `columns`
     state columns, handed to `add` as consecutive chunks of states and
-    their energies; `result` gives the statistics."""
+    their energies; `result` gives the statistics.
+
+    Each block of _STAT_BLOCK rows is reduced to the largest and smallest
+    of its energies, and of its |y|^2 where they are formed, which give
+    every statistic with the bits of its whole-array formula:
+    - the crossing: only a block whose watched top is not below the
+      threshold (a NaN top is not: np.max keeps a NaN) is searched for its
+      first such row;
+    - both peaks, through `_spread`;
+    - `_block_sums`' band exponents, where the block has one sign;
+    - whether the block is finite: a NaN or inf is at one end.
+    """
 
     def __init__(self, rows: int, columns: int):
-        size = min(rows, _STAT_BLOCK)
-        self.work = np.empty(size)
-        self.below = np.empty(size, dtype=bool)
-        self.ramp = np.arange(size, dtype=np.int64)
+        self.ramp = np.arange(min(rows, _STAT_BLOCK), dtype=np.int64)
         self.radial = columns == 2
         self.rows = 0  # rows added so far
         self.crossing = None
         # the largest |H - H_0| and | |y|^2 - |y_0|^2 | so far, None before
-        # the first block; np.maximum keeps a NaN, as a whole-array max does
+        # the first block; `_larger` keeps a NaN, as a whole-array max does
         self.peak = self.radius = None
         self.s0 = self.s1 = 0  # Σ H_j and Σ j H_j of the prefix, in units of 2^-_LOW
         self.finite = True
@@ -519,10 +560,10 @@ class _Scan:
         # |y|^2 of a block serves the radius and, when H_0 <= 0, the
         # crossing: H cannot measure growth then (an indefinite H can blow
         # up along H = H_0), so the squared state norm is watched instead
-        self.norms = np.empty(len(self.work)) if self.radial or not h0 > 0 else None
+        self.norms = np.empty(len(self.ramp)) if self.radial or not h0 > 0 else None
         if self.norms is not None:
-            self.r0 = _squared_norms(states[:1], self.norms[:1])[0]
-        self.size0 = H[0] if h0 > 0 else self.r0
+            self.r0 = float(_squared_norms(states[:1], self.norms[:1])[0])
+        self.size0 = h0 if h0 > 0 else self.r0
         self.limit = EXPLODE_FACTOR * self.size0
 
     def add(self, states: np.ndarray, H: np.ndarray) -> None:
@@ -535,45 +576,38 @@ class _Scan:
         for a in range(0, len(H), _STAT_BLOCK):
             if self.crossing is not None:
                 return
-            lo, n = start + a, min(_STAT_BLOCK, len(H) - a)
+            block, r = H[a : a + _STAT_BLOCK], None
             if self.norms is not None:
-                r = _squared_norms(states[a : a + n], self.norms[:n])
-            if self.size0 > 0:
-                # not below the threshold: a NaN (overflow past inf) crosses too
-                size = H[a : a + n] if self.h0 > 0 else r
-                mask = np.less(size, self.limit, out=self.below[:n])
-                first = int(mask.argmin())
-                if not mask[first]:
-                    self.crossing, n = lo + first, first
-            if n:
-                block = H[a : a + n]
-                # a deviation past the float range reads inf: data, not an error
-                with np.errstate(over="ignore"):
-                    dev = np.subtract(block, self.h0, out=self.work[:n])
-                peak = np.abs(dev, out=dev).max()
-                self.peak = peak if self.peak is None else np.maximum(self.peak, peak)
-                # a finite peak has finite energies; an infinite one may too
-                self.finite = self.finite and (
-                    math.isfinite(peak) or bool(np.isfinite(block).all()))
-                if self.finite:
-                    b0, b1 = _block_sums(block, self.ramp[:n])
-                    self.s0 += b0
-                    self.s1 += lo * b0 + b1
-                if self.radial:
-                    dev = r[:n]
-                    dev -= self.r0
-                    peak = np.abs(dev, out=dev).max()
-                    self.radius = (peak if self.radius is None
-                                   else np.maximum(self.radius, peak))
+                r = _squared_norms(states[a : a + len(block)], self.norms[: len(block)])
+            hi, r_hi = float(block.max()), None if r is None else float(r.max())
+            if self.size0 > 0 and not (hi if self.h0 > 0 else r_hi) < self.limit:
+                # the block holds a row not below the threshold, maybe a NaN
+                size = block if self.h0 > 0 else r
+                first = int(np.argmin(size < self.limit))
+                self.crossing = start + a + first
+                if not first:
+                    return
+                block, hi = block[:first], float(block[:first].max())
+                if r is not None:
+                    r, r_hi = r[:first], float(r[:first].max())
+            lo = float(block.min())
+            self.peak = _larger(self.peak, _spread(hi, lo, self.h0))
+            self.finite = self.finite and math.isfinite(hi) and math.isfinite(lo)
+            if self.finite:
+                b0, b1 = _block_sums(block, self.ramp[: len(block)], hi, lo)
+                self.s0 += b0
+                self.s1 += (start + a) * b0 + b1
+            if self.radial:
+                self.radius = _larger(self.radius,
+                                      _spread(r_hi, float(r.min()), self.r0))
 
     def result(self, h: float):
         """(h0, max_deviation, slope, crossing_step, radius_deviation)."""
         N = self.rows if self.crossing is None else self.crossing
-        max_dev = float(self.peak) if N >= 2 else 0.0
+        max_dev = self.peak if N >= 2 else 0.0
         slope = (0.0 if N < 2 else _slope(self.s0, self.s1, N, h) if self.finite
                  else math.nan)
-        radius = None if self.radius is None else float(self.radius)
-        return self.h0, max_dev, slope, self.crossing, radius
+        return self.h0, max_dev, slope, self.crossing, self.radius
 
 
 def _scan(traj: Trajectory) -> tuple[float, float, float, int | None, float | None]:
@@ -650,34 +684,43 @@ def _fold(chunks, rows: int, window: int, field, y0, h: float, stride: int):
     run that fails right after them makes none that scales with `rows`.
     Each chunk's energies have the bits the whole run's `field.energies`
     gives them: after the first chunk a linear field's take the column
-    kernel, as a run past one chunk's do."""
+    kernel, as a run past one chunk's do.  Once the scan has crossed, a
+    chunk's energies are taken at its written rows and its last row only,
+    each with the bits of its row alone."""
     written = range(0, rows, stride)
     scan = _Scan(rows, field.dim)
     states, H = np.empty((0, field.dim)), np.empty(0)
     lo, failure = 0, None  # lo: the chunk's first row in the run
+
+    def energies_of(y):
+        # overflow in exploding runs is data, not an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            if lo and isinstance(field, LinearHamiltonian):
+                # the last whole chunk's energies, all spent, make room
+                return _energy_rows(field.S, y, energies[: len(y)])
+            return field.energies(y)
+
     try:
         for chunk in chunks:
-            n = len(chunk)
-            # overflow in exploding runs is data, not an error
-            with np.errstate(over="ignore", invalid="ignore"):
-                if lo and isinstance(field, LinearHamiltonian):
-                    # the last chunk's energies, all spent, make room for these
-                    energies = _energy_rows(field.S, chunk, energies[:n])
-                else:
-                    energies = field.energies(chunk)
-            scan.add(chunk, energies)
             take = slice(-lo % stride, None, stride)  # the chunk's written rows
             w = -(-lo // stride)  # the first one's index among all written rows
             part = chunk[take]
             if w + len(part) > len(H):  # the stream has checked its arguments
-                size = len(written) if lo + n > window else len(part)
+                size = len(written) if lo + len(chunk) > window else len(part)
                 grown = np.empty((size, field.dim)), np.empty(size)
                 grown[0][:w], grown[1][:w] = states[:w], H[:w]
                 states, H = grown
             states[w : w + len(part)] = part
-            H[w : w + len(part)] = energies[take]
-            lo += n
-            last, final_energy = chunk[-1:].copy(), float(energies[-1])
+            if scan.crossing is None:
+                energies = energies_of(chunk)
+                scan.add(chunk, energies)
+                H[w : w + len(part)] = energies[take]
+                final_energy = float(energies[-1])
+            else:
+                H[w : w + len(part)] = energies_of(part)
+                final_energy = float(energies_of(chunk[-1:])[0])
+            lo += len(chunk)
+            last = chunk[-1:].copy()
     except StepFailure as exc:
         # kept, not raised: its traceback holds the stream's frame and buffer
         failure = exc.with_traceback(None)

@@ -110,24 +110,37 @@ def _energy_rows(S: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     `_EINSUM_ROWS` rows or more, so every finite, infinite and signed-zero
     result has the bits of `LinearHamiltonian.energies` there (NaN stays
     NaN, its sign may differ).  The rows are walked in blocks of
-    `_ENERGY_BLOCK`, each copied once into column-major scratch, so each of
-    the (2n)^2 terms is three contiguous in-cache vector operations on the
-    block.
+    `_ENERGY_BLOCK`, each copied once into column-major scratch, so each
+    term is three contiguous in-cache vector operations on the block.
+
+    Terms with S_jk = 0 are skipped, except those of an index j whose row
+    of S is all zero.  On a row of finite y a skipped term is +-0.0, and
+    adding +-0.0 moves no bit of a sum that starts at +0.0: that sum is
+    never -0.0, since x + y is -0.0 only when both are.  A row with a
+    non-finite y_j has a non-finite kept term, (y_j S_jk) y_k with S_jk
+    nonzero or, on a zero row, (y_j 0) y_j, so its result is not finite; a
+    block with any result that is not finite is summed again over all
+    (2n)^2 terms.
     """
     d = S.shape[0]
+    zero_rows = ~S.any(axis=1)
+    every = [(j, k) for j in range(d) for k in range(d)]
+    kept = [(j, k) for j, k in every if S[j, k] != 0 or zero_rows[j]]
     cols = np.empty((d, min(_ENERGY_BLOCK, len(y))))
     term = np.empty(cols.shape[1])
     for a in range(0, len(y), _ENERGY_BLOCK):
         e = out[a : a + _ENERGY_BLOCK]
         c, t = cols[:, : len(e)], term[: len(e)]
         np.copyto(c, y[a : a + _ENERGY_BLOCK].T)
-        e.fill(0.0)
-        for j in range(d):
-            for k in range(d):
+        for terms in (kept, every):
+            e.fill(0.0)
+            for j, k in terms:
                 np.multiply(c[j], S[j, k], out=t)
                 t *= c[k]
                 e += t
-        e *= 0.5
+            e *= 0.5
+            if terms is every or np.isfinite(e).all():
+                break
     return out
 
 

@@ -754,6 +754,99 @@ def test_scan_slope_is_nan_on_a_non_finite_energy(bad):
     assert crossing is None and math.isnan(slope)
 
 
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf,
+               -np.inf, np.nan, 1e308, -1e308]
+
+
+@st.composite
+def chunked_records(draw):
+    """(record, cuts): a record over up to three blocks of the statistics
+    and the rows where `_Scan` is handed a new chunk, which moves its block
+    edges.  The energies hold one level of either sign, values of both
+    signs about 0, or exponents over the float range, of one sign or both;
+    zeros, -0.0, subnormals, +-inf and NaN are planted, often on a block's
+    first or last row, and |y_0|^2 may be inf.  A planted crossing raises
+    the energy and scales the state by at least sqrt(1000), so a record of
+    H0 <= 0 crosses on |y|^2."""
+    rows = draw(st.one_of(st.integers(1, 3 * B + 2),
+                          st.sampled_from([B - 1, B, B + 1, 2 * B, 3 * B])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h0 = draw(st.sampled_from([0.5, -0.5, 1e300, 5e-324, 0.0, -0.0]))
+    kind = draw(st.sampled_from(["level", "signs", "span", "span-one-sign"]))
+    if kind == "level":
+        H = h0 + draw(st.sampled_from([0.0, 1e-9, 1e-2])) * np.cumsum(
+            rng.standard_normal(rows))
+    elif kind == "signs":
+        H = 1e-3 * rng.standard_normal(rows)
+    else:
+        H = rng.standard_normal(rows) * 10.0 ** rng.uniform(-300, 300, rows)
+        if kind == "span-one-sign":
+            H = np.copysign(H, -1.0 if h0 <= 0 else 1.0)
+    H[0] = h0
+    states = rng.standard_normal((rows, draw(st.sampled_from([2, 4]))))
+    states[0] = draw(st.sampled_from([1.0, 1.0, 1e160]))  # |y_0|^2 = inf
+    # rows after the first, on a block's edges or anywhere
+    edges = [r for m in range(1, 4) for r in (m * B - 1, m * B) if r < rows]
+    row = st.one_of(st.sampled_from(edges or [rows - 1]), st.integers(1, rows - 1))
+    crossing = None
+    if rows > 1 and draw(st.booleans()):
+        crossing = draw(row)
+        H[crossing] = draw(st.sampled_from(
+            [EXPLODE_FACTOR * h0, 2 * EXPLODE_FACTOR * abs(h0), np.inf, np.nan]))
+        states[crossing] *= draw(st.sampled_from([1e2, 1e3, np.inf]))
+    for _ in range(draw(st.integers(0, 6)) if rows > 1 else 0):
+        at, column = draw(row), draw(st.sampled_from([None, *range(states.shape[1])]))
+        value = draw(st.sampled_from(EDGE_VALUES))
+        if column is None:
+            H[at] = value
+        else:
+            states[at, column] = value
+    # chunk edges anywhere, on block edges and next to the crossing
+    near = [c for c in edges + ([crossing, crossing + 1] if crossing else [])
+            if 0 < c < rows]
+    points = st.one_of(st.sampled_from(near or [rows]), st.integers(1, rows))
+    cuts = sorted({0, rows, *draw(st.lists(points, max_size=5))})
+    h = draw(st.sampled_from([0.1, 1e-3, 2.5]))
+    return Trajectory(h=h, states=states, energies=H), cuts
+
+
+# a crossing on the last row of the first block and on the first of the
+# second, each watched on the energy and on |y|^2, fed whole and in chunks
+# that end at the crossing
+@example(case=(_planted_record(0.5, 2, 2 * B, 7, crossing=(B - 1, np.inf, 1.0)),
+               [0, B - 1, 2 * B]))
+@example(case=(_planted_record(0.5, 2, 2 * B, 8, crossing=(B, 500.0, 1.0)), [0, 2 * B]))
+@example(case=(_planted_record(-0.0, 4, 2 * B, 9, crossing=(B - 1, 0.0, 1e3)),
+               [0, 2 * B]))
+@example(case=(_planted_record(-0.5, 2, 2 * B + 3, 10, crossing=(B, -0.5, np.inf)),
+               [0, 5, B, 2 * B + 3]))
+# |y_0|^2 = inf: the radius reads NaN, from inf - inf at the first row
+@example(case=(_planted_record(0.5, 2, B + 3, 11, plants=[(0, 0, 1e160)]), [0, B + 3]))
+# a NaN energy in the second block, and a -inf one, where H0 <= 0 lets the
+# energy take any value
+@example(case=(_planted_record(-0.5, 2, 2 * B + 1, 2, plants=[(B + 1, None, np.nan)]),
+               [0, 2 * B + 1]))
+@example(case=(_planted_record(-0.5, 2, B + 2, 12, plants=[(B - 1, None, -np.inf)]),
+               [0, B + 2]))
+# a constant record, but for zeros at mirrored rows 5 and 7 from each end,
+# one of them raised to a tiny value: only that value moves the slope
+@example(case=(_planted_record(
+    0.5, 2, 2 * B, 13, drift=0.0,
+    plants=[(5, None, 0.0), (2 * B - 6, None, 0.0), (7, None, 2.2250738585072014e-308),
+            (2 * B - 8, None, 0.0)]),
+    [0, 2 * B]))
+@settings(max_examples=120, deadline=None)
+@given(case=chunked_records())
+def test_scan_of_any_chunking_has_the_bits_of_whole_array_statistics(case):
+    traj, cuts = case
+    scan = experiments._Scan(len(traj.energies), traj.states.shape[1])
+    for a, b in zip(cuts, cuts[1:]):
+        scan.add(traj.states[a:b], traj.energies[a:b])
+    _, h0, max_dev, slope, crossing = _classify_by_whole_arrays(traj)
+    want = (h0, max_dev, slope, crossing, _radius_by_einsum(traj, crossing))
+    assert _bits(scan.result(traj.h)) == _bits(want)
+
+
 # exact least-squares slopes of the 10^6-step runs from (1, 0), each checked
 # against a Fraction sum over the energies
 EXACT_SLOPES = {
@@ -1005,6 +1098,41 @@ def test_run_and_write_on_a_hessian_file_is_byte_identical_to_the_whole_run(
     assert C % stride and steps % stride
     _assert_same_run(tmp_path, "hessian", scheme, _hessian_field(tmp_path), Y0_2DOF,
                      0.1, steps, starter, stride)
+
+
+@pytest.mark.parametrize("case, h", [
+    ("fig4-partitioned", 0.1), ("hessian-explicit-euler", 0.1),
+    ("hessian-explicit-euler", 0.05),
+], ids=["fig4-partitioned", "hessian-overflows", "hessian-finite"])
+def test_energies_past_the_crossing_have_the_bits_of_the_whole_run(case, h, tmp_path):
+    # once the scan has crossed, each chunk's energies are taken at its
+    # written rows and its last row only; the first two runs overflow to inf
+    # and nan after the crossing, the third stays finite
+    if case == "fig4-partitioned":
+        s = {s.name: s for s in builtin_scenarios()}[case]
+        assert s.h == h
+        run_args = (resolve_scheme(s.method), sho(s.omega), np.array([s.q0, s.p0]),
+                    h, s.steps, s.starter)
+        stride = s.stride
+    else:
+        scheme, stride = resolve_scheme("explicit-euler"), 17
+        run_args = (scheme, _hessian_field(tmp_path), Y0_2DOF, h,
+                    scheme.k + 2 * C + 9, "rk4")
+    scheme, field, y0, h, steps, starter = run_args
+    run, files = run_and_write("past", *run_args, tmp_path, stride, ("energy",))
+    # the crossing is in the first chunk, of k + C states, and two follow
+    assert run.stats[3] is not None and run.stats[3] < scheme.k + C
+    assert steps > scheme.k + 2 * C
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = field.energies(integrate(*run_args).states)
+    assert np.isfinite(whole[-1]) == (h == 0.05)
+    _, rows = read_csv(files["energy"])
+    written = np.array([float(r[2]) for r in rows])
+    # the CSV text is exact, but for the sign of a NaN
+    assert np.array_equal(np.isnan(written), np.isnan(whole[::stride]))
+    finite = ~np.isnan(written)
+    assert written[finite].tobytes() == whole[::stride][finite].tobytes()
+    assert np.float64(run.final_energy).tobytes() == whole[-1].tobytes()
 
 
 def test_run_and_write_of_a_singular_window_map_writes_the_window(tmp_path):

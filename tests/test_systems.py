@@ -164,6 +164,59 @@ def test_energy_rows_of_any_chunk_have_the_bits_of_the_whole_run(n):
         assert got.tobytes() == whole[a:b].tobytes(), (a, b)
 
 
+def _all_terms(S, Y):
+    """y^T S y / 2 of each row over all (2n)^2 terms (y_j S_jk) y_k, summed
+    from 0.0 in row-major order: `_energy_rows` before it skipped terms."""
+    e = np.zeros(len(Y))
+    for j in range(len(S)):
+        for k in range(len(S)):
+            e += (Y[:, j] * S[j, k]) * Y[:, k]
+    return 0.5 * e
+
+
+def _nan_as_nan(x):
+    """x with every NaN as np.nan: its sign may differ (see `_energy_rows`)."""
+    x = x.copy()
+    x[np.isnan(x)] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("S", [
+    np.diag([1.0, 1.0]),
+    np.diag([0.0, 1.0]),  # an all-zero row
+    np.diag([2.0, -3.0, 0.0, 1.0]),
+    np.array([[2, 0.5, 0, 0], [0.5, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1.0]]),
+    np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1.0]]),
+], ids=["sho", "zero-row", "diagonal-zero-row", "hessian", "off-diagonal-zero-row"])
+def test_energy_rows_that_skip_zero_terms_have_the_bits_of_all_terms(S):
+    d = len(S)
+    rng = np.random.default_rng(d + int(S.sum()))
+    rows = (d + 1) * _ENERGY_BLOCK + 5
+    Y = rng.standard_normal((rows, d))
+    Y[:, 0] *= 10.0 ** rng.integers(-3, 4, rows)
+    # finite rows whose terms are zeros of either sign, or overflow
+    Y[10] = -0.0
+    Y[11, 0] = -0.0
+    Y[12] = 1e200
+    Y[13, -1] = -1e155
+    # inf, -inf and nan on column j alone in block j + 1 (on a zero row's
+    # column, only the zero row's kept terms make the block's sum again),
+    # and on every column in the last rows
+    for i, v in enumerate([np.inf, -np.inf, np.nan]):
+        for j in range(d):
+            Y[(j + 1) * _ENERGY_BLOCK + 5 + i, j] = v
+            Y[rows - 1 - 3 * j - i, j] = v
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _all_terms(S, Y)
+        for a, b in [(0, rows), (0, _ENERGY_BLOCK), (7, 2 * _ENERGY_BLOCK + 9),
+                     (_ENERGY_BLOCK + 1, rows), (12, 14)]:
+            got = _energy_rows(S, Y[a:b], np.empty(b - a))
+            assert np.array_equal(np.isnan(got), np.isnan(want[a:b]))
+            assert _nan_as_nan(got).tobytes() == _nan_as_nan(want[a:b]).tobytes()
+    assert want[10] == 0.0 and not np.signbit(want[10])
+    assert not np.isfinite(want[12:14]).any()
+
+
 @pytest.mark.parametrize("shape", [(5,), (5, 1), (5, 3), (5, 2, 1)])
 def test_energies_reject_states_of_another_width(shape):
     # a (5, 1) block would otherwise broadcast into both columns

@@ -21,6 +21,11 @@ where C = 32768 states is a chunk of the streamed run: the run and its
 exact flow cross chunk edges, and the stride divides neither.  Two runs write
 every row: one long enough for the CSV writer to split its rows with a
 forked child, and one that overflows, so the CSVs hold inf, -inf and nan.
+One run is on an indefinite 2-DOF Hessian, H = (q1^2 + p1^2 - q2^2 - p2^2)/2,
+from a start where H0 = 0: its energies take both signs and zero within the
+first block of the run statistics, |y|^2 is watched for the crossing, which
+comes at step 695, and the run goes on past two more chunks, overflowing to
+nan.
 
 The last case is a rerun: `integrate` over 300 steps, then over 30 steps
 into the same `--out`, after a fresh 30-step run in an empty directory.
@@ -96,6 +101,8 @@ SCENARIOS = {
 HESSIAN = "2 0.5 0 0\n0.5 3 0 0\n0 0 1 0\n0 0 0 1\n"
 # the saddle H = (p^2 - q^2) / 2: implicit Euler's step is singular at h = 1
 SADDLE = "-1 0\n0 1\n"
+# two oscillators of opposite energy: S = diag(1, -1, 1, -1)
+INDEFINITE = "1 0 0 0\n0 -1 0 0\n0 0 1 0\n0 0 0 -1\n"
 
 INTEGRATE = ("integrate", "--steps", "300", "--stride", "7", "--method")
 # steps past ab4's window (k = 4) that put the run's end next to a chunk edge
@@ -124,7 +131,10 @@ def cases() -> list[list[str]]:
     out += [["integrate", "--steps", "40000", "--stride", "1", "--method", "leapfrog",
              "--system", "../in/hessian.txt", "--q0", "1,-0.5", "--p0", "0.2,0.3"],
             ["integrate", "--steps", "400", "--stride", "1", "--method",
-             "explicit-euler", "--h", "7"]]
+             "explicit-euler", "--h", "7"],
+            ["integrate", "--steps", "100000", "--stride", "17", "--method",
+             "explicit-euler", "--system", "../in/indefinite.txt", "--q0", "1,0",
+             "--p0", "0,1"]]
     out += [["verify"], ["verify", "--h", "0.3", "--omega", "2"],
             ["verify", "--method", "../in/reversed-overflow.txt", "--h", "100"],
             ["verify", "--h", "1e200"],
@@ -176,6 +186,7 @@ def main(argv: list[str]) -> int:
             (inputs / f"{name}.txt").write_text(text)
         (inputs / "hessian.txt").write_text(HESSIAN)
         (inputs / "saddle.txt").write_text(SADDLE)
+        (inputs / "indefinite.txt").write_text(INDEFINITE)
         for args in cases():
             _empty(outdir)
             _run(args, outdir, env)
