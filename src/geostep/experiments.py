@@ -2,8 +2,10 @@
 long-run behavior study.
 
 This is where a run becomes artifacts, through `run_and_write` for the
-command line's `integrate` and for scenarios alike.  A scenario's method
-string becomes a scheme through `methods.resolve_scheme`.
+command line's `integrate` and for scenarios alike: every run's CSVs are
+written by `write_artifacts`, and every scenario is labelled by `classify`.
+A scenario's method string becomes a scheme through
+`methods.resolve_scheme`.
 
 A scenario is one integrator run on the harmonic oscillator with fixed
 parameters.  Runs write up to three CSV artifacts (phase, energy, error),
@@ -52,15 +54,15 @@ written rows a run holds no array as long as the run, so 10^6 and 3 10^7
 steps peak alike, and its artifacts and statistics are byte-identical to
 writing and scanning the whole `integrate` run.
 
-Long runs are classified as bounded, drifting or exploding from the energy
-record, against two fixed thresholds.  Exploding is detected by the energy
-crossing EXPLODE_FACTOR (1000) times H_0, or, when H_0 <= 0, by |y|^2
-crossing the same multiple of |y_0|^2; a non-finite value counts as a
-crossing, so a run that overflows to NaN explodes.  Drift statistics for
-such runs are taken over the pre-crossing prefix so they stay finite.  A
-run that does not explode is bounded when both its largest deviation from
-H_0 and its fitted drift over the run stay within BOUNDED_FRACTION (1 %) of
-|H_0|.
+Long runs are classified (`classify`) as bounded, drifting or exploding
+from the energy record, against two fixed thresholds.  Exploding is
+detected by the energy crossing EXPLODE_FACTOR (1000) times H_0, or, when
+H_0 <= 0, by |y|^2 crossing the same multiple of |y_0|^2; a non-finite
+value counts as a crossing, so a run that overflows to NaN explodes.
+Drift statistics for such runs are taken over the pre-crossing prefix so
+they stay finite.  A run that does not explode is bounded when both its
+largest deviation from H_0 and its fitted drift over the run stay within
+BOUNDED_FRACTION (1 %) of |H_0|.
 """
 from __future__ import annotations
 
@@ -281,40 +283,22 @@ def _rewrite(path: str | Path, head: bytes):
         yield fh
 
 
-def write_artifacts(
-    name: str,
-    traj: Trajectory,
-    outdir: str | Path,
-    stride: int = 1,
-    outputs: tuple[str, ...] = OUTPUT_KINDS,
-    failed_step: int | None = None,
-) -> dict[str, str]:
-    """Write the requested CSV artifacts of every `stride`-th state of a
-    trajectory (`_write`); returns paths.  When `failed_step` is given,
-    each file ends with a `# aborted at step N` comment."""
-    _check_written(stride, outputs)
-    steps = range(0, len(traj.states), stride)
-    errors = None
-    if traj.error_at is not None:
-        def errors(b):
-            rows = steps[b]
-            return traj.error_at(np.arange(rows.start, rows.stop, rows.step))
-
-    return _write(name, outdir, traj.h, steps, traj.states[::stride],
-                  traj.energies[::stride], errors, outputs, failed_step)
-
-
-def _write(name, outdir, h: float, steps: range, states: np.ndarray,
-           H: np.ndarray, errors, outputs, failed_step) -> dict[str, str]:
-    """The CSV artifacts of a run's written rows: `steps` are their indices
-    in the run, `states` and `H` their states and energies (the run's first
-    row first), and `errors` maps a slice of them to their exact-error
-    column, or is None where there is no channel.  Files are rewritten in
+def write_artifacts(name: str, outdir: str | Path, h: float, states: np.ndarray,
+                    H: np.ndarray, E: np.ndarray | None, stride: int = 1,
+                    outputs: tuple[str, ...] = OUTPUT_KINDS,
+                    failed_step: int | None = None) -> dict[str, str]:
+    """Write the requested CSV artifacts of a run's written rows, its
+    steps 0, `stride`, 2 `stride`, ...: `states`, `H` and `E` are their
+    states, energies and exact errors (the run's first row first), E None
+    where there is no channel.  Returns the paths.  Files are rewritten in
     place (`_rewrite`).  From _PARALLEL_ROWS rows on a forked child may
     format the second half (see the module docstring); raises
-    ChildProcessError if it fails.  With no table to write it only creates
-    `outdir` and returns {}.
+    ChildProcessError if it fails.  When `failed_step` is given, each file
+    ends with a `# aborted at step N` comment.  With no table to write it
+    only creates `outdir` and returns {}.
     """
+    _check_written(stride, outputs)
+    steps = range(0, stride * len(states), stride)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     n = states.shape[1] // 2
@@ -330,9 +314,8 @@ def _write(name, outdir, h: float, steps: range, states: np.ndarray,
         tables["phase"] = (["step", "t"] + coords, lambda b: list(Y[:, b]))
     if "energy" in outputs:
         tables["energy"] = (["step", "t", "H", "dH"], lambda b: [H[b], H[b] - h0])
-    if "error" in outputs and errors is not None:
-        # evaluated at the written rows only, one block at a time
-        tables["error"] = (["step", "t", "error"], lambda b: [errors(b)])
+    if "error" in outputs and E is not None:
+        tables["error"] = (["step", "t", "error"], lambda b: [E[b]])
     if not tables:
         return {}
     files = {kind: str(outdir / f"{name}-{kind}.csv") for kind in tables}
@@ -360,12 +343,7 @@ def _write(name, outdir, h: float, steps: range, states: np.ndarray,
     if rows >= _PARALLEL_ROWS and hasattr(os, "fork") and _usable_cpus() >= 2:
         # whole blocks on each side, the parent's half no smaller
         split = -(-rows // (2 * _CSV_BLOCK)) * _CSV_BLOCK
-        # the child only indexes, subtracts and formats: anything lazy, such
-        # as a Trajectory's exact flow exp(hA) on a general linear field or
-        # the text kernel's tables, is built here
-        for _, values in tables.values():
-            values(slice(0, 1))
-        csv_tables()
+        csv_tables()  # the child only indexes, subtracts and formats
     with ExitStack() as stack:
         handles = []
         for kind, (header, _) in tables.items():
@@ -403,9 +381,9 @@ def _write(name, outdir, h: float, steps: range, states: np.ndarray,
 
 
 def _child(work, spills) -> NoReturn:
-    """Body of `_write`'s forked child: run `work`, flush the spills
-    and leave through os._exit, 0 on success and 1 on any exception, so
-    that the caller's code never runs here."""
+    """Body of `write_artifacts`' forked child: run `work`, flush the
+    spills and leave through os._exit, 0 on success and 1 on any
+    exception, so that the caller's code never runs here."""
     # a collection here could run finalizers of the parent's objects twice
     gc.disable()
     code = 1
@@ -630,29 +608,16 @@ def _scan(traj: Trajectory) -> tuple[float, float, float, int | None, float | No
     return fold.result(traj.h)
 
 
-def _fit(h0: float, max_dev: float, slope: float, t_final: float,
-         exploding: bool) -> str:
-    """The classification from `_scan`'s h0, max_deviation and slope and
-    the run's last time t_final = h (N - 1)."""
+def classify(h0: float, max_deviation: float, slope: float, t_final: float,
+             exploding: bool) -> str:
+    """The label of a run from `_scan`'s h0, max_deviation and slope, the
+    run's last time t_final = h (N - 1) and whether the scan crossed."""
     if exploding:
         return "exploding"
     budget = BOUNDED_FRACTION * (abs(h0) if h0 != 0 else 1.0)
-    if max_dev <= budget and abs(slope) * t_final <= budget:
+    if max_deviation <= budget and abs(slope) * t_final <= budget:
         return "bounded"
     return "drifting"
-
-
-def classify(traj: Trajectory):
-    """(classification, h0, max_deviation, slope, crossing_step).
-
-    Statistics come from the pre-crossing prefix when the run explodes, so
-    the reported numbers are finite even after overflow.  This is `_scan`
-    then `_fit`, with the scan's radius deviation left out.
-    """
-    h0, max_dev, slope, crossing, _ = _scan(traj)
-    t_final = traj.h * (len(traj.energies) - 1)
-    label = _fit(h0, max_dev, slope, t_final, crossing is not None)
-    return label, h0, max_dev, slope, crossing
 
 
 @dataclass(frozen=True)
@@ -744,24 +709,25 @@ def run_and_write(name: str, scheme: Scheme, field, y0, h: float, steps: int,
     """Integrate a scheme and write its CSV artifacts under `outdir`.
 
     The run is streamed (`integrators._stream`) and folded chunk by chunk
-    (`_fold`), with the bytes of `write_artifacts` on the whole `integrate`
-    run.  On a stepper failure the states produced are still written, each
-    file ending with a `# aborted at step N` comment.  Returns the run's
-    RunRecord and the artifact paths.  A bad `stride` or output kind raises
-    ValueError before integrating.
+    (`_fold`), and its written rows go to `write_artifacts`, looked up on
+    this module at each call; the bytes are those of the whole `integrate`
+    run's rows.  On a stepper failure the states produced are still
+    written, each file ending with a `# aborted at step N` comment.
+    Returns the run's RunRecord and the artifact paths.  A bad `stride` or
+    output kind raises ValueError before integrating.
     """
     _check_written(stride, outputs)
     run, states, H, E = _fold(_stream(scheme, field, y0, h, steps, starter, _CHUNK),
                               steps, scheme.k, field, y0, h, stride)
     failed_step = None if run.failure is None else run.failure.step
-    files = _write(name, outdir, h, range(0, run.steps, stride), states, H,
-                   None if E is None else E.__getitem__, outputs, failed_step)
+    files = write_artifacts(name, outdir, h, states, H, E, stride, outputs,
+                            failed_step)
     return run, files
 
 
 def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
     """Run one scenario and write its artifacts under `outdir`: its
-    `run_and_write` run, labelled by `_fit`, and a summary.  On a stepper
+    `run_and_write` run, labelled by `classify`, and a summary.  On a stepper
     failure the partial run is still written and the failing step index
     lands in the summary.
     """
@@ -774,7 +740,7 @@ def run_scenario(s: Scenario, outdir: str | Path) -> ScenarioResult:
     if run.failure is not None:
         failed_step = run.failure.step
         warnings += (f"stepper failed at step {failed_step}: {run.failure.cause}",)
-    label = _fit(h0, max_dev, slope, s.h * (run.steps - 1), crossing is not None)
+    label = classify(h0, max_dev, slope, s.h * (run.steps - 1), crossing is not None)
     result = ScenarioResult(
         scenario=s,
         files=files,

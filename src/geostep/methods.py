@@ -18,8 +18,9 @@ and the defect sums, polynomial gcd and symmetry checks never round.  The
 defect and pairing sums and the gcd of rho and sigma read one set of
 integers, alpha and the effective beta times the lcm D of their
 denominators (`_scaled`); each sum is divided by D once per entry.  Only
-`root_condition` uses floats, via companion-matrix eigenvalues (that is
-what `numpy.roots` computes).
+`root_condition` uses floats: which roots of rho are multiple is exact, but
+their moduli come from companion-matrix eigenvalues (that is what
+`numpy.roots` computes).
 
 A scheme is a `MethodSpec` or a pair of them, `PCPair` (predictor-corrector
 in PECE mode) or `PartitionedPair` (`first` drives q, `second` p).
@@ -64,10 +65,9 @@ __all__ = [
 
 KINDS = ("lmm", "one-leg", "generalized")
 
-# root-condition tolerances: modulus slack and the minimal separation that
-# still counts as a simple root on the unit circle
+# root-condition modulus slack: how far off the unit circle a float root
+# still counts as on it
 ROOT_MOD_TOL = 1e-10
-ROOT_SEP_TOL = 1e-8
 
 _MAX_K = 64  # largest k of a method file; `analyze` takes about 0.1 s there
 _MAX_BITS = 64  # bits of its `_scaled` integers; about 0.16 s at both bounds
@@ -489,21 +489,24 @@ def is_irreducible(m: MethodSpec) -> bool:
 
 
 def root_condition(m: MethodSpec) -> tuple[bool, tuple[complex, ...]]:
-    """Zero-stability check on the roots of rho.
+    """Zero-stability check on the roots of rho: (satisfied, roots).
 
-    All roots must satisfy |r| <= 1 + 1e-10 and roots with |r| >= 1 - 1e-10
-    must be simple, taken as pairwise separation > 1e-8.  Roots come from
-    companion-matrix eigenvalues, so multiple roots may or may not split;
-    the separation threshold is the documented contract.
+    All roots must satisfy |r| <= 1 + 1e-10, and roots with |r| >= 1 - 1e-10
+    must be simple.  Which roots are multiple is exact: they are the roots
+    of g = gcd(rho, rho'), taken over `_scaled`'s integers (`_gcd`), less
+    its factors of z (a multiple root at 0 is inside the disk).  What is
+    still float is where the roots lie: those of rho, and of g where it
+    keeps a degree, come from companion-matrix eigenvalues, and every root
+    of g must satisfy |r| < 1 - 1e-10.
     """
-    coeffs = [float(c) for c in reversed(m.alpha)]
-    roots = tuple(np.roots(coeffs))
+    roots = tuple(np.roots([float(c) for c in reversed(m.alpha)]))
     ok = all(abs(r) <= 1 + ROOT_MOD_TOL for r in roots)
-    near_unit = [r for r in roots if abs(r) >= 1 - ROOT_MOD_TOL]
-    for i in range(len(near_unit)):
-        for j in range(i + 1, len(near_unit)):
-            if abs(near_unit[i] - near_unit[j]) <= ROOT_SEP_TOL:
-                ok = False
+    _, A, _ = _scaled(m)
+    g = _gcd(A, [j * a for j, a in enumerate(A)][1:])
+    g = g[next(i for i, c in enumerate(g) if c):]
+    if ok and len(g) > 1:
+        ok = all(abs(r) < 1 - ROOT_MOD_TOL
+                 for r in np.roots([float(c) for c in reversed(g)]))
     return ok, roots
 
 

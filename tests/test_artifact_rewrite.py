@@ -3,7 +3,6 @@ O_TRUNC and cut after its header, so a rerun over the files of an earlier run
 keeps each file's inode and leaves exactly a fresh run's bytes, and a write
 that stops part way, even one killed, leaves the header and the rows
 written, nothing of the file it replaced."""
-import dataclasses
 import os
 from pathlib import Path
 import signal
@@ -14,10 +13,11 @@ import pytest
 
 import geostep
 from geostep import experiments
-from geostep.experiments import Scenario, run_scenario, write_artifacts
+from geostep.experiments import Scenario, run_scenario
 from test_artifact_split import (
-    B, _failing_error_at, _no_children_left, _trajectory, forks,  # noqa: F401
+    B, _formatted_blocks, _no_children_left, _ones, _trajectory, forks,  # noqa: F401
 )
+from test_experiments import write_trajectory
 
 # what an earlier run left under an artifact's name, given the fresh bytes:
 # longer than them, shorter, and shorter than any header
@@ -58,7 +58,7 @@ def writer(request, monkeypatch):
     if request.param == "scenario":
         return request.param, _scenario_files
     traj = _trajectory(3 * B)
-    return request.param, lambda outdir: write_artifacts("stale", traj, outdir)
+    return request.param, lambda outdir: write_trajectory("stale", traj, outdir)
 
 
 def test_no_artifact_is_opened_with_o_trunc(tmp_path, writer, opened):
@@ -105,31 +105,27 @@ def test_rerun_over_stale_files_leaves_a_fresh_run_in_place(tmp_path, writer,
     _no_children_left()
 
 
-def test_a_write_that_stops_after_a_block_leaves_only_its_rows(tmp_path):
+def test_a_write_that_stops_after_a_block_leaves_only_its_rows(tmp_path,
+                                                              monkeypatch):
     whole = _trajectory(3 * B)
-    calls = []
-
-    def error_at(rows):
-        calls.append(len(rows))
-        if len(calls) == 2:
-            raise ValueError("planted failure")
-        return whole.error_at(rows)
-
     outdir, fresh, _ = _plant(
-        tmp_path, write_artifacts("cut", whole, tmp_path / "fresh"))
+        tmp_path, write_trajectory("cut", whole, tmp_path / "fresh"))
+    blocks = _formatted_blocks(monkeypatch, lambda first: first == B)
     with pytest.raises(ValueError, match="planted failure"):
-        write_artifacts("cut", dataclasses.replace(whole, error_at=error_at), outdir)
-    assert calls == [B, B]  # no split: the second block raised
+        write_trajectory("cut", whole, outdir)
+    assert blocks == [(0, B), (B, B)]  # no split: the second block raised
     for kind, text in fresh.items():
         assert (outdir / f"cut-{kind}.csv").read_bytes() == _head(text, B), kind
 
 
-def test_a_failing_child_leaves_only_the_callers_rows(tmp_path, forks, capfd):
+def test_a_failing_child_leaves_only_the_callers_rows(tmp_path, monkeypatch,
+                                                      forks, capfd):
     split = 2 * B  # where 3B rows split
-    outdir, fresh, _ = _plant(tmp_path, write_artifacts(
-        "cut", _failing_error_at(lambda r: False), tmp_path / "fresh"))
+    outdir, fresh, _ = _plant(tmp_path, write_trajectory(
+        "cut", _ones(3 * B), tmp_path / "fresh"))
+    _formatted_blocks(monkeypatch, lambda first: first >= split)
     with pytest.raises(ChildProcessError, match="exit code 1"):
-        write_artifacts("cut", _failing_error_at(lambda r: r >= split), outdir)
+        write_trajectory("cut", _ones(3 * B), outdir)
     assert len(forks) == 2
     _no_children_left()
     assert capfd.readouterr().err.count("ValueError: planted failure") == 1
@@ -143,25 +139,23 @@ def test_a_failing_child_leaves_only_the_callers_rows(tmp_path, forks, capfd):
 KILLED = """
 import os, signal, sys
 import numpy as np
-from geostep.experiments import write_artifacts
-from geostep.integrators import Trajectory
-calls = []
-def error_at(rows):
+from geostep import experiments
+calls, csv_rows = [], experiments.csv_rows
+def killed(block, layout):
     calls.append(1)
     if len(calls) == 2:
         os.kill(os.getpid(), signal.SIGKILL)
-    return np.ones(len(rows))
+    return csv_rows(block, layout)
+experiments.csv_rows = killed
 rows = int(sys.argv[2])
-write_artifacts("cut", Trajectory(h=0.1, states=np.ones((rows, 2)),
-                                  energies=np.ones(rows), error_at=error_at),
-                sys.argv[1])
+experiments.write_artifacts("cut", sys.argv[1], 0.1, np.ones((rows, 2)),
+                            np.ones(rows), np.ones(rows))
 """
 
 
 def test_a_killed_write_leaves_a_prefix_of_a_fresh_run(tmp_path):
-    traj = _failing_error_at(lambda r: False)  # all ones, 3B rows
     outdir, fresh, _ = _plant(
-        tmp_path, write_artifacts("cut", traj, tmp_path / "fresh"))
+        tmp_path, write_trajectory("cut", _ones(3 * B), tmp_path / "fresh"))
     env = dict(os.environ, PYTHONPATH=str(Path(geostep.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", KILLED, str(outdir), str(3 * B)],
                           env=env, capture_output=True, timeout=120)

@@ -3,8 +3,10 @@ written rows on, a forked child formats the second half.  The bytes must be
 those of the one-process write, the child must never outlive or return into
 the call, and any error must reach the caller once."""
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +15,11 @@ import pytest
 import geostep
 from geostep import experiments
 from geostep.cli import main
-from geostep.experiments import _CSV_BLOCK, OUTPUT_KINDS, write_artifacts
+from geostep.experiments import _CSV_BLOCK, OUTPUT_KINDS
 from geostep.integrators import Trajectory, integrate
 from geostep.methods import builtin_methods
 from geostep.systems import GradientField
+from test_experiments import write_trajectory
 
 B = _CSV_BLOCK
 THRESHOLD = 2 * B  # the smallest threshold write_artifacts allows
@@ -63,9 +66,9 @@ def _no_children_left():
 
 def _write_both(tmp_path, monkeypatch, traj, *args):
     """{kind: bytes} of a split write and of a one-process write."""
-    split = write_artifacts("run", traj, tmp_path / "split", *args)
+    split = write_trajectory("run", traj, tmp_path / "split", *args)
     monkeypatch.setattr(experiments, "_PARALLEL_ROWS", 10**9)
-    serial = write_artifacts("run", traj, tmp_path / "serial", *args)
+    serial = write_trajectory("run", traj, tmp_path / "serial", *args)
     assert list(split) == list(serial)
     return ({k: Path(p).read_bytes() for k, p in split.items()},
             {k: Path(p).read_bytes() for k, p in serial.items()})
@@ -116,25 +119,44 @@ def test_no_table_formats_no_row_and_forks_no_child(tmp_path, monkeypatch,
 
     monkeypatch.setattr(os, "fork", fork)
     outdir = tmp_path / "out"
-    assert write_artifacts("none", traj, outdir, 1, outputs) == {}
+    assert write_trajectory("none", traj, outdir, 1, outputs) == {}
     assert outdir.is_dir() and not any(outdir.iterdir())
+
+
+def _formatted_blocks(monkeypatch, fails=lambda first: False,
+                      stalls=lambda first: False):
+    """Wrap `experiments.csv_rows`, which formats each block of rows, to
+    record (first step, rows) of each block this process formats, to raise
+    on a block whose first step `fails` and to sleep a minute on one that
+    `stalls`; a forked child inherits the wrapper."""
+    blocks, real = [], experiments.csv_rows
+
+    def csv_rows(block, layout):
+        first = int(block[0, 0])
+        blocks.append((first, len(block)))
+        if stalls(first):
+            time.sleep(60)
+        if fails(first):
+            raise ValueError("planted failure")
+        return real(block, layout)
+
+    monkeypatch.setattr(experiments, "csv_rows", csv_rows)
+    return blocks
+
+
+def _ones(rows):
+    """A trajectory of `rows` rows of ones, its error channel too."""
+    return Trajectory(h=0.1, states=np.ones((rows, 2)), energies=np.ones(rows),
+                      error_at=np.ones(rows).__getitem__)
 
 
 def test_split_halves_are_whole_blocks(tmp_path, monkeypatch, forks):
     # 2B + 1 rows split after 2B: the child writes only the last row
-    rows = []
-
-    def error_at(r):
-        rows.append((int(r[0]), len(r)))
-        return np.zeros(len(r))
-
-    traj = Trajectory(h=0.5, states=np.zeros((2 * B + 1, 2)),
-                      energies=np.zeros(2 * B + 1),
-                      error_at=error_at)
-    write_artifacts("edge", traj, tmp_path)
-    # the child's calls are made in its own memory; the parent's are its
-    # lookahead at row 0 and its two whole blocks
-    assert rows == [(0, 1), (0, B), (B, B)]
+    blocks = _formatted_blocks(monkeypatch)
+    write_trajectory("edge", _ones(2 * B + 1), tmp_path)
+    # the child's block is formatted in its own memory; the parent's are
+    # its two whole blocks
+    assert blocks == [(0, B), (B, B)]
     _no_children_left()
 
 
@@ -151,31 +173,20 @@ def _marked_call(marker, call):
 def test_clean_split_leaves_no_child(tmp_path, forks):
     marker = tmp_path / "marker"
     traj = _trajectory(3 * B)
-    files = _marked_call(marker, lambda: write_artifacts("ok", traj, tmp_path))
+    files = _marked_call(marker, lambda: write_trajectory("ok", traj, tmp_path))
     assert len(forks) == 1
     assert marker.read_text() == f"{os.getpid()}\n"
     assert Path(files["phase"]).read_text().count("\n") == 3 * B + 1
     _no_children_left()
 
 
-def _failing_error_at(rows_that_fail):
-    errors = np.ones(3 * B)
-
-    def error_at(rows):
-        if any(rows_that_fail(int(r)) for r in rows):
-            raise ValueError("planted failure")
-        return errors[rows]
-
-    return Trajectory(h=0.1, states=np.ones((3 * B, 2)), energies=np.ones(3 * B),
-                      error_at=error_at)
-
-
-def test_a_failing_child_raises_once_in_the_caller(tmp_path, forks, capfd):
+def test_a_failing_child_raises_once_in_the_caller(tmp_path, monkeypatch, forks,
+                                                   capfd):
     split = 2 * B  # where 3B rows split
-    traj = _failing_error_at(lambda r: r >= split)
+    _formatted_blocks(monkeypatch, lambda first: first >= split)
     marker = tmp_path / "marker"
     with pytest.raises(ChildProcessError, match="exit code 1"):
-        _marked_call(marker, lambda: write_artifacts("bad", traj, tmp_path))
+        _marked_call(marker, lambda: write_trajectory("bad", _ones(3 * B), tmp_path))
     assert len(forks) == 1
     assert marker.read_text() == f"{os.getpid()}\n"
     _no_children_left()
@@ -183,12 +194,28 @@ def test_a_failing_child_raises_once_in_the_caller(tmp_path, forks, capfd):
     assert capfd.readouterr().err.count("ValueError: planted failure") == 1
 
 
-def test_a_failing_parent_kills_and_reaps_the_child(tmp_path, forks, capfd):
-    traj = _failing_error_at(lambda r: 0 < r < B)  # row 0 is read before the fork
+def test_a_failing_parent_kills_and_reaps_the_child(tmp_path, monkeypatch, forks,
+                                                    capfd):
+    # the parent fails on its second block; the child stalls on its first,
+    # so only the parent's kill ends it
+    split = 2 * B
+    _formatted_blocks(monkeypatch, lambda first: 0 < first < split,
+                      lambda first: first >= split)
+    statuses, waitpid = [], os.waitpid
+
+    def reaped(pid, options):
+        got = waitpid(pid, options)
+        statuses.append(got[1])
+        return got
+
+    monkeypatch.setattr(os, "waitpid", reaped)
     marker = tmp_path / "marker"
+    start = time.monotonic()
     with pytest.raises(ValueError, match="planted failure"):
-        _marked_call(marker, lambda: write_artifacts("bad", traj, tmp_path))
+        _marked_call(marker, lambda: write_trajectory("bad", _ones(3 * B), tmp_path))
+    assert time.monotonic() - start < 30
     assert len(forks) == 1
+    assert [os.WTERMSIG(s) for s in statuses] == [signal.SIGKILL]
     assert marker.read_text() == f"{os.getpid()}\n"
     _no_children_left()
     assert capfd.readouterr().err == ""

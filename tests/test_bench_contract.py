@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from geostep import integrators
+from geostep import cli, experiments, integrators
 from geostep.experiments import Scenario, run_scenario
 from geostep.methods import builtin_methods
 from geostep.systems import sho
@@ -134,3 +134,23 @@ def test_exact_channel_calls_sho_exact_by_module_attribute(monkeypatch, tmp_path
     run_scenario(Scenario("traced", "leapfrog", steps=50, stride=7), tmp_path)
     # 4 starter states; the last row, then all 20; 8 written rows and the last
     assert rows == {"starter": 4, "channel": 21, "scenario": 9}
+
+
+def test_runs_write_and_label_through_traced_functions_by_module_attribute(
+        monkeypatch, tmp_path):
+    # the tracer's `experiments.write_artifacts` and `experiments.classify`
+    # spans exist only while every run looks these up on the module: a
+    # scenario writes once and is labelled once, `geostep integrate` writes
+    # once and is not labelled
+    calls = Counter()
+    for name in ("write_artifacts", "classify"):
+        def counted(*args, _fn=getattr(experiments, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(experiments, name, counted)
+    run_scenario(Scenario("traced", "leapfrog", steps=50, stride=7), tmp_path)
+    assert calls == {"write_artifacts": 1, "classify": 1}
+    calls.clear()
+    assert cli.main(["integrate", "--method", "leapfrog", "--steps", "50",
+                     "--out", str(tmp_path)]) == 0
+    assert calls == {"write_artifacts": 1}

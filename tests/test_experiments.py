@@ -43,6 +43,27 @@ from geostep.experiments import (
 )
 
 
+def write_trajectory(name, traj, outdir, stride=1, outputs=OUTPUT_KINDS,
+                     failed_step=None):
+    """`write_artifacts` of every `stride`-th row of a whole Trajectory,
+    with its exact errors taken by `traj.error_at` at those rows."""
+    errors = None
+    if traj.error_at is not None:
+        errors = traj.error_at(np.arange(0, traj.steps, stride))
+    return write_artifacts(name, outdir, traj.h, traj.states[::stride],
+                           traj.energies[::stride], errors, stride, outputs,
+                           failed_step)
+
+
+def classify_trajectory(traj: Trajectory):
+    """(label, h0, max_deviation, slope, crossing_step) of a whole
+    Trajectory: `_scan`, then `classify`, the radius deviation left out."""
+    h0, max_dev, slope, crossing, _ = _scan(traj)
+    label = classify(h0, max_dev, slope, traj.h * (len(traj.energies) - 1),
+                     crossing is not None)
+    return label, h0, max_dev, slope, crossing
+
+
 def read_csv(path):
     with open(path) as fh:
         rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
@@ -371,7 +392,8 @@ def test_bad_stride_or_output_kind_is_rejected_before_integrating(
                       0.1, 20, "rk4", tmp_path, stride, outputs)
     traj = integrate(builtin_methods()["leapfrog"], sho(), [1.0, 0.0], 0.1, 20)
     with pytest.raises(ValueError, match=match):
-        write_artifacts("bad", traj, tmp_path, stride, outputs)
+        write_artifacts("bad", tmp_path, traj.h, traj.states, traj.energies, None,
+                        stride, outputs)
     assert runs == [] and list(tmp_path.iterdir()) == []
 
 
@@ -435,7 +457,7 @@ def _reference_csv(traj, stride, outputs):
 )
 def test_artifact_text_is_per_value_17g(tmp_path, h0, stride, outputs):
     traj = _edge_trajectory(h0)
-    files = write_artifacts("edge", traj, tmp_path, stride, outputs)
+    files = write_trajectory("edge", traj, tmp_path, stride, outputs)
     expected = _reference_csv(traj, stride, outputs)
     assert list(files) == list(expected)
     for kind, text in expected.items():
@@ -447,13 +469,12 @@ def test_write_artifacts_memory_stays_flat(tmp_path):
     # text and a full-length float column 0.8 MB
     rows = 100_000
     rng = np.random.default_rng(3)
-    traj = Trajectory(h=0.1, states=rng.standard_normal((rows, 4)),
-                      energies=rng.standard_normal(rows),
-                      error_at=rng.standard_normal(rows).__getitem__)
+    states, H, E = (rng.standard_normal((rows, 4)), rng.standard_normal(rows),
+                    rng.standard_normal(rows))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        write_artifacts("mem", traj, tmp_path)
+        write_artifacts("mem", tmp_path, 0.1, states, H, E)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -475,7 +496,7 @@ def test_warnings_surface_in_result_and_summary(tmp_path):
 
 def test_classify_bounded_midpoint():
     traj = integrate(resolve_scheme("midpoint"), sho(1.0), [1.0, 0.0], 0.1, 10_000)
-    label, h0, max_dev, slope, crossing = classify(traj)
+    label, h0, max_dev, slope, crossing = classify_trajectory(traj)
     assert label == "bounded"
     assert h0 == 0.5
     assert crossing is None
@@ -486,7 +507,7 @@ def test_classify_exploding_euler():
     traj = integrate(
         resolve_scheme("explicit-euler"), sho(1.0), [1.0, 0.0], 0.1, 10_000
     )
-    label, _, max_dev, slope, crossing = classify(traj)
+    label, _, max_dev, slope, crossing = classify_trajectory(traj)
     assert label == "exploding"
     assert crossing == 695
     assert np.isfinite(max_dev) and np.isfinite(slope)
@@ -498,7 +519,7 @@ def test_classify_catches_blow_up_when_h0_is_not_positive(y0):
     # leapfrog's |y| grows past 1e86 within 2000 steps from either point
     field = LinearHamiltonian.from_hessian(np.diag([-1.0, 1.0]))
     traj = integrate(builtin_methods()["leapfrog"], field, y0, 0.1, 2000)
-    label, h0, _, _, crossing = classify(traj)
+    label, h0, _, _, crossing = classify_trajectory(traj)
     assert h0 <= 0
     assert label == "exploding" and crossing is not None
 
@@ -513,7 +534,7 @@ def test_classify_counts_a_nan_as_the_crossing(diagonal, y0):
     field = LinearHamiltonian.from_hessian(np.diag(diagonal))
     states = np.array([y0, [np.nan, np.nan], [np.nan, np.nan]])
     traj = Trajectory(h=0.1, states=states, energies=field.energies(states))
-    label, _, max_dev, slope, crossing = classify(traj)
+    label, _, max_dev, slope, crossing = classify_trajectory(traj)
     assert (label, crossing) == ("exploding", 1)
     assert (max_dev, slope) == (0.0, 0.0)
 
@@ -543,11 +564,11 @@ def _exact_slope(H, h):
 
 
 def _classify_by_whole_arrays(traj: Trajectory):
-    """`classify` with its statistics formed term by term over whole
-    arrays: |y|^2 of every row by einsum, the crossing mask over the whole
-    record, |H - H0| as its own array and the slope as one exact rational
-    over the prefix (`_exact_slope`).  The reference for the bits of
-    `classify`, which forms them block by block; like it, this reads
+    """`classify_trajectory` with its statistics formed term by term over
+    whole arrays: |y|^2 of every row by einsum, the crossing mask over the
+    whole record, |H - H0| as its own array and the slope as one exact
+    rational over the prefix (`_exact_slope`).  The reference for the bits
+    of `_scan`, which forms them block by block; like it, this reads
     `traj.states` only when H0 <= 0."""
     H = np.asarray(traj.energies, dtype=float)
     h0 = float(H[0])
@@ -586,7 +607,7 @@ def _radius_by_einsum(traj: Trajectory, crossing):
 
 
 def _bits(result):
-    """A classify result with each float as its bytes, so -0.0 != 0.0."""
+    """A result tuple with each float as its bytes, so -0.0 != 0.0."""
     return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
                  for v in result)
 
@@ -611,7 +632,7 @@ def test_classify_is_bit_identical_to_the_vstack_formulation(
     traj = integrate(scheme, field, y0, h, max(steps, scheme.k))
     if steps < scheme.k:
         traj = Trajectory(h, traj.states[:steps], traj.energies[:steps], steps)
-    got = classify(traj)
+    got = classify_trajectory(traj)
     assert got[0] == label
     assert _bits(got) == _bits(_classify_by_whole_arrays(traj))
 
@@ -687,7 +708,7 @@ def records(draw):
 @settings(max_examples=150, deadline=None)
 @given(traj=records())
 def test_blocked_statistics_are_bit_identical_to_whole_array_ones(traj):
-    got = classify(traj)
+    got = classify_trajectory(traj)
     assert _bits(got) == _bits(_classify_by_whole_arrays(traj))
     _, h0, max_dev, slope, crossing = got
     # None beyond two columns, as on the H0 <= 0 records of four
@@ -901,7 +922,7 @@ def test_classify_memory_peak_on_a_long_record():
     rng = np.random.default_rng(5)
     traj = Trajectory(h=0.1, states=np.zeros((rows, 2)),
                       energies=0.5 + 1e-12 * rng.standard_normal(rows))
-    result, peak = _traced_peak(classify, traj)
+    result, peak = _traced_peak(classify_trajectory, traj)
     assert result[0] == "bounded"
     assert peak <= 2**20
 
@@ -920,20 +941,20 @@ def test_radius_deviation_memory_peak_on_a_long_record():
 
 def _run_and_write_whole(name, scheme, field, y0, h, steps, starter, outdir,
                          stride=1, outputs=OUTPUT_KINDS):
-    """`run_and_write` over the whole run: `integrate`, then `write_artifacts`
+    """`run_and_write` over the whole run: `integrate`, then `write_trajectory`
     of its Trajectory, or of `StepFailure.partial` with the failing step.
     Returns (trajectory, files, failure)."""
     try:
         traj, failure = integrate(scheme, field, y0, h, steps, starter=starter), None
     except StepFailure as exc:
         traj, failure = exc.partial, exc
-    files = write_artifacts(name, traj, outdir, stride, outputs,
-                            None if failure is None else failure.step)
+    files = write_trajectory(name, traj, outdir, stride, outputs,
+                             None if failure is None else failure.step)
     return traj, files, failure
 
 
 def _run_scenario_whole(s: Scenario, outdir):
-    """`run_scenario` over the whole run: `integrate`, `write_artifacts`
+    """`run_scenario` over the whole run: `integrate`, `write_trajectory`
     (through `_run_and_write_whole`) and `_scan`, then the label and
     summary."""
     scheme = resolve_scheme(s.method)
@@ -946,8 +967,7 @@ def _run_scenario_whole(s: Scenario, outdir):
         failed_step = failure.step
         warnings += (f"stepper failed at step {failure.step}: {failure.cause}",)
     h0, max_dev, slope, crossing, radius = _scan(traj)
-    label = experiments._fit(h0, max_dev, slope, s.h * (traj.steps - 1),
-                             crossing is not None)
+    label = classify(h0, max_dev, slope, s.h * (traj.steps - 1), crossing is not None)
     result = experiments.ScenarioResult(
         s, files, h0, max_dev, slope, traj.final_error, radius, label, crossing,
         failed_step, warnings)
@@ -1237,7 +1257,7 @@ def test_classify_drifting_implicit_euler():
     traj = integrate(
         resolve_scheme("implicit-euler"), sho(1.0), [1.0, 0.0], 0.1, 10_000
     )
-    label, _, _, slope, _ = classify(traj)
+    label, _, _, slope, _ = classify_trajectory(traj)
     assert label == "drifting"
     assert slope < 0
 

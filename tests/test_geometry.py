@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from geostep.experiments import classify, resolve_scheme
+from geostep.experiments import resolve_scheme
 from geostep.methods import (
     REGISTRY_NAMES,
     MethodSpec,
@@ -29,6 +29,7 @@ from geostep.geometry import (
     transfer_matrix,
 )
 from geostep.systems import LinearHamiltonian, sho, sho_exact, structure_matrix
+from test_experiments import classify_trajectory
 
 from fractions import Fraction as F
 
@@ -311,7 +312,7 @@ def test_reversibility_on_nonlinear_field():
 
 
 # ---------------------------------------------------------------------------
-# energy drift, as `classify` measures it
+# energy drift, as `_scan` measures it and `classify` labels it
 
 
 def test_energy_drift_exact_flow_is_flat():
@@ -323,7 +324,7 @@ def test_energy_drift_exact_flow_is_flat():
         energies=FIELD.energies(states),
         error_at=None,
     )
-    label, _, max_dev, slope, _ = classify(exact)
+    label, _, max_dev, slope, _ = classify_trajectory(exact)
     assert label == "bounded"
     assert max_dev <= 1e-12
     assert abs(slope) <= 1e-13
@@ -331,7 +332,7 @@ def test_energy_drift_exact_flow_is_flat():
 
 def test_energy_drift_euler_geometric_growth():
     traj = integrate(MS["explicit-euler"], FIELD, Y0, 0.1, 101)
-    _, _, max_dev, slope, crossing = classify(traj)
+    _, _, max_dev, slope, crossing = classify_trajectory(traj)
     assert crossing is None
     expected = (1.01 ** 100 - 1.0) * 0.5
     assert max_dev == pytest.approx(expected, rel=1e-8)
@@ -340,7 +341,7 @@ def test_energy_drift_euler_geometric_growth():
 
 def test_energy_drift_implicit_euler_decays():
     traj = integrate(MS["implicit-euler"], FIELD, Y0, 0.1, 101)
-    _, _, max_dev, slope, _ = classify(traj)
+    _, _, max_dev, slope, _ = classify_trajectory(traj)
     assert slope < 0
     assert max_dev == pytest.approx(0.5 * (1.0 - 1.01 ** -100), rel=1e-8)
 
@@ -352,7 +353,7 @@ def test_energy_drift_constant_sequence_has_zero_slope():
         energies = np.full(50, 2.5)
         states = np.ones((50, 2))
 
-    label, _, max_dev, slope, _ = classify(Flat())
+    label, _, max_dev, slope, _ = classify_trajectory(Flat())
     assert label == "bounded"
     assert max_dev == 0.0
     assert abs(slope) < 1e-14

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from geostep import integrators
 from geostep.cli import build_parser
-from geostep.experiments import Scenario, builtin_scenarios, classify, resolve_scheme
+from geostep.experiments import Scenario, _scan, builtin_scenarios, resolve_scheme
 from geostep.methods import MethodError, MethodSpec, builtin_methods, pad_method
 from geostep.integrators import (
     _BLOCK,
@@ -679,8 +679,8 @@ def test_blocked_overflow_and_crossing_match_per_step_map():
     # the crossing comes long before overflow; the generic path finds it too
     short = 2000
     slow = generic_run(scheme, FIELD, y0, s.h, short)
-    crossing = classify(fast)[4]
-    assert crossing is not None and crossing == classify(slow)[4]
+    crossing = _scan(fast)[3]
+    assert crossing is not None and crossing == _scan(slow)[3]
 
 
 def test_exact_channel_on_general_field_matches_matrix_exponential():

@@ -449,6 +449,38 @@ def test_root_condition_allows_interior_multiple_roots():
     assert ok
 
 
+def _rho_spec(alpha):
+    """An explicit scheme with rho from `alpha` (ascending) and sigma = z^(k-1)."""
+    k = len(alpha) - 1
+    return MethodSpec("rho", k, tuple(map(F, alpha)), (F(0),) * (k - 1) + (F(1), F(0)))
+
+
+@pytest.mark.parametrize("alpha", [
+    (1, -2, 2, -2, 1),  # (z - 1)^2 (z^2 + 1)
+    (-1, -2, -1, 1, 2, 1),  # (z - 1)(z + 1)^2 (z^2 + z + 1)
+    (1, -1, 0, 0, -1, 1),  # (z - 1)^2 (z^2 + 1)(z + 1)
+])
+def test_root_condition_rejects_a_double_unit_root_the_floats_split(alpha):
+    # np.roots puts these double roots more than 1e-8 apart, so no float
+    # separation test tells them from simple ones
+    ok, roots = root_condition(_rho_spec(alpha))
+    assert not ok
+    assert all(abs(abs(r) - 1) < 1e-6 for r in roots)
+
+
+# z - 1, z + 1, z^2 + 1, z^2 + z + 1 and z^2 - z + 1: every cyclotomic factor
+# of degree at most two, each a root on the unit circle
+CYCLOTOMIC = [(-1, 1), (1, 1), (1, 0, 1), (1, 1, 1), (1, -1, 1)]
+
+
+@given(st.sampled_from(CYCLOTOMIC),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=6).filter(lambda p: p[-1]))
+@settings(max_examples=200, deadline=None)
+def test_property_a_squared_cyclotomic_factor_fails_the_root_condition(c, p):
+    alpha = poly_mul(poly_mul(list(c), list(c)), p)
+    assert not root_condition(_rho_spec(alpha))[0]
+
+
 # ---------------------------------------------------------------------------
 # pairing matrix
 

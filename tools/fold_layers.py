@@ -13,7 +13,7 @@ layer of `run_and_write`'s stream is timed by wrapping what `_fold` and
 - energies: `_energy_rows` and `LinearHamiltonian.energies`;
 - scan: `_Scan.add`;
 - errors: the exact-error channel `_errors` and the function it returns;
-- csv: `_write`;
+- csv: `write_artifacts`;
 - other: the rest of the pass (the fold's own copies, the summaries).
 
 It prints the median per pass of each layer, in ms, and its share of the
@@ -71,7 +71,7 @@ def main(argv: list[str]) -> int:
     systems.LinearHamiltonian.energies = timed(
         "energies", systems.LinearHamiltonian.energies)
     ex._Scan.add = timed("scan", ex._Scan.add)
-    ex._write = timed("csv", ex._write)
+    ex.write_artifacts = timed("csv", ex.write_artifacts)
 
     scenarios = [s for s in ex.builtin_scenarios() if s.steps == 1_000_000]
     passes, layers = [], {layer: [] for layer in LAYERS}
