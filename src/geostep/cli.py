@@ -304,9 +304,6 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except StepFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (me.MethodError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -104,8 +104,8 @@ def step_transition(m: MethodSpec, field: LinearHamiltonian,
     also raises rather than returning a meaningless real part.
     """
     A = field.A
-    a = [float(c) for c in m.alpha]
-    b = [float(c) for c in m.effective_beta()]
+    D, a, b = m.scaled
+    a, b = [x / D for x in a], [x / D for x in b]
     evals, V = np.linalg.eig(A)
     cond = np.linalg.cond(V)
     if cond > EIGBASIS_COND_LIMIT:

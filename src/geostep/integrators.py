@@ -351,8 +351,8 @@ def _stepper(m: MethodSpec):
     runs.  The stopping test reads |z| only once an upper bound on it, |z_0|
     plus the increments' sizes, lets the test pass, so it stops where the
     test on |z| at every iteration would."""
-    k, a_k = m.k, float(m.alpha[m.k])
-    lead_beta = float(m.effective_beta()[k])
+    k, (D, A, B) = m.k, m.scaled
+    a_k, lead_beta = A[k] / D, B[k] / D
     alpha, legs = _compile(m)
     # terms are in index order, so a leg reaches z_k when its last term does;
     # alpha's last term is always alpha_k

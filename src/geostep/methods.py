@@ -14,13 +14,12 @@ effective beta b_l = sum_j beta_j gamma_jl, the derivative weights a linear
 field sees, which is beta itself unless gamma is explicit.
 
 Everything in this module is exact: coefficients are `fractions.Fraction`
-and the defect sums, polynomial gcd and symmetry checks never round.  The
-defect and pairing sums and the gcd of rho and sigma read one set of
-integers, alpha and the effective beta times the lcm D of their
-denominators (`_scaled`); each sum is divided by D once per entry.  Only
-`root_condition` uses floats: which roots of rho are multiple is exact, but
-their moduli come from companion-matrix eigenvalues (that is what
-`numpy.roots` computes).
+and the defect sums, polynomial gcds, symmetry checks and root counts never
+round.  They all read one set of integers, alpha and the effective beta
+times the lcm D of their denominators (`MethodSpec.scaled`, formed once per
+spec); each sum is divided by D once per entry.  Only the roots of rho
+that `analyze` displays are floats: they are companion-matrix eigenvalues
+(what `numpy.roots` computes), and no verdict reads them.
 
 A scheme is a `MethodSpec` or a pair of them, `PCPair` (predictor-corrector
 in PECE mode) or `PartitionedPair` (`first` drives q, `second` p).
@@ -32,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 import math
 import os
 from pathlib import Path
@@ -65,12 +65,9 @@ __all__ = [
 
 KINDS = ("lmm", "one-leg", "generalized")
 
-# root-condition modulus slack: how far off the unit circle a float root
-# still counts as on it
-ROOT_MOD_TOL = 1e-10
-
-_MAX_K = 64  # largest k of a method file; `analyze` takes about 0.1 s there
-_MAX_BITS = 64  # bits of its `_scaled` integers; about 0.16 s at both bounds
+# `analyze` in-process on a 2-CPU Xeon, of random coefficients
+_MAX_K = 64  # largest k of a method file; 0.04-0.05 s there, small integers
+_MAX_BITS = 64  # bits of its `scaled` integers; 1.0-1.1 s at both bounds (3 gcds)
 
 # Python's own bound on the digits of a decimal string it converts to int
 _MAX_EXPONENT = 4300
@@ -189,14 +186,21 @@ class MethodSpec:
     def effective_beta(self) -> tuple[Fraction, ...]:
         """Derivative weights seen by a linear field: state l is weighted by
         sum_j beta_j gamma_{jl}, which is beta itself for lmm and one-leg."""
-        if self.gamma is None:
-            # the default gammas give beta back (one-leg: sigma(1) = 1);
-            # every certificate reads this, so skip the products
-            return self.beta
         return tuple(
             sum((b * g for b, g in zip(self.beta, col) if b and g), _ZERO)
             for col in zip(*self.gamma_rows)
         )
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(D, A, B): D the lcm of the denominators of alpha and the
+        effective beta b, A_j = D alpha_j and B_j = D b_j as integers.
+        A_j / D rounds once, so it is float(alpha_j).  Formed once."""
+        alpha, beta = self.alpha, self.effective_beta()
+        D = math.lcm(*(c.denominator for c in alpha + beta))
+        A, B = (tuple(c.numerator * (D // c.denominator) for c in v)
+                for v in (alpha, beta))
+        return D, A, B
 
 
 def pad_method(m: MethodSpec, k: int) -> MethodSpec:
@@ -351,7 +355,7 @@ def parse_method(text: str) -> MethodSpec:
     Keys `name`, `k`, `alpha`, `beta` are required; `kind` and `gamma` are
     optional; k is at most `_MAX_K`.  `gamma:` takes no value and is
     followed by k+1 plain rows of k+1 rationals.  `#` starts a comment;
-    blank lines are ignored.  `_scaled`'s integers and gamma's numerators
+    blank lines are ignored.  `scaled`'s integers and gamma's numerators
     and denominators have at most `_MAX_BITS` bits, so every float is finite.
     """
     fields, rows = _read_fields(
@@ -372,7 +376,7 @@ def parse_method(text: str) -> MethodSpec:
              if "gamma" in fields else None)
     kind = fields.get("kind", "lmm" if gamma is None else "generalized")
     m = MethodSpec(fields["name"], k, alpha, beta, kind, gamma)
-    D, A, B = _scaled(m)
+    D, A, B = m.scaled
     bits = max(abs(x).bit_length() for x in (D, *A, *B, *(
         x for row in gamma or () for c in row for x in c.as_integer_ratio())))
     if bits > _MAX_BITS:
@@ -407,15 +411,6 @@ def defect_horizon(k: int) -> int:
     return 2 * k + 4
 
 
-def _scaled(m: MethodSpec) -> tuple[int, list[int], list[int]]:
-    """(D, A, B): D the lcm of the denominators of alpha and the effective
-    beta b, A_j = D alpha_j and B_j = D b_j as integers."""
-    alpha, beta = m.alpha, m.effective_beta()
-    D = math.lcm(*(c.denominator for c in alpha + beta))
-    A, B = ([c.numerator * (D // c.denominator) for c in v] for v in (alpha, beta))
-    return D, A, B
-
-
 def order_analysis(m: MethodSpec) -> tuple[int, tuple[Fraction, ...], bool]:
     """Exact consistency defects and the order they certify.
 
@@ -427,10 +422,10 @@ def order_analysis(m: MethodSpec) -> tuple[int, tuple[Fraction, ...], bool]:
     b the effective beta (beta itself unless gamma is explicit), and
     order = largest s with C_0 .. C_s all zero and C_{s+1} nonzero
     (0 when inconsistent), consistent = (C_0 = C_1 = 0).  Each D*C_l is
-    summed in integers (see `_scaled`) and divided by D once.
+    summed in integers (see `MethodSpec.scaled`) and divided by D once.
     """
     L = defect_horizon(m.k)
-    D, A, B = _scaled(m)
+    D, A, B = m.scaled
     defects = [Fraction(sum(A), D)]
     powers = [1] * (m.k + 1)  # j^(l-1)
     for l in range(1, L + 1):
@@ -449,11 +444,9 @@ def order_analysis(m: MethodSpec) -> tuple[int, tuple[Fraction, ...], bool]:
 
 def is_symmetric(m: MethodSpec) -> bool:
     """Coefficient symmetry: alpha_{k-j} = -alpha_j and b_{k-j} = b_j for the
-    effective beta b."""
-    k, beta = m.k, m.effective_beta()
-    return all(m.alpha[k - j] == -m.alpha[j] for j in range(k + 1)) and all(
-        beta[k - j] == beta[j] for j in range(k + 1)
-    )
+    effective beta b, read off `MethodSpec.scaled`'s integers."""
+    _, A, B = m.scaled
+    return A[::-1] == tuple(-a for a in A) and B[::-1] == B
 
 
 def _primitive(p: list[int]) -> list[int]:
@@ -483,31 +476,60 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
 
 def is_irreducible(m: MethodSpec) -> bool:
     """True when rho and sigma (from the effective beta) share no common
-    polynomial factor (exact gcd over `_scaled`'s integers)."""
-    _, A, B = _scaled(m)
+    polynomial factor (exact gcd over `MethodSpec.scaled`'s integers)."""
+    _, A, B = m.scaled
     return len(_gcd(A, B)) == 1
 
 
-def root_condition(m: MethodSpec) -> tuple[bool, tuple[complex, ...]]:
-    """Zero-stability check on the roots of rho: (satisfied, roots).
+def _quotient(p: list[int], d: list[int]) -> list[int]:
+    """p / d for integer polynomials, d primitive and dividing p: by Gauss's
+    lemma the quotient has integer coefficients, so each is one exact
+    integer division."""
+    p, n = list(p), len(d) - 1
+    q = [0] * (len(p) - n)
+    for i in reversed(range(len(q))):
+        q[i] = p[i + n] // d[-1]
+        for j, c in enumerate(d):
+            p[i + j] -= q[i] * c
+    return q
 
-    All roots must satisfy |r| <= 1 + 1e-10, and roots with |r| >= 1 - 1e-10
-    must be simple.  Which roots are multiple is exact: they are the roots
-    of g = gcd(rho, rho'), taken over `_scaled`'s integers (`_gcd`), less
-    its factors of z (a multiple root at 0 is inside the disk).  What is
-    still float is where the roots lie: those of rho, and of g where it
-    keeps a degree, come from companion-matrix eigenvalues, and every root
-    of g must satisfy |r| < 1 - 1e-10.
+
+def _inside(p: list[int]) -> bool:
+    """Every root of p strictly inside the unit circle, by the Schur-Cohn-
+    Jury recursion p -> (p_n p - p_0 p*) / z with p* the reversed p: it
+    keeps that property and drops one degree, as long as |p_0| < |p_n|
+    (else the roots' product has modulus >= 1)."""
+    while len(p) > 1:
+        if abs(p[0]) >= abs(p[-1]):
+            return False
+        p = _primitive([p[-1] * a - p[0] * b for a, b in zip(p[1:], p[-2::-1])])
+    return True
+
+
+def _closed(s: list[int]) -> bool:
+    """Every root of s in the closed unit disk.  u = gcd(s, s*), primitive,
+    holds s's roots on the circle and the pairs r, 1/r; the rest must lie
+    inside.  u is self-inversive, so its roots are all on the circle exactly
+    when those of u' are in the closed disk (A. Cohn, Math. Z. 14 (1922)
+    110-148)."""
+    u = _gcd(s, s[::-1])
+    return _inside(_quotient(s, u)) and (
+        len(u) == 1 or _closed([j * c for j, c in enumerate(u)][1:]))
+
+
+def root_condition(m: MethodSpec) -> tuple[bool, tuple[complex, ...]]:
+    """Zero-stability of rho, exactly: (satisfied, roots).
+
+    Every root of rho must lie in the closed unit disk, and a multiple one
+    strictly inside it.  The multiple roots are those of g = gcd(rho, rho'),
+    so the condition is `_inside(g)` and `_closed(rho / g)`, all on
+    `MethodSpec.scaled`'s integers.  Only the displayed roots are floats:
+    companion-matrix eigenvalues of rho, which no verdict reads.
     """
-    roots = tuple(np.roots([float(c) for c in reversed(m.alpha)]))
-    ok = all(abs(r) <= 1 + ROOT_MOD_TOL for r in roots)
-    _, A, _ = _scaled(m)
+    D, A, _ = m.scaled
     g = _gcd(A, [j * a for j, a in enumerate(A)][1:])
-    g = g[next(i for i, c in enumerate(g) if c):]
-    if ok and len(g) > 1:
-        ok = all(abs(r) < 1 - ROOT_MOD_TOL
-                 for r in np.roots([float(c) for c in reversed(g)]))
-    return ok, roots
+    ok = _inside(g) and _closed(_quotient(A, g))
+    return ok, tuple(np.roots([a / D for a in reversed(A)]))
 
 
 def lambda_matrix(m: MethodSpec) -> tuple[tuple[Fraction, ...], ...]:
@@ -516,10 +538,10 @@ def lambda_matrix(m: MethodSpec) -> tuple[tuple[Fraction, ...], ...]:
     a is alpha and b the effective beta.  Indices i, j run 1..k and
     out-of-range coefficients count as zero.  The convention is pinned by
     the two-step central scheme, whose matrix is [[0, 2], [2, 0]].  Each
-    entry is summed over the integers D a and D b (see `_scaled`) and
-    divided by D^2 once.
+    entry is summed over the integers D a and D b (see `MethodSpec.scaled`)
+    and divided by D^2 once.
     """
-    k, (D, A, B) = m.k, _scaled(m)
+    k, (D, A, B) = m.k, m.scaled
 
     def lam(i: int, j: int) -> Fraction:
         s = sum(A[i + mm] * B[j + mm] + A[j + mm] * B[i + mm]
@@ -532,6 +554,7 @@ def lambda_matrix(m: MethodSpec) -> tuple[tuple[Fraction, ...], ...]:
 def analyze(m: MethodSpec) -> AnalysisReport:
     order, defects, consistent = order_analysis(m)
     ok, roots = root_condition(m)
+    D, _, B = m.scaled
     return AnalysisReport(
         method=m.name,
         order=order,
@@ -541,7 +564,7 @@ def analyze(m: MethodSpec) -> AnalysisReport:
         irreducible=is_irreducible(m),
         root_condition_satisfied=ok,
         rho_roots=roots,
-        normalization=sum(m.effective_beta(), Fraction(0)),
+        normalization=Fraction(sum(B), D),
         lambda_=lambda_matrix(m),
         warnings=m.warnings,
     )

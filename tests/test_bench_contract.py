@@ -4,10 +4,14 @@
 `bench/run.py` and `bench/workloads.py` call geostep by attribute, so a
 rename or removal in the package would otherwise only show when the
 benchmark runs (or, for the tracer, only under `--trace 1`).  The bench
-files are read, not imported.
+files are read, not imported.  The `certify` workload's pinned output,
+`bench/certify_expected.json`, is checked here too, so a certificate the
+package moves fails these tests before the benchmark sees it.
 """
 import ast
 import importlib
+import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -154,3 +158,37 @@ def test_runs_write_and_label_through_traced_functions_by_module_attribute(
     assert cli.main(["integrate", "--method", "leapfrog", "--steps", "50",
                      "--out", str(tmp_path)]) == 0
     assert calls == {"write_artifacts": 1}
+
+
+CERTIFY = json.loads((BENCH / "certify_expected.json").read_text())
+
+
+def _agree(got: str, want: str) -> bool:
+    """Equal, or both numbers within the certify workload's rel 1e-6,
+    abs 1e-13."""
+    if got == want:
+        return True
+    try:
+        return math.isclose(float(got), float(want), rel_tol=1e-6, abs_tol=1e-13)
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("label", sorted(k for k in CERTIFY if k.startswith("analyze:")))
+def test_analyze_prints_the_certify_workloads_pinned_text(capsys, label):
+    # a verdict moved by the package fails here before the benchmark sees it
+    want = CERTIFY[label]
+    code = cli.main(["analyze", "--method", label.split(":", 1)[1], "--json"])
+    assert (code, capsys.readouterr().out) == (want["exit"], want["stdout"])
+
+
+def test_verify_rows_match_the_certify_workloads_pinned_rows(capsys, monkeypatch):
+    monkeypatch.delenv("GEOSTEP_TOL", raising=False)
+    want = CERTIFY["verify"]
+    code = cli.main(["verify"])
+    got_rows = [r.split(",") for r in capsys.readouterr().out.splitlines()]
+    want_rows = [r.split(",") for r in want["stdout"].splitlines()]
+    assert code == want["exit"]
+    assert len(got_rows) == len(want_rows)
+    for got, row in zip(got_rows, want_rows):
+        assert len(got) == len(row) and all(map(_agree, got, row)), (got, row)

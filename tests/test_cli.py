@@ -151,7 +151,7 @@ def test_analyze_at_the_k_bound_finishes_and_past_it_exits_1(tmp_path):
 
 
 def wide_scheme_text(k, bits, seed=0):
-    """A consistent k-step scheme whose largest `_scaled` integer has exactly
+    """A consistent k-step scheme whose largest `scaled` integer has exactly
     `bits` bits: beta over the odd prime D = 2^31 - 1, and the whole
     relation times a power of two, which doubles every integer but D."""
     rng = random.Random(seed)

@@ -395,7 +395,7 @@ def reference_irreducible(m):
 
 
 def integer_gcd(m):
-    _, A, B = methods._scaled(m)
+    _, A, B = m.scaled
     return methods._gcd(A, B)
 
 
@@ -479,6 +479,58 @@ CYCLOTOMIC = [(-1, 1), (1, 1), (1, 0, 1), (1, 1, 1), (1, -1, 1)]
 def test_property_a_squared_cyclotomic_factor_fails_the_root_condition(c, p):
     alpha = poly_mul(poly_mul(list(c), list(c)), p)
     assert not root_condition(_rho_spec(alpha))[0]
+
+
+OUTSIDE = """name: outside
+k: 2
+alpha: 1099511627777 -2199023255553 1099511627776
+beta: 0 -1 0
+"""
+
+
+def test_root_condition_rejects_a_root_just_outside_the_circle():
+    # rho = (z - 1)(2^40 z - 2^40 - 1): its root 1 + 2^-40 is within 1e-10
+    # of the circle, where a float modulus test called it on it
+    m = parse_method(OUTSIDE)
+    assert poly_at(m.alpha, 1 + F(1, 2**40)) == 0
+    ok, roots = root_condition(m)
+    assert not ok
+    assert len(roots) == 2
+    assert report_to_dict(analyze(m))["rootConditionSatisfied"] is False
+
+
+def test_root_condition_accepts_a_double_root_just_inside_the_circle():
+    # rho = (z - 1)(z - r)^2 with r = 1 - 2^-40: zero-stable, though float
+    # moduli cannot tell its double root from one on the circle
+    r = 1 - F(1, 2**40)
+    alpha = poly_mul([-1, 1], poly_mul([-r, 1], [-r, 1]))
+    ok, roots = root_condition(_rho_spec(alpha))
+    assert ok
+    assert len(roots) == 3
+
+
+# each factor with its roots: a rational root a/b by value, the roots on the
+# circle of each cyclotomic factor by one key per factor (z -/+ 1 by value,
+# so that they meet the linear factors with |a| = b)
+ROOTED_FACTORS = [((-1, 1), F(1)), ((1, 1), F(-1)), ((1, 0, 1), "z^2+1"),
+                  ((1, 1, 1), "z^2+z+1"), ((1, -1, 1), "z^2-z+1")]
+linear_factors = st.builds(lambda a, b: ((-a, b), F(a, b)),
+                           st.integers(-12, 12), st.integers(1, 9))
+
+
+@given(st.lists(st.tuples(st.one_of(linear_factors, st.sampled_from(ROOTED_FACTORS)),
+                          st.integers(1, 3)), min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_property_root_condition_equals_the_verdict_of_known_roots(factors):
+    alpha, multiplicity = [F(1)], {}
+    for (poly, root), times in factors:
+        for _ in range(times):
+            alpha = poly_mul(alpha, list(poly))
+        multiplicity[root] = multiplicity.get(root, 0) + times
+    on_circle = [r for r in multiplicity if isinstance(r, str) or abs(r) == 1]
+    expected = (all(abs(r) <= 1 for r in multiplicity if not isinstance(r, str))
+                and all(multiplicity[r] == 1 for r in on_circle))
+    assert root_condition(_rho_spec(alpha))[0] is expected
 
 
 # ---------------------------------------------------------------------------
@@ -740,3 +792,63 @@ def test_all_vanishing_defects_raise_the_same_error():
     assert str(got.value) == str(want.value) == (
         "all defects vanish through C_8; not a finite-order scheme"
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer form every certificate and float coefficient reads
+
+
+def test_analyze_forms_the_effective_beta_once(monkeypatch):
+    calls = []
+    effective_beta = MethodSpec.effective_beta
+
+    def counted(self):
+        calls.append(self.name)
+        return effective_beta(self)
+
+    monkeypatch.setattr(MethodSpec, "effective_beta", counted)
+    skewed = "name: skewed\nk: 1\nalpha: -1 1\nbeta: 1/2 1/2\ngamma:\n1 0\n1/2 1/2\n"
+    analyze(parse_method(skewed))  # the parse's bit bound forms it already
+    assert calls == ["skewed"]
+    m = MethodSpec("fresh", 2, (F(-1), F(0), F(1)), (F(0), F(2), F(0)))
+    analyze(m)
+    analyze(m)
+    assert calls == ["skewed", "fresh"]
+    assert m.scaled is m.scaled
+
+
+@st.composite
+def mirrored_specs(draw):
+    """Specs with alpha odd and beta even under j -> k-j, of any kind, some
+    with one beta entry moved off the mirror."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["lmm", "one-leg", "generalized"]))
+    alpha = draw(st.lists(wide_coef, min_size=k + 1, max_size=k + 1))
+    beta = draw(st.lists(wide_coef, min_size=k + 1, max_size=k + 1))
+    if alpha[0] == 0:
+        alpha[0] = F(1)
+    for j in range(k // 2 + 1):
+        alpha[k - j], beta[k - j] = -alpha[j], beta[j]
+    if k % 2 == 0:
+        alpha[k // 2] = F(0)
+    if draw(st.booleans()):
+        beta[draw(st.integers(0, k))] += 1
+    if kind == "one-leg":
+        total = sum(beta, F(0))
+        beta = [b / total for b in beta] if total else [F(1)] + [F(0)] * k
+    gamma = None
+    if kind == "generalized":
+        gamma = tuple(tuple(_unit_sum(draw, k + 1)) for _ in range(k + 1))
+    return MethodSpec("m", k, tuple(alpha), tuple(beta), kind, gamma)
+
+
+@given(st.one_of(any_kind_specs(), mirrored_specs()))
+@settings(max_examples=300, deadline=None)
+def test_property_scaled_form_gives_the_rational_floats_and_symmetry(m):
+    D, A, B = m.scaled
+    b = m.effective_beta()
+    assert [(x / D).hex() for x in A] == [float(c).hex() for c in m.alpha]
+    assert [(x / D).hex() for x in B] == [float(c).hex() for c in b]
+    k = m.k
+    assert is_symmetric(m) is (all(m.alpha[k - j] == -m.alpha[j] for j in range(k + 1))
+                               and all(b[k - j] == b[j] for j in range(k + 1)))
